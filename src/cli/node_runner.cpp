@@ -18,6 +18,7 @@
 
 #include "src/cli/workload_source.h"
 #include "src/crypto/secure_rng.h"
+#include "src/net/wire.h"
 #include "src/relay/relay_plane.h"
 #include "src/relay/stats_agent.h"
 #include "src/privcount/data_collector.h"
@@ -47,9 +48,6 @@ constexpr int k_retry_drain_ms = 200;
 /// Upper bound on the round-boundary wait for rejoin answers from
 /// queried (dropped) peers.
 constexpr int k_rejoin_wait_ms = 750;
-/// Exit code of an injected crash; the orchestrator's supervisor restarts
-/// children that die with it (durable deployments only).
-constexpr int k_crash_exit_code = 42;
 
 /// Per-process fault injection for the multi-round test harness. Reads
 /// TORMET_FAULT, a ';'-separated list of clauses
@@ -67,15 +65,6 @@ struct fault_spec {
   int delay_ms = 0;
   std::set<std::size_t> crash_in_rounds;
   std::set<std::size_t> crash_after_rounds;
-
-  /// True when a crash_in_round clause names protocol round `round_id`
-  /// (1-based, as the control messages carry it).
-  [[nodiscard]] bool crash_in(std::uint32_t round_id) const {
-    return round_id >= 1 && crash_in_rounds.contains(round_id - 1);
-  }
-  [[nodiscard]] bool crash_after(std::uint32_t round_id) const {
-    return round_id >= 1 && crash_after_rounds.contains(round_id - 1);
-  }
 };
 
 [[nodiscard]] fault_spec fault_for(net::node_id self) {
@@ -110,12 +99,17 @@ struct fault_spec {
   return f;
 }
 
-/// Fires an injected crash via _Exit(42): no flushes, no destructors — the
-/// op-log write()s already issued are all that survive, exactly like a real
-/// kill. In a durable deployment the crash fires at most once per
+/// Fires the injected crash `action` via _Exit(42) when `rounds` (a
+/// crash clause's round set) names protocol round `round_id` (1-based, as
+/// the messages carry it): no flushes, no destructors — the op-log
+/// write()s already issued are all that survive, exactly like a real kill.
+/// In a durable deployment the crash fires at most once per
 /// (action, round): a marker file under durable_dir outlives the restart.
 void maybe_crash(const deployment_plan& plan, net::node_id self,
-                 const char* action, std::size_t round_index) {
+                 const std::set<std::size_t>& rounds, const char* action,
+                 std::uint32_t round_id) {
+  if (round_id < 1 || !rounds.contains(round_id - 1)) return;
+  const std::size_t round_index = round_id - 1;
   if (plan.durable()) {
     const std::string marker = plan.durable_dir + "/crashed-" +
                                std::to_string(self) + "-" + action + "-" +
@@ -167,18 +161,44 @@ struct ts_state {
   throw util::op_log_error{std::string{"TS durable record: "} + what};
 }
 
+/// Writes the membership lines round records and checkpoints share: the
+/// dropped set, then one `dc` counter line per DC.
+void write_membership(std::ostream& out, const std::set<net::node_id>& dropped,
+                      const std::map<net::node_id, dc_counters>& counters) {
+  out << "dropped";
+  for (const auto id : dropped) out << " " << id;
+  out << "\n";
+  for (const auto& [id, c] : counters) {
+    out << "dc " << id << " " << c.reported << " " << c.missed << " "
+        << c.excluded << " " << c.rejoined << "\n";
+  }
+}
+
+/// Reads a `dropped` or `dc` line (its `key` already taken from `ls`) into
+/// the membership fields; false for any other key.
+[[nodiscard]] bool read_membership(
+    const std::string& key, std::istream& ls, std::set<net::node_id>& dropped,
+    std::map<net::node_id, dc_counters>& counters) {
+  net::node_id id = 0;
+  if (key == "dropped") {
+    while (ls >> id) dropped.insert(id);
+    return true;
+  }
+  if (key != "dc") return false;
+  dc_counters c;
+  if (!(ls >> id >> c.reported >> c.missed >> c.excluded >> c.rejoined)) {
+    record_fail("bad dc line");
+  }
+  counters[id] = c;
+  return true;
+}
+
 [[nodiscard]] std::string encode_round_record(const round_record& r) {
   std::ostringstream out;
   out << "tormet-ts-round-v1\n";
   out << "round " << r.round << "\n";
   out << "retries " << r.retries << "\n";
-  out << "dropped";
-  for (const auto id : r.dropped) out << " " << id;
-  out << "\n";
-  for (const auto& [id, c] : r.delta) {
-    out << "dc " << id << " " << c.reported << " " << c.missed << " "
-        << c.excluded << " " << c.rejoined << "\n";
-  }
+  write_membership(out, r.dropped, r.delta);
   out << "tally " << r.tally.size() << "\n" << r.tally;
   return out.str();
 }
@@ -217,20 +237,10 @@ struct ts_state {
       if (!(ls >> r.round)) record_fail("bad round line");
     } else if (key == "retries") {
       if (!(ls >> r.retries)) record_fail("bad retries line");
-    } else if (key == "dropped") {
-      net::node_id id = 0;
-      while (ls >> id) r.dropped.insert(id);
-    } else if (key == "dc") {
-      net::node_id id = 0;
-      dc_counters c;
-      if (!(ls >> id >> c.reported >> c.missed >> c.excluded >> c.rejoined)) {
-        record_fail("bad dc line");
-      }
-      r.delta[id] = c;
     } else if (key == "tally") {
       r.tally = read_tally_bytes(in, line);
       have_tally = true;
-    } else {
+    } else if (!read_membership(key, ls, r.dropped, r.delta)) {
       record_fail("unknown round-record key");
     }
   }
@@ -260,13 +270,7 @@ void apply_round_record(ts_state& s, const round_record& r) {
   out << "tormet-ts-ckpt-v1\n";
   out << "next_round " << s.next_round << "\n";
   out << "retries " << s.retries_total << "\n";
-  out << "dropped";
-  for (const auto id : s.dropped) out << " " << id;
-  out << "\n";
-  for (const auto& [id, c] : s.counters) {
-    out << "dc " << id << " " << c.reported << " " << c.missed << " "
-        << c.excluded << " " << c.rejoined << "\n";
-  }
+  write_membership(out, s.dropped, s.counters);
   for (const auto& t : s.tallies) {
     out << "tally " << t.size() << "\n" << t;
   }
@@ -289,19 +293,9 @@ void apply_ts_checkpoint(ts_state& s, byte_view payload) {
       }
     } else if (key == "retries") {
       if (!(ls >> s.retries_total)) record_fail("bad retries line");
-    } else if (key == "dropped") {
-      net::node_id id = 0;
-      while (ls >> id) s.dropped.insert(id);
-    } else if (key == "dc") {
-      net::node_id id = 0;
-      dc_counters c;
-      if (!(ls >> id >> c.reported >> c.missed >> c.excluded >> c.rejoined)) {
-        record_fail("bad dc line");
-      }
-      s.counters[id] = c;
     } else if (key == "tally") {
       s.tallies.push_back(read_tally_bytes(in, line));
-    } else {
+    } else if (!read_membership(key, ls, s.dropped, s.counters)) {
       record_fail("unknown checkpoint key");
     }
   }
@@ -330,11 +324,14 @@ void apply_ts_checkpoint(ts_state& s, byte_view payload) {
   return s;
 }
 
-/// The privacy-safe deployment summary: round/retry totals and per-DC
-/// participation counters. Kept OUT of the tally bytes (a sidecar file) so
-/// observability never perturbs the byte-identity gate.
-[[nodiscard]] std::string ts_summary(const ts_state& s,
-                                     const std::string& protocol) {
+/// The privacy-safe deployment summary: round/retry totals, per-DC
+/// participation counters, and the DCs' accounting lines
+/// (`dc_stats <id> <line>` per payload line; a map keyed by node id keeps
+/// their order deterministic). Kept OUT of the tally bytes (a sidecar file)
+/// so observability never perturbs the byte-identity gate.
+[[nodiscard]] std::string ts_summary(
+    const ts_state& s, const std::string& protocol,
+    const std::map<net::node_id, std::string>& dc_stats) {
   std::ostringstream out;
   out << "tormet-summary-v1\n";
   out << "protocol " << protocol << "\n";
@@ -346,6 +343,13 @@ void apply_ts_checkpoint(ts_state& s, byte_view payload) {
   for (const auto& [id, c] : s.counters) {
     out << "dc " << id << " reported " << c.reported << " missed " << c.missed
         << " excluded " << c.excluded << " rejoined " << c.rejoined << "\n";
+  }
+  for (const auto& [id, text] : dc_stats) {
+    std::istringstream in{text};
+    std::string line;
+    while (std::getline(in, line)) {
+      if (!line.empty()) out << "dc_stats " << id << " " << line << "\n";
+    }
   }
   return out.str();
 }
@@ -363,29 +367,7 @@ void commit_round(ts_state& s, const deployment_plan& plan, round_record rec,
     }
   }
   write_file_atomic(plan.tally_path, serialize_multiround_tally(s.tallies));
-  write_file_atomic(plan.tally_path + ".summary", ts_summary(s, protocol));
-}
-
-/// Rewrites the .summary sidecar with the DCs' privacy-safe accounting
-/// lines appended (`dc_stats <id> <line>` per payload line). Called once
-/// after the completion handshake: each DC's DC_STATS message rides the
-/// same channel as its ROUND_ACK, so by the time every surviving ack is
-/// in, every surviving DC's stats are too. A map keyed by node id keeps
-/// the line order deterministic.
-void write_summary_with_dc_stats(
-    const ts_state& s, const deployment_plan& plan, const std::string& protocol,
-    const std::map<net::node_id, std::string>& dc_stats) {
-  if (dc_stats.empty()) return;  // nothing beyond what commit_round wrote
-  std::ostringstream out;
-  out << ts_summary(s, protocol);
-  for (const auto& [id, text] : dc_stats) {
-    std::istringstream in{text};
-    std::string line;
-    while (std::getline(in, line)) {
-      if (!line.empty()) out << "dc_stats " << id << " " << line << "\n";
-    }
-  }
-  write_file_atomic(plan.tally_path + ".summary", out.str());
+  write_file_atomic(plan.tally_path + ".summary", ts_summary(s, protocol, {}));
 }
 
 // -- non-TS durable position -------------------------------------------------
@@ -409,20 +391,6 @@ void write_summary_with_dc_stats(
   if (rec.has_checkpoint) round = parse(rec.checkpoint);
   for (const auto& r : rec.records) round = parse(r);
   return round;
-}
-
-[[nodiscard]] std::unique_ptr<util::durable_store> open_node_store(
-    const deployment_plan& plan, net::node_id self) {
-  if (!plan.durable()) return nullptr;
-  auto store = std::make_unique<util::durable_store>(
-      plan.durable_dir + "/node-" + std::to_string(self));
-  const std::uint32_t round = recovered_round(*store);
-  if (round > 0) {
-    log_line{log_level::info} << "node " << self
-                              << ": recovered durable position at round "
-                              << round;
-  }
-  return store;
 }
 
 void record_node_round(util::durable_store& store, std::uint32_t round,
@@ -505,31 +473,6 @@ class tolerant_transport final : public net::transport {
       std::min<std::int64_t>(total, std::numeric_limits<int>::max()));
 }
 
-/// Excludes every current DC that `still_missing` reports as absent,
-/// keeping at least one: with the whole DC population gone there is no
-/// degraded round to salvage — the phase deadline then fails the round
-/// with a clear timeout instead of an exclusion crash.
-void exclude_stragglers(const std::function<void(net::node_id)>& exclude,
-                        std::vector<net::node_id> current,  // copy: exclude()
-                                                            // mutates the live
-                                                            // DC list
-                        const std::function<bool(net::node_id)>& still_missing,
-                        std::set<net::node_id>& dropped) {
-  std::size_t remaining = current.size();
-  for (const auto id : current) {
-    if (!still_missing(id)) continue;
-    if (remaining <= 1) {
-      log_line{log_level::warn}
-          << "TS: every remaining DC missed the grace; keeping DC " << id
-          << " and waiting out the round deadline";
-      break;
-    }
-    exclude(id);
-    dropped.insert(id);
-    --remaining;
-  }
-}
-
 /// Round-boundary rejoin admission (durable deployments only): queries
 /// every currently-dropped peer, waits briefly for answers, then re-admits
 /// every pending requester that was dropped. Restarted nodes announce
@@ -584,34 +527,76 @@ void finish_round_as_ts(net::transport& out, net::tcp_net& net,
   net.flush_sends();
 }
 
-/// Serves a non-TS role until the TS's ROUND_DONE arrives (or `quit_early`
-/// fires — the fault-injection exit), then acks and flushes. `handle`
-/// processes protocol messages; rejoin control traffic is answered here.
-/// When `final_stats` is set, its text rides a DC_STATS message sent
-/// BEFORE the ack on the same channel — per-channel FIFO guarantees the
-/// TS folds the stats into the .summary sidecar before it stops waiting.
-void serve_until_done(net::tcp_net& net, const deployment_plan& plan,
-                      net::node_id self, net::node_id ts_id,
-                      const std::function<void(const net::message&)>& handle,
-                      const std::function<bool()>& quit_early = nullptr,
-                      const std::function<std::string()>& final_stats = nullptr) {
+// -- peer roles --------------------------------------------------------------
+
+/// The protocol round id a PSC or PrivCount message carries: every message
+/// of both protocols starts with it as a u32.
+[[nodiscard]] std::uint32_t round_of(const net::message& m) {
+  net::wire_reader in{m.payload};
+  return in.read_u32();
+}
+
+/// The three messages a peer role's round bookkeeping hooks into.
+struct peer_hooks {
+  template <class msg_type>
+  peer_hooks(msg_type opens, msg_type crashes_in, msg_type ends)
+      : configure{static_cast<std::uint16_t>(opens)},
+        crash_in{static_cast<std::uint16_t>(crashes_in)},
+        round_end{static_cast<std::uint16_t>(ends)} {}
+
+  std::uint16_t configure;  // opens a round: reseed, durable position
+  std::uint16_t crash_in;   // crash_in_round fires before it is handled
+  std::uint16_t round_end;  // exit/crash_after_round fire after it is handled
+};
+
+/// Serves a CP, SK or DC role until the TS's ROUND_DONE arrives (or an
+/// injected exit_after_round fires), then acks and flushes. The round
+/// bookkeeping every peer shares runs here, keyed by `hooks`: the
+/// per-round reseed, the crash points and the durable position record.
+/// `handle` processes protocol messages and gets the round the peer was
+/// last configured for; rejoin control traffic is answered here. When
+/// `final_stats` is set, its text rides a DC_STATS message sent BEFORE the
+/// ack on the same channel — per-channel FIFO guarantees the TS folds the
+/// stats into the .summary sidecar before it stops waiting.
+void serve_peer(
+    net::tcp_net& net, const deployment_plan& plan, net::node_id self,
+    const fault_spec& fault, crypto::deterministic_rng& rng,
+    const peer_hooks& hooks,
+    const std::function<void(const net::message&, std::uint32_t)>& handle,
+    const std::function<std::string()>& final_stats = nullptr) {
+  const net::node_id ts_id = plan.tally_server_id();
+  std::unique_ptr<util::durable_store> store;
+  std::uint32_t recorded_round = 0;
+  if (plan.durable()) {
+    store = std::make_unique<util::durable_store>(
+        plan.durable_dir + "/node-" + std::to_string(self));
+    recorded_round = recovered_round(*store);
+    if (recorded_round > 0) {
+      log_line{log_level::info} << "node " << self
+                                << ": recovered durable position at round "
+                                << recorded_round;
+    }
+  }
+  std::uint32_t configured = 0;  // 1-based protocol round id
   bool done = false;
+  bool quit = false;
+  // Control traffic to the TS: a fault-tolerant TS that already excluded
+  // this node does not wait for it, so a closed channel must not fail the
+  // node.
+  const auto tell_ts = [&](ctl_msg type, byte_buffer payload) {
+    try {
+      net.send(net::message{self, ts_id, static_cast<std::uint16_t>(type),
+                            std::move(payload)});
+    } catch (const net::transport_error&) {
+    }
+  };
   net.register_node(self, [&](const net::message& m) {
     if (m.type == static_cast<std::uint16_t>(ctl_msg::round_done)) {
-      try {
-        if (final_stats != nullptr) {
-          const std::string stats = final_stats();
-          net.send(net::message{self, ts_id,
-                                static_cast<std::uint16_t>(ctl_msg::dc_stats),
-                                byte_buffer{stats.begin(), stats.end()}});
-        }
-        net.send(net::message{self, ts_id,
-                              static_cast<std::uint16_t>(ctl_msg::round_ack),
-                              {}});
-      } catch (const net::transport_error&) {
-        // A fault-tolerant TS that already excluded this node does not wait
-        // for the ack; acking into a closed channel must not fail the node.
+      if (final_stats != nullptr) {
+        const std::string stats = final_stats();
+        tell_ts(ctl_msg::dc_stats, byte_buffer{stats.begin(), stats.end()});
       }
+      tell_ts(ctl_msg::round_ack, {});
       done = true;
       return;
     }
@@ -619,33 +604,44 @@ void serve_until_done(net::tcp_net& net, const deployment_plan& plan,
     if (m.type == static_cast<std::uint16_t>(ctl_msg::rejoin_query)) {
       // The TS probes dropped peers at round boundaries; answering
       // re-admits this node from the next round.
-      try {
-        net.send(net::message{
-            self, ts_id, static_cast<std::uint16_t>(ctl_msg::rejoin_request),
-            {}});
-      } catch (const net::transport_error&) {
-      }
+      tell_ts(ctl_msg::rejoin_request, {});
       return;
     }
-    handle(m);
+    if (m.type == hooks.crash_in) {
+      maybe_crash(plan, self, fault.crash_in_rounds, "crash_in_round",
+                  round_of(m));
+    }
+    if (m.type == hooks.configure) {
+      configured = round_of(m);
+      // Per-round reseed BEFORE the role consumes the RNG: every
+      // incarnation — and the in-process reference — derives the identical
+      // stream for (seed, node, round), which is what makes crash re-runs
+      // byte-identical.
+      rng = crypto::make_node_round_rng(plan.rng_seed, self, configured);
+      if (store != nullptr && configured > recorded_round) {
+        record_node_round(*store, configured, plan.checkpoint_every);
+        recorded_round = configured;
+      }
+    }
+    handle(m, configured);
+    if (m.type == hooks.round_end && round_of(m) == configured) {
+      if (fault.exit_after && configured == fault.exit_round + 1) {
+        quit = true;  // injected dropout: exit cleanly between rounds
+      }
+      maybe_crash(plan, self, fault.crash_after_rounds, "crash_after_round",
+                  configured);
+    }
   });
   if (plan.durable()) {
     // Announce presence: a restarted node re-admits itself; on a cold
     // start the TS's re-admission of an existing member is a no-op.
-    try {
-      net.send(net::message{
-          self, ts_id, static_cast<std::uint16_t>(ctl_msg::rejoin_request),
-          {}});
-    } catch (const net::transport_error&) {
-    }
+    tell_ts(ctl_msg::rejoin_request, {});
   }
-  net.run_until(
-      [&] { return done || (quit_early != nullptr && quit_early()); },
-      serve_deadline_ms(plan));
+  net.run_until([&] { return done || quit; }, serve_deadline_ms(plan));
   net.flush_sends();
 }
 
-// -- DC window replay --------------------------------------------------------
+// -- DC collection -----------------------------------------------------------
 
 /// Minimal event_sink adapter: forwards ingest spans to a callback. Used
 /// to interpose the replay buffer between the relay aggregator and the
@@ -669,28 +665,96 @@ class callback_sink final : public core::event_sink {
   std::function<void(const tor::event*, std::size_t)> fn_;
 };
 
-/// Replays per-round collection windows with crash/retry support. The
-/// cursor consumes its event stream monotonically, so a re-driven round
-/// (durable TS retry) cannot re-pull its window from the source — the last
-/// streamed window is buffered and replayed verbatim instead. A restarted
-/// DC holds a rebuilt cursor: asking it for the current window auto-drops
-/// the already-processed prefix (events outside the requested window are
-/// counted-but-dropped), which re-positions the stream without any
-/// bookkeeping.
+/// The collection path both DC roles share: the DC's ingest plane, the
+/// plan's event cursor, opened once for the whole schedule, the relay
+/// plane it may detour through, the replay buffer for re-driven rounds, and
+/// the dc_stats payload. Synthetic workloads have no cursor and stream
+/// nothing.
+///
+/// The cursor consumes its event stream monotonically, so a re-driven
+/// round (durable TS retry) cannot re-pull its window from the source —
+/// the last streamed window is buffered and replayed verbatim instead. A
+/// restarted DC holds a rebuilt cursor: asking it for the current window
+/// auto-drops the already-processed prefix (events outside the requested
+/// window are counted-but-dropped), which re-positions the stream without
+/// any bookkeeping.
 ///
 /// With a relay plane attached (workload relays), the window detours
 /// through the simulated fleet: cursor -> route() onto the per-relay
 /// stats agents -> per-relay .pub publish -> aggregator merge -> sink.
 /// The buffer then holds the POST-aggregation merged span, so a durable
 /// retry re-ingests identical bytes without re-publishing.
-class windowed_replay {
+class dc_collection {
  public:
-  explicit windowed_replay(bool buffering, relay::relay_plane* plane = nullptr)
-      : buffering_{buffering}, plane_{plane} {}
+  template <class data_collector>
+  dc_collection(const deployment_plan& plan, net::node_id self,
+                data_collector& dc)
+      : plan_{plan}, self_{self}, sched_{round_schedule_of(plan)} {
+    if (!is_event_workload(plan)) return;
+    configure_dc(plan, dc, make_ingest_pool(plan));
+    const std::size_t dc_index = dc_index_of(plan, self);
+    cursor_.emplace(plan, dc_index);
+    if (plan.workload.kind == workload_kind::relays) {
+      const std::size_t dcs = plan.ids_with(plan.node(self).role).size();
+      plane_.emplace(plan.workload.relay_count / dcs, plan.sample_prob,
+                     relay::sampling_seed_of(plan.rng_seed),
+                     plan.tally_path + ".pub.d/dc-" + std::to_string(dc_index));
+    }
+  }
 
-  std::size_t replay(workload_cursor& cursor, const round_window& w,
-                     std::size_t index, core::event_sink& sink) {
-    if (buffering_ && index == last_index_) {
+  /// Round `round_id`'s collection phase (1-based): the injected delay, if
+  /// any, then the round's window into `dc`. The workload is part of the
+  /// plan, so every process — and the in-process reference round — feeds
+  /// the identical sequence.
+  void collect(std::uint32_t round_id, core::event_sink& dc,
+               const fault_spec& fault) {
+    const std::size_t index = round_id - 1;
+    if (fault.delay && fault.delay_round == index) {
+      std::this_thread::sleep_for(std::chrono::milliseconds{fault.delay_ms});
+    }
+    if (!cursor_.has_value()) return;
+    const std::size_t replayed =
+        replay(round_window_for(plan_, sched_, index), index, dc);
+    if (round_id >= plan_.schedule_rounds) {
+      cursor_->drain();  // trailing gap / feeder shutdown bytes
+    }
+    log_line{log_level::info}
+        << "DC " << self_ << " round " << round_id << ": replayed "
+        << replayed << " events (" << dc.events_observed()
+        << " counted to date, " << cursor_->dropped_outside_windows()
+        << " dropped outside windows)";
+  }
+
+  /// The privacy-safe per-DC accounting a DC ships to the TS during the
+  /// completion handshake: `key value...` lines (never measurement data).
+  /// The TS prefixes each with `dc_stats <id> ` in the .summary sidecar —
+  /// this is where workload_cursor::dropped_outside_windows() finally
+  /// surfaces, and where a relay fleet's aggregation accounting lands.
+  /// Null for synthetic workloads.
+  [[nodiscard]] std::function<std::string()> stats() {
+    if (!cursor_.has_value()) return nullptr;
+    return [this] {
+      std::ostringstream out;
+      out << "window_dropped " << cursor_->dropped_outside_windows() << "\n";
+      out << "stream_failed " << (cursor_->stream_failed() ? 1 : 0) << "\n";
+      if (plane_.has_value()) {
+        const relay::aggregate_stats& t = plane_->totals();
+        out << "relay_fleet " << plane_->relays() << " windows "
+            << t.windows_ingested << " events " << t.events_ingested
+            << " observed " << t.observed << " sampled " << t.sampled
+            << " missing " << t.missing << " duplicates " << t.duplicates
+            << " late " << t.late << " late_dropped " << t.late_dropped
+            << " rejected " << t.rejected << "\n";
+      }
+      return out.str();
+    };
+  }
+
+ private:
+  std::size_t replay(const round_window& w, std::size_t index,
+                     core::event_sink& sink) {
+    const bool buffering = plan_.durable();
+    if (buffering && index == last_index_) {
       if (!buffer_.empty()) sink.ingest(buffer_.data(), buffer_.size());
       return buffer_.size();
     }
@@ -701,68 +765,242 @@ class windowed_replay {
       return 0;
     }
     buffer_.clear();
+    const auto tee = [&](const tor::event* evs, std::size_t k) {
+      if (buffering) buffer_.insert(buffer_.end(), evs, evs + k);
+      sink.ingest(evs, k);
+    };
     std::size_t n = 0;
-    if (plane_ != nullptr) {
-      cursor.stream_window(w.start, w.end,
-                           [&](const tor::event* evs, std::size_t k) {
-                             plane_->route(evs, k);
-                           });
-      callback_sink tee{[&](const tor::event* evs, std::size_t k) {
-        if (buffering_) buffer_.insert(buffer_.end(), evs, evs + k);
-        sink.ingest(evs, k);
-      }};
-      n = plane_->close_window(index, tee);
+    if (plane_.has_value()) {
+      cursor_->stream_window(w.start, w.end,
+                             [&](const tor::event* evs, std::size_t k) {
+                               plane_->route(evs, k);
+                             });
+      callback_sink merged{tee};
+      n = plane_->close_window(index, merged);
     } else {
-      n = cursor.stream_window(
-          w.start, w.end, [&](const tor::event* evs, std::size_t k) {
-            if (buffering_) buffer_.insert(buffer_.end(), evs, evs + k);
-            sink.ingest(evs, k);
-          });
+      n = cursor_->stream_window(w.start, w.end, tee);
     }
     last_index_ = index;
     return n;
   }
 
- private:
   static constexpr std::size_t k_none = static_cast<std::size_t>(-1);
-  bool buffering_;
-  relay::relay_plane* plane_;
+  const deployment_plan& plan_;
+  net::node_id self_;
+  core::measurement_schedule sched_;
+  std::optional<workload_cursor> cursor_;
+  std::optional<relay::relay_plane> plane_;
   std::size_t last_index_ = k_none;
   std::vector<tor::event> buffer_;
 };
 
-/// The privacy-safe per-DC accounting a DC ships to the TS during the
-/// completion handshake: `key value...` lines (never measurement data).
-/// The TS prefixes each with `dc_stats <id> ` in the .summary sidecar —
-/// this is where workload_cursor::dropped_outside_windows() finally
-/// surfaces, and where a relay fleet's aggregation accounting lands.
-[[nodiscard]] std::string dc_stats_payload(const workload_cursor& cursor,
-                                           const relay::relay_plane* plane) {
-  std::ostringstream out;
-  out << "window_dropped " << cursor.dropped_outside_windows() << "\n";
-  out << "stream_failed " << (cursor.stream_failed() ? 1 : 0) << "\n";
-  if (plane != nullptr) {
-    const relay::aggregate_stats& t = plane->totals();
-    out << "relay_fleet " << plane->relays() << " windows "
-        << t.windows_ingested << " events " << t.events_ingested
-        << " observed " << t.observed << " sampled " << t.sampled
-        << " missing " << t.missing << " duplicates " << t.duplicates
-        << " late " << t.late << " late_dropped " << t.late_dropped
-        << " rejected " << t.rejected << "\n";
-  }
-  return out.str();
+// -- tally-server rounds -----------------------------------------------------
+
+/// One phase of a protocol round as the TS runs it: `start` kicks it
+/// off (may be empty) and `done` says it completed. A DC-gated phase
+/// carries a straggler rule: `missing` names the DCs that have not
+/// finished it. On the final attempt with a grace configured, those DCs
+/// are excluded once the grace runs out and `salvage` (may be empty) goes
+/// on with what made it.
+struct round_phase {
+  std::function<void()> start;
+  std::function<bool()> done;
+  std::function<bool(net::node_id)> missing;
+  std::function<void()> salvage;
+  /// Whether the final attempt waits for `done` on the full deadline when
+  /// no grace is configured; false where the next phase's wait covers it.
+  bool strict_wait = true;
+};
+
+/// The per-protocol side of the TS: how to drive its tally server through
+/// one round, plus the membership and tally accessors drive_ts_rounds
+/// needs.
+struct ts_adapter {
+  const char* protocol = "";  // the .summary's protocol line
+  std::function<void(const net::message&)> handle;
+  /// (Re)opens round `r`: positions the tally server and configures peers.
+  std::function<void(std::uint32_t r)> begin;
+  std::vector<round_phase> phases;
+  std::function<void(net::node_id)> exclude;
+  std::function<void(net::node_id)> readmit;
+  std::function<const std::vector<net::node_id>&()> members;
+  std::function<const std::set<net::node_id>&()> reporting;
+  /// The round's tally bytes; throws if the round never completed (the
+  /// node then exits nonzero and the orchestrator reports the failure).
+  std::function<std::string()> tally;
+};
+
+/// The adapter entries both tally servers spell the same way; `open_round`
+/// sends the protocol's configures once the round counter is positioned.
+template <class tally_server>
+[[nodiscard]] ts_adapter common_adapter(tally_server& ts, const char* protocol,
+                                        std::function<void()> open_round) {
+  ts_adapter a;
+  a.protocol = protocol;
+  a.begin = [&ts, open_round = std::move(open_round)](std::uint32_t r) {
+    ts.resume_at_round(r);
+    open_round();
+  };
+  a.handle = [&ts](const net::message& m) { ts.handle_message(m); };
+  a.exclude = [&ts](net::node_id id) { ts.exclude_dc(id); };
+  a.readmit = [&ts](net::node_id id) { ts.readmit_dc(id); };
+  a.members = [&ts]() -> const std::vector<net::node_id>& {
+    return ts.data_collectors();
+  };
+  a.reporting = [&ts]() -> const std::set<net::node_id>& {
+    return ts.reporting_dcs();
+  };
+  return a;
 }
 
-// -- tally-server runners ----------------------------------------------------
+/// The phase both protocols gate on DC reports: done once every member
+/// reported; the stragglers are the members that have not.
+template <class tally_server>
+[[nodiscard]] round_phase report_phase(tally_server& ts) {
+  round_phase p;
+  p.done = [&ts] {
+    return ts.reporting_dcs().size() >= ts.data_collectors().size();
+  };
+  p.missing = [&ts](net::node_id id) {
+    return !ts.reporting_dcs().contains(id);
+  };
+  return p;
+}
 
-[[nodiscard]] node_result run_psc_ts(net::tcp_net& net,
+/// PSC rounds: setup -> report -> result. DCs replay their round window
+/// (or insert their plan-derived items) immediately after handling
+/// dc_configure; per-channel FIFO guarantees the report request is
+/// processed only after that.
+[[nodiscard]] ts_adapter psc_rounds(psc::tally_server& ts,
+                                    const deployment_plan& plan) {
+  ts_adapter a = common_adapter(ts, "psc",
+                                [&ts, &plan] { ts.begin_round(plan.round); });
+  round_phase setup;
+  setup.done = [&ts] { return ts.setup_complete(); };
+  // Stragglers past the grace are dropped from the deployment; the mix
+  // starts on the tables that made it (the union just excludes the dead
+  // DCs' observations). Without a grace the result wait covers the reports.
+  round_phase report = report_phase(ts);
+  report.start = [&ts] { ts.request_reports(); };
+  report.salvage = [&ts] {
+    if (!ts.reporting_dcs().empty()) ts.force_mixing();
+  };
+  report.strict_wait = false;
+  round_phase result;
+  result.done = [&ts] { return ts.result_ready(); };
+  a.phases = {setup, report, result};
+  a.tally = [&ts] {
+    return serialize_psc_tally(ts.raw_count(), ts.params().bins,
+                               ts.total_noise_bits());
+  };
+  return a;
+}
+
+/// PrivCount rounds: ready -> collect -> reveal.
+[[nodiscard]] ts_adapter privcount_rounds(privcount::tally_server& ts,
+                                          net::tcp_net& net,
+                                          const deployment_plan& plan) {
+  ts_adapter a = common_adapter(ts, "privcount", [&ts, &plan] {
+    ts.begin_round(plan.counters, plan.privacy);
+  });
+  round_phase ready;
+  ready.done = [&ts] { return ts.all_dcs_ready(); };
+  ready.missing = [&ts](net::node_id id) {
+    return !ts.ready_dcs().contains(id);
+  };
+  // The TS can stop immediately after starting: both control messages ride
+  // the same TS->DC channel, and each DC replays its round window inside
+  // the start_collection handler (see run_node), so per-channel FIFO
+  // guarantees the stop is processed only after the replay finished.
+  round_phase collect = report_phase(ts);
+  collect.start = [&ts] {
+    ts.start_collection();
+    ts.stop_collection();
+  };
+  // The reveal names exactly the DCs that reported, so dropping the
+  // stragglers keeps the blinds cancelling; they are excluded from later
+  // rounds too. A total DC outage leaves nothing to degrade to (only the
+  // grace has been spent): the salvage waits out the full deadline, failing
+  // the round rather than publishing an all-zero tally.
+  collect.salvage = [&ts, &net, &plan, done = collect.done] {
+    if (ts.reporting_dcs().empty()) net.run_until(done, plan.round_deadline_ms);
+  };
+  round_phase reveal;
+  reveal.start = [&ts] { ts.request_reveal(); };
+  reveal.done = [&ts] { return ts.results_ready(); };
+  a.phases = {ready, collect, reveal};
+  a.tally = [&ts] { return serialize_privcount_tally(ts.results()); };
+  return a;
+}
+
+/// Excludes every current DC that `still_missing` reports as absent,
+/// keeping at least one: with the whole DC population gone there is no
+/// degraded round to salvage — the phase deadline then fails the round
+/// with a clear timeout instead of an exclusion crash.
+void exclude_stragglers(const ts_adapter& proto,
+                        const std::function<bool(net::node_id)>& still_missing,
+                        std::set<net::node_id>& dropped) {
+  // A copy: exclude() mutates the live DC list.
+  const std::vector<net::node_id> current = proto.members();
+  std::size_t remaining = current.size();
+  for (const auto id : current) {
+    if (!still_missing(id)) continue;
+    if (remaining <= 1) {
+      log_line{log_level::warn}
+          << "TS: every remaining DC missed the grace; keeping DC " << id
+          << " and waiting out the round deadline";
+      break;
+    }
+    proto.exclude(id);
+    dropped.insert(id);
+    --remaining;
+  }
+}
+
+/// Runs one attempt of a round's phases; true when the round completed.
+/// A recovery attempt (not `last`) fails fast on any missing peer so the
+/// whole round is re-driven — per-round determinism makes the retry
+/// byte-identical, so waiting out a restart beats excluding data. Every
+/// phase but the closing one gets `phase_grace`; the closing phase waits on
+/// CP/SK work and keeps the full deadline. The final (or only) attempt is
+/// the classic grace-and-exclude path, adding stragglers to `dropped`.
+[[nodiscard]] bool run_round_attempt(net::tcp_net& net,
                                      const deployment_plan& plan,
-                                     net::node_id self) {
-  tolerant_transport ts_net{net};
-  psc::tally_server ts{self, ts_net, plan.ids_with(node_role::psc_dc),
-                       plan.ids_with(node_role::psc_cp)};
+                                     const ts_adapter& proto, bool last,
+                                     int phase_grace,
+                                     std::set<net::node_id>& dropped) {
+  for (std::size_t i = 0; i < proto.phases.size(); ++i) {
+    const round_phase& p = proto.phases[i];
+    if (p.start != nullptr) p.start();
+    if (!last) {
+      const bool closing = i + 1 == proto.phases.size();
+      if (!run_with_grace(net, p.done,
+                          closing ? plan.round_deadline_ms : phase_grace)) {
+        return false;
+      }
+    } else if (p.missing != nullptr && plan.dc_grace_ms > 0) {
+      if (!run_with_grace(net, p.done, plan.dc_grace_ms)) {
+        exclude_stragglers(proto, p.missing, dropped);
+        if (p.salvage != nullptr) p.salvage();
+      }
+    } else if (p.strict_wait) {
+      net.run_until(p.done, plan.round_deadline_ms);
+    }
+  }
+  return proto.phases.back().done();
+}
+
+/// Drives the plan's whole round schedule through one protocol's tally
+/// server: resume from the op-log, the scheduled churn, the attempt/retry
+/// loop with rejoin admission, the round record and its commit, then the
+/// DONE/ACK completion handshake.
+[[nodiscard]] node_result drive_ts_rounds(net::tcp_net& net,
+                                          tolerant_transport& out,
+                                          const deployment_plan& plan,
+                                          net::node_id self,
+                                          const fault_spec& fault,
+                                          const ts_adapter& proto) {
   ts_state state = load_ts_state(plan, self);
-  const fault_spec fault = fault_for(self);
   std::size_t acks = 0;
   std::set<net::node_id> rejoin_pending;
   std::map<net::node_id, std::string> dc_stats_payloads;
@@ -778,11 +1016,11 @@ class windowed_replay {
     }
     if (m.type == static_cast<std::uint16_t>(ctl_msg::rejoin_request)) {
       rejoin_pending.insert(m.from);
-      ts_net.send(net::message{
+      out.send(net::message{
           self, m.from, static_cast<std::uint16_t>(ctl_msg::rejoin_ack), {}});
       return;
     }
-    ts.handle_message(m);
+    proto.handle(m);
   });
 
   const std::uint32_t rounds = std::max<std::uint32_t>(1, plan.schedule_rounds);
@@ -793,323 +1031,80 @@ class windowed_replay {
   const int phase_grace = plan.dc_grace_ms > 0
                               ? plan.dc_grace_ms
                               : std::min(plan.round_deadline_ms, 10'000);
-  // Scenario-scheduled churn: a DC whose dropout window covers a whole
-  // round is excluded for it and re-admitted when the outage ends — the
-  // rejoin machinery driven by the plan instead of by missed graces. Pure
-  // plan function, so the reference round derives the identical schedule.
-  // Seeded from the resume point so a restarted TS re-admits last round's
-  // dark DCs exactly like an uninterrupted one.
-  const std::vector<net::node_id> dc_ids = plan.ids_with(node_role::psc_dc);
-  std::set<net::node_id> scheduled_dark;
+  // Every DC of the plan, in plan order: the fresh tally server drives them
+  // all.
+  const std::vector<net::node_id> dc_ids = proto.members();
   if (state.next_round > 1) {
+    // Resume: re-apply the exclusions the previous incarnation held — the
+    // DCs the op-log records as dropped and those scheduled dark in the
+    // last committed round — before the first resumed round.
+    for (const auto id : state.dropped) proto.exclude(id);
     for (const auto k : scheduled_dark_dcs(plan, state.next_round - 2)) {
-      scheduled_dark.insert(dc_ids[k]);
+      proto.exclude(dc_ids[k]);
     }
   }
   for (std::uint32_t r = state.next_round; r <= rounds; ++r) {
     const std::set<net::node_id> dropped_before = state.dropped;
     std::set<net::node_id> rejoined_now;
-    std::set<net::node_id> sched_excluded_now;
-    std::set<net::node_id> sched_rejoined_now;
-    {
-      std::set<net::node_id> want_dark;
-      for (const auto k : scheduled_dark_dcs(plan, r - 1)) {
-        want_dark.insert(dc_ids[k]);
-      }
-      for (const auto id : scheduled_dark) {
-        if (want_dark.contains(id)) continue;
-        ts.readmit_dc(id);
-        sched_rejoined_now.insert(id);
-      }
-      for (const auto id : want_dark) {
-        if (scheduled_dark.contains(id)) continue;
-        ts.exclude_dc(id);
-        sched_excluded_now.insert(id);
-      }
-      scheduled_dark = std::move(want_dark);
+    std::set<net::node_id> churned_out;
+    // Scenario-scheduled churn: the rejoin machinery driven by the plan
+    // instead of by missed graces.
+    const churn_transition churn = scheduled_churn(plan, r - 1);
+    for (const auto k : churn.readmit) {
+      proto.readmit(dc_ids[k]);
+      rejoined_now.insert(dc_ids[k]);
+    }
+    for (const auto k : churn.exclude) {
+      proto.exclude(dc_ids[k]);
+      churned_out.insert(dc_ids[k]);
     }
     std::uint32_t attempt = 0;
     bool done = false;
     for (; attempt < max_attempts && !done; ++attempt) {
-      const bool last_attempt = attempt + 1 == max_attempts;
       if (attempt > 0) {
-        ++state.retries_total;
         log_line{log_level::warn}
-            << "TS: round " << r << " attempt " << attempt
+            << "TS: round " << r << " attempt " << (attempt - 1)
             << " failed; draining and retrying";
         // Quiesce: let the failed attempt's in-flight messages land now,
         // while the round guards still recognize (and drop or dedup) them,
         // instead of racing the retry.
         (void)run_with_grace(net, [] { return false; }, k_retry_drain_ms);
       }
-      admit_rejoiners(ts_net, net, plan, self,
-                      [&](net::node_id id) { ts.readmit_dc(id); },
-                      state.dropped, rejoin_pending, rejoined_now);
-      ts.resume_at_round(r);
-      ts.begin_round(plan.round);
-      if (fault.crash_in(r)) {
-        maybe_crash(plan, self, "crash_in_round", r - 1);
-      }
-      const auto all_reported = [&] {
-        return ts.reporting_dcs().size() >= ts.data_collectors().size();
-      };
-      if (!last_attempt) {
-        // Recovery attempt: fail fast on any missing peer and re-drive the
-        // whole round — per-round determinism makes the retry
-        // byte-identical, so waiting out a restart beats excluding data.
-        if (!run_with_grace(net, [&] { return ts.setup_complete(); },
-                            phase_grace)) {
-          continue;
-        }
-        ts.request_reports();
-        if (!run_with_grace(net, all_reported, phase_grace)) continue;
-        if (!run_with_grace(net, [&] { return ts.result_ready(); },
-                            plan.round_deadline_ms)) {
-          continue;
-        }
-        done = true;
-        continue;
-      }
-      // Final (or only) attempt: the classic grace-and-exclude path.
-      net.run_until([&] { return ts.setup_complete(); },
-                    plan.round_deadline_ms);
-      // DCs replay their round window (or insert their plan-derived items)
-      // immediately after handling dc_configure; per-channel FIFO
-      // guarantees the report request below is processed only after that.
-      ts.request_reports();
-      if (plan.dc_grace_ms > 0) {
-        if (!run_with_grace(net, all_reported, plan.dc_grace_ms)) {
-          // Stragglers past the grace are dropped from the deployment; the
-          // mix starts on the tables that made it (the union just excludes
-          // the dead DCs' observations).
-          exclude_stragglers(
-              [&](net::node_id id) { ts.exclude_dc(id); },
-              ts.data_collectors(),
-              [&](net::node_id id) { return !ts.reporting_dcs().contains(id); },
-              state.dropped);
-          if (!ts.reporting_dcs().empty()) ts.force_mixing();
-        }
-      }
-      net.run_until([&] { return ts.result_ready(); }, plan.round_deadline_ms);
-      done = ts.result_ready();
+      admit_rejoiners(out, net, plan, self, proto.readmit, state.dropped,
+                      rejoin_pending, rejoined_now);
+      proto.begin(r);
+      maybe_crash(plan, self, fault.crash_in_rounds, "crash_in_round", r);
+      done = run_round_attempt(net, plan, proto, attempt + 1 == max_attempts,
+                               phase_grace, state.dropped);
     }
 
     round_record rec;
     rec.round = r;
     rec.retries = attempt - 1;
     rec.dropped = state.dropped;
-    for (const auto& n : plan.nodes) {
-      if (n.role != node_role::psc_dc) continue;
+    for (const auto id : dc_ids) {
       dc_counters c;
-      (ts.reporting_dcs().contains(n.id) ? c.reported : c.missed) = 1;
-      if (state.dropped.contains(n.id) && !dropped_before.contains(n.id)) {
+      (proto.reporting().contains(id) ? c.reported : c.missed) = 1;
+      if ((state.dropped.contains(id) && !dropped_before.contains(id)) ||
+          churned_out.contains(id)) {
         c.excluded = 1;
       }
-      if (sched_excluded_now.contains(n.id)) c.excluded = 1;
-      if (rejoined_now.contains(n.id) || sched_rejoined_now.contains(n.id)) {
-        c.rejoined = 1;
-      }
-      rec.delta[n.id] = c;
+      if (rejoined_now.contains(id)) c.rejoined = 1;
+      rec.delta[id] = c;
     }
-    // raw_count() throws if the round never completed — the node then exits
-    // nonzero and the orchestrator reports the failure.
-    rec.tally = serialize_psc_tally(ts.raw_count(), ts.params().bins,
-                                    ts.total_noise_bits());
-    commit_round(state, plan, std::move(rec), "psc");
-    if (fault.crash_after(r)) {
-      maybe_crash(plan, self, "crash_after_round", r - 1);
-    }
+    rec.tally = proto.tally();
+    commit_round(state, plan, std::move(rec), proto.protocol);
+    maybe_crash(plan, self, fault.crash_after_rounds, "crash_after_round", r);
   }
 
-  node_result out;
-  out.tally = serialize_multiround_tally(state.tallies);
-  finish_round_as_ts(ts_net, net, plan, self, state.dropped, acks);
-  write_summary_with_dc_stats(state, plan, "psc", dc_stats_payloads);
-  return out;
-}
-
-[[nodiscard]] node_result run_privcount_ts(net::tcp_net& net,
-                                           const deployment_plan& plan,
-                                           net::node_id self) {
-  tolerant_transport ts_net{net};
-  privcount::tally_server ts{self, ts_net,
-                             plan.ids_with(node_role::privcount_dc),
-                             plan.ids_with(node_role::privcount_sk)};
-  ts.set_noise_enabled(plan.privcount_noise_enabled);
-  ts_state state = load_ts_state(plan, self);
-  const fault_spec fault = fault_for(self);
-  std::size_t acks = 0;
-  std::set<net::node_id> rejoin_pending;
-  std::map<net::node_id, std::string> dc_stats_payloads;
-  net.register_node(self, [&](const net::message& m) {
-    if (m.type == static_cast<std::uint16_t>(ctl_msg::round_ack)) {
-      ++acks;
-      return;
-    }
-    if (m.type == static_cast<std::uint16_t>(ctl_msg::dc_stats)) {
-      dc_stats_payloads[m.from] =
-          std::string{m.payload.begin(), m.payload.end()};
-      return;
-    }
-    if (m.type == static_cast<std::uint16_t>(ctl_msg::rejoin_request)) {
-      rejoin_pending.insert(m.from);
-      ts_net.send(net::message{
-          self, m.from, static_cast<std::uint16_t>(ctl_msg::rejoin_ack), {}});
-      return;
-    }
-    ts.handle_message(m);
-  });
-
-  const std::uint32_t rounds = std::max<std::uint32_t>(1, plan.schedule_rounds);
-  const std::uint32_t max_attempts = plan.durable() ? k_ts_max_attempts : 1;
-  // Grace for the fail-fast recovery attempts: a plan without an explicit
-  // grace still should not burn the whole (2-minute default) phase deadline
-  // before retrying a crashed peer — the final attempt keeps the full one.
-  const int phase_grace = plan.dc_grace_ms > 0
-                              ? plan.dc_grace_ms
-                              : std::min(plan.round_deadline_ms, 10'000);
-  // Scenario-scheduled churn, exactly as in run_psc_ts: plan-derived
-  // whole-round outages map to exclude/readmit at round boundaries.
-  const std::vector<net::node_id> dc_ids =
-      plan.ids_with(node_role::privcount_dc);
-  std::set<net::node_id> scheduled_dark;
-  if (state.next_round > 1) {
-    for (const auto k : scheduled_dark_dcs(plan, state.next_round - 2)) {
-      scheduled_dark.insert(dc_ids[k]);
-    }
-  }
-  for (std::uint32_t r = state.next_round; r <= rounds; ++r) {
-    const std::set<net::node_id> dropped_before = state.dropped;
-    std::set<net::node_id> rejoined_now;
-    std::set<net::node_id> sched_excluded_now;
-    std::set<net::node_id> sched_rejoined_now;
-    {
-      std::set<net::node_id> want_dark;
-      for (const auto k : scheduled_dark_dcs(plan, r - 1)) {
-        want_dark.insert(dc_ids[k]);
-      }
-      for (const auto id : scheduled_dark) {
-        if (want_dark.contains(id)) continue;
-        ts.readmit_dc(id);
-        sched_rejoined_now.insert(id);
-      }
-      for (const auto id : want_dark) {
-        if (scheduled_dark.contains(id)) continue;
-        ts.exclude_dc(id);
-        sched_excluded_now.insert(id);
-      }
-      scheduled_dark = std::move(want_dark);
-    }
-    std::uint32_t attempt = 0;
-    bool done = false;
-    for (; attempt < max_attempts && !done; ++attempt) {
-      const bool last_attempt = attempt + 1 == max_attempts;
-      if (attempt > 0) {
-        ++state.retries_total;
-        log_line{log_level::warn}
-            << "TS: round " << r << " attempt " << attempt
-            << " failed; draining and retrying";
-        (void)run_with_grace(net, [] { return false; }, k_retry_drain_ms);
-      }
-      admit_rejoiners(ts_net, net, plan, self,
-                      [&](net::node_id id) { ts.readmit_dc(id); },
-                      state.dropped, rejoin_pending, rejoined_now);
-      ts.resume_at_round(r);
-      ts.begin_round(plan.counters, plan.privacy);
-      if (fault.crash_in(r)) {
-        maybe_crash(plan, self, "crash_in_round", r - 1);
-      }
-      const auto all_ready = [&] { return ts.all_dcs_ready(); };
-      const auto all_reported = [&] {
-        return ts.reporting_dcs().size() >= ts.data_collectors().size();
-      };
-      if (!last_attempt) {
-        if (!run_with_grace(net, all_ready, phase_grace)) continue;
-        ts.start_collection();
-        ts.stop_collection();
-        if (!run_with_grace(net, all_reported, phase_grace)) continue;
-        ts.request_reveal();
-        if (!run_with_grace(net, [&] { return ts.results_ready(); },
-                            plan.round_deadline_ms)) {
-          continue;
-        }
-        done = true;
-        continue;
-      }
-      // Final (or only) attempt: the classic grace-and-exclude path.
-      if (plan.dc_grace_ms > 0) {
-        if (!run_with_grace(net, all_ready, plan.dc_grace_ms)) {
-          exclude_stragglers(
-              [&](net::node_id id) { ts.exclude_dc(id); },
-              ts.data_collectors(),
-              [&](net::node_id id) { return !ts.ready_dcs().contains(id); },
-              state.dropped);
-        }
-      } else {
-        net.run_until(all_ready, plan.round_deadline_ms);
-      }
-      ts.start_collection();
-      // The TS can stop immediately after starting: both control messages
-      // ride the same TS->DC channel, and each DC replays its round window
-      // inside the start_collection handler (see run_node), so per-channel
-      // FIFO guarantees the stop is processed only after the replay
-      // finished.
-      ts.stop_collection();
-      if (plan.dc_grace_ms > 0) {
-        if (!run_with_grace(net, all_reported, plan.dc_grace_ms)) {
-          // The reveal names exactly the DCs that reported, so dropping the
-          // stragglers keeps the blinds cancelling; they are excluded from
-          // later rounds too.
-          exclude_stragglers(
-              [&](net::node_id id) { ts.exclude_dc(id); },
-              ts.data_collectors(),
-              [&](net::node_id id) { return !ts.reporting_dcs().contains(id); },
-              state.dropped);
-        }
-      } else {
-        net.run_until(all_reported, plan.round_deadline_ms);
-      }
-      if (plan.dc_grace_ms > 0 && ts.reporting_dcs().empty()) {
-        // Total DC outage on the grace path (only grace_ms has been spent):
-        // nothing to degrade to — fail the round on the full deadline rather
-        // than publishing an all-zero tally. The strict path above already
-        // waited the whole deadline.
-        net.run_until(all_reported, plan.round_deadline_ms);
-      }
-      ts.request_reveal();
-      net.run_until([&] { return ts.results_ready(); }, plan.round_deadline_ms);
-      done = ts.results_ready();
-    }
-
-    round_record rec;
-    rec.round = r;
-    rec.retries = attempt - 1;
-    rec.dropped = state.dropped;
-    for (const auto& n : plan.nodes) {
-      if (n.role != node_role::privcount_dc) continue;
-      dc_counters c;
-      (ts.reporting_dcs().contains(n.id) ? c.reported : c.missed) = 1;
-      if (state.dropped.contains(n.id) && !dropped_before.contains(n.id)) {
-        c.excluded = 1;
-      }
-      if (sched_excluded_now.contains(n.id)) c.excluded = 1;
-      if (rejoined_now.contains(n.id) || sched_rejoined_now.contains(n.id)) {
-        c.rejoined = 1;
-      }
-      rec.delta[n.id] = c;
-    }
-    rec.tally = serialize_privcount_tally(ts.results());
-    commit_round(state, plan, std::move(rec), "privcount");
-    if (fault.crash_after(r)) {
-      maybe_crash(plan, self, "crash_after_round", r - 1);
-    }
-  }
-
-  node_result out;
-  out.tally = serialize_multiround_tally(state.tallies);
-  finish_round_as_ts(ts_net, net, plan, self, state.dropped, acks);
-  write_summary_with_dc_stats(state, plan, "privcount", dc_stats_payloads);
-  return out;
+  node_result result;
+  result.tally = serialize_multiround_tally(state.tallies);
+  finish_round_as_ts(out, net, plan, self, state.dropped, acks);
+  // Each DC's DC_STATS message rides the same channel as its ROUND_ACK, so
+  // once every surviving ack is in, every surviving DC's stats are too.
+  write_file_atomic(plan.tally_path + ".summary",
+                    ts_summary(state, proto.protocol, dc_stats_payloads));
+  return result;
 }
 
 }  // namespace
@@ -1133,264 +1128,92 @@ node_result run_node(const deployment_plan& plan, net::node_id self) {
   net::tcp_net net{plan.endpoints(), opts};
   crypto::deterministic_rng rng = crypto::make_node_rng(plan.rng_seed, self);
   const net::node_id ts_id = plan.tally_server_id();
+  const fault_spec fault = fault_for(self);
 
   switch (spec.role) {
-    case node_role::psc_ts:
-      return run_psc_ts(net, plan, self);
-    case node_role::privcount_ts:
-      return run_privcount_ts(net, plan, self);
-
+    case node_role::psc_ts: {
+      tolerant_transport out{net};
+      psc::tally_server ts{self, out, plan.ids_with(node_role::psc_dc),
+                           plan.ids_with(node_role::psc_cp)};
+      return drive_ts_rounds(net, out, plan, self, fault, psc_rounds(ts, plan));
+    }
+    case node_role::privcount_ts: {
+      tolerant_transport out{net};
+      privcount::tally_server ts{self, out,
+                                 plan.ids_with(node_role::privcount_dc),
+                                 plan.ids_with(node_role::privcount_sk)};
+      ts.set_noise_enabled(plan.privcount_noise_enabled);
+      return drive_ts_rounds(net, out, plan, self, fault,
+                             privcount_rounds(ts, net, plan));
+    }
     case node_role::psc_cp: {
       psc::computation_party cp{self, ts_id, net, rng};
-      const fault_spec fault = fault_for(self);
-      const std::unique_ptr<util::durable_store> store =
-          open_node_store(plan, self);
-      std::uint32_t recorded_round =
-          store != nullptr ? recovered_round(*store) : 0;
-      serve_until_done(net, plan, self, ts_id, [&](const net::message& m) {
-        if (m.type == static_cast<std::uint16_t>(psc::msg_type::cp_configure)) {
-          const std::uint32_t round = psc::decode_cp_configure(m).round_id;
-          // Per-round reseed BEFORE the role consumes the RNG: every
-          // incarnation — and the in-process reference — derives the
-          // identical stream for (seed, node, round), which is what makes
-          // crash re-runs byte-identical.
-          rng = crypto::make_node_round_rng(plan.rng_seed, self, round);
-          if (fault.crash_in(round)) {
-            maybe_crash(plan, self, "crash_in_round", round - 1);
-          }
-          if (store != nullptr && round > recorded_round) {
-            record_node_round(*store, round, plan.checkpoint_every);
-            recorded_round = round;
-          }
-        }
-        cp.handle_message(m);
-        if (m.type == static_cast<std::uint16_t>(psc::msg_type::decrypt_pass) &&
-            fault.crash_after(psc::decode_vector(m).round_id)) {
-          maybe_crash(plan, self, "crash_after_round",
-                      psc::decode_vector(m).round_id - 1);
-        }
-      });
-      return {};
-    }
-    case node_role::psc_dc: {
-      psc::data_collector dc{self, ts_id, net, rng};
-      const fault_spec fault = fault_for(self);
-      const core::measurement_schedule sched = round_schedule_of(plan);
-      std::optional<workload_cursor> cursor;
-      if (is_event_workload(plan)) {
-        configure_psc_dc(plan, dc, make_ingest_pool(plan));
-        cursor.emplace(plan, dc_index_of(plan, self));
-      }
-      std::optional<relay::relay_plane> rplane;
-      if (plan.workload.kind == workload_kind::relays) {
-        const std::size_t dc_index = dc_index_of(plan, self);
-        rplane.emplace(
-            plan.workload.relay_count / plan.ids_with(node_role::psc_dc).size(),
-            plan.sample_prob, relay::sampling_seed_of(plan.rng_seed),
-            plan.tally_path + ".pub.d/dc-" + std::to_string(dc_index));
-      }
-      const std::unique_ptr<util::durable_store> store =
-          open_node_store(plan, self);
-      std::uint32_t recorded_round =
-          store != nullptr ? recovered_round(*store) : 0;
-      windowed_replay replay{plan.durable(),
-                             rplane.has_value() ? &*rplane : nullptr};
-      std::uint32_t configured_round = 0;  // 1-based protocol round id
-      bool quit = false;
-      std::function<std::string()> final_stats;
-      if (cursor.has_value()) {
-        final_stats = [&]() {
-          return dc_stats_payload(*cursor,
-                                  rplane.has_value() ? &*rplane : nullptr);
-        };
-      }
-      serve_until_done(
-          net, plan, self, ts_id,
-          [&](const net::message& m) {
-            if (m.type ==
-                static_cast<std::uint16_t>(psc::msg_type::dc_configure)) {
-              const std::uint32_t round = psc::decode_dc_configure(m).round_id;
-              rng = crypto::make_node_round_rng(plan.rng_seed, self, round);
-              if (fault.crash_in(round)) {
-                maybe_crash(plan, self, "crash_in_round", round - 1);
-              }
-              if (store != nullptr && round > recorded_round) {
-                record_node_round(*store, round, plan.checkpoint_every);
-                recorded_round = round;
-              }
-            }
-            dc.handle_message(m);
-            if (m.type ==
-                static_cast<std::uint16_t>(psc::msg_type::dc_configure)) {
-              configured_round = psc::decode_dc_configure(m).round_id;
-              const std::size_t index = configured_round - 1;
-              if (fault.delay && fault.delay_round == index) {
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds{fault.delay_ms});
-              }
-              // Collection phase, run inside the configure handler:
-              // per-channel FIFO guarantees the TS's report request is
-              // processed only after the full window landed in the
-              // oblivious table. The workload is part of the plan, so every
-              // process — and the in-process reference round — feeds the
-              // identical sequence.
-              if (is_event_workload(plan)) {
-                const round_window w = round_window_for(plan, sched, index);
-                const std::size_t replayed =
-                    replay.replay(*cursor, w, index, dc);
-                if (configured_round >= plan.schedule_rounds) {
-                  cursor->drain();  // trailing gap / feeder shutdown bytes
-                }
-                log_line{log_level::info}
-                    << "PSC DC " << self << " round " << configured_round
-                    << ": replayed " << replayed << " events, "
-                    << dc.items_inserted() << " items inserted to date, "
-                    << cursor->dropped_outside_windows()
-                    << " events dropped outside windows";
-              } else {
-                for (const std::string& item : items_for_dc(plan, self)) {
-                  dc.insert_item(item);
-                }
-              }
-            }
-            if (m.type ==
-                static_cast<std::uint16_t>(psc::msg_type::report_request)) {
-              if (fault.exit_after &&
-                  configured_round == fault.exit_round + 1) {
-                quit = true;  // injected dropout: exit cleanly between rounds
-              }
-              if (fault.crash_after(configured_round)) {
-                maybe_crash(plan, self, "crash_after_round",
-                            configured_round - 1);
-              }
-            }
-          },
-          [&] { return quit; }, final_stats);
+      serve_peer(net, plan, self, fault, rng,
+                 peer_hooks{psc::msg_type::cp_configure,
+                            psc::msg_type::cp_configure,
+                            psc::msg_type::decrypt_pass},
+                 [&](const net::message& m, std::uint32_t) {
+                   cp.handle_message(m);
+                 });
       return {};
     }
     case node_role::privcount_sk: {
       privcount::share_keeper sk{self, ts_id, net};
-      const fault_spec fault = fault_for(self);
-      const std::unique_ptr<util::durable_store> store =
-          open_node_store(plan, self);
-      std::uint32_t recorded_round =
-          store != nullptr ? recovered_round(*store) : 0;
-      serve_until_done(net, plan, self, ts_id, [&](const net::message& m) {
-        if (m.type == static_cast<std::uint16_t>(privcount::msg_type::configure)) {
-          const std::uint32_t round = privcount::decode_configure(m).round_id;
-          if (fault.crash_in(round)) {
-            maybe_crash(plan, self, "crash_in_round", round - 1);
-          }
-          if (store != nullptr && round > recorded_round) {
-            record_node_round(*store, round, plan.checkpoint_every);
-            recorded_round = round;
-          }
-        }
-        sk.handle_message(m);
-        if (m.type == static_cast<std::uint16_t>(privcount::msg_type::sk_reveal) &&
-            fault.crash_after(privcount::decode_sk_reveal(m).round_id)) {
-          maybe_crash(plan, self, "crash_after_round",
-                      privcount::decode_sk_reveal(m).round_id - 1);
-        }
-      });
+      serve_peer(net, plan, self, fault, rng,
+                 peer_hooks{privcount::msg_type::configure,
+                            privcount::msg_type::configure,
+                            privcount::msg_type::sk_reveal},
+                 [&](const net::message& m, std::uint32_t) {
+                   sk.handle_message(m);
+                 });
+      return {};
+    }
+    case node_role::psc_dc: {
+      psc::data_collector dc{self, ts_id, net, rng};
+      dc_collection feed{plan, self, dc};
+      const peer_hooks h{psc::msg_type::dc_configure,
+                         psc::msg_type::dc_configure,
+                         psc::msg_type::report_request};
+      serve_peer(
+          net, plan, self, fault, rng, h,
+          [&](const net::message& m, std::uint32_t round) {
+            dc.handle_message(m);
+            if (m.type != h.configure) return;
+            // Collection phase, run inside the configure handler:
+            // per-channel FIFO guarantees the TS's report request is
+            // processed only after the full window landed in the
+            // oblivious table.
+            feed.collect(round, dc, fault);
+            if (is_event_workload(plan)) return;
+            for (const std::string& item : items_for_dc(plan, self)) {
+              dc.insert_item(item);
+            }
+          },
+          feed.stats());
       return {};
     }
     case node_role::privcount_dc: {
       privcount::data_collector dc{self, ts_id, net, rng};
-      const fault_spec fault = fault_for(self);
-      const core::measurement_schedule sched = round_schedule_of(plan);
-      std::optional<workload_cursor> cursor;
-      if (is_event_workload(plan)) {
-        configure_privcount_dc(plan, dc, make_ingest_pool(plan));
-        cursor.emplace(plan, dc_index_of(plan, self));
-      }
-      std::optional<relay::relay_plane> rplane;
-      if (plan.workload.kind == workload_kind::relays) {
-        const std::size_t dc_index = dc_index_of(plan, self);
-        rplane.emplace(plan.workload.relay_count /
-                           plan.ids_with(node_role::privcount_dc).size(),
-                       plan.sample_prob, relay::sampling_seed_of(plan.rng_seed),
-                       plan.tally_path + ".pub.d/dc-" + std::to_string(dc_index));
-      }
-      const std::unique_ptr<util::durable_store> store =
-          open_node_store(plan, self);
-      std::uint32_t recorded_round =
-          store != nullptr ? recovered_round(*store) : 0;
-      windowed_replay replay{plan.durable(),
-                             rplane.has_value() ? &*rplane : nullptr};
-      std::uint32_t configured_round = 0;  // 1-based protocol round id
-      bool quit = false;
-      std::function<std::string()> final_stats;
-      if (cursor.has_value()) {
-        final_stats = [&]() {
-          return dc_stats_payload(*cursor,
-                                  rplane.has_value() ? &*rplane : nullptr);
-        };
-      }
-      serve_until_done(
-          net, plan, self, ts_id,
-          [&](const net::message& m) {
-            if (m.type ==
-                static_cast<std::uint16_t>(privcount::msg_type::configure)) {
-              const std::uint32_t round =
-                  privcount::decode_configure(m).round_id;
-              rng = crypto::make_node_round_rng(plan.rng_seed, self, round);
-              if (store != nullptr && round > recorded_round) {
-                record_node_round(*store, round, plan.checkpoint_every);
-                recorded_round = round;
-              }
-            }
+      dc_collection feed{plan, self, dc};
+      const peer_hooks h{privcount::msg_type::configure,
+                         privcount::msg_type::start_collection,
+                         privcount::msg_type::stop_collection};
+      serve_peer(
+          net, plan, self, fault, rng, h,
+          [&](const net::message& m, std::uint32_t round) {
+            dc.handle_message(m);
+            // Collection phase: replay this round's window while the DC is
+            // collecting. The TS's stop_collection rides the same channel
+            // and is processed only after this handler returns (FIFO), so
+            // the report includes every replayed event. A start for any
+            // other round is stale control.
             if (m.type == static_cast<std::uint16_t>(
                               privcount::msg_type::start_collection) &&
-                fault.crash_in(privcount::decode_round_id(m))) {
-              maybe_crash(plan, self, "crash_in_round",
-                          privcount::decode_round_id(m) - 1);
-            }
-            dc.handle_message(m);
-            if (m.type ==
-                static_cast<std::uint16_t>(privcount::msg_type::configure)) {
-              configured_round = privcount::decode_configure(m).round_id;
-            }
-            if (m.type == static_cast<std::uint16_t>(
-                              privcount::msg_type::start_collection)) {
-              const std::uint32_t round_id = privcount::decode_round_id(m);
-              if (round_id != configured_round) return;  // stale control
-              const std::size_t index = round_id - 1;
-              if (fault.delay && fault.delay_round == index) {
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds{fault.delay_ms});
-              }
-              if (is_event_workload(plan)) {
-                // Collection phase: replay this round's window while the DC
-                // is collecting. The TS's stop_collection rides the same
-                // channel and is processed only after this handler returns
-                // (FIFO), so the report includes every replayed event.
-                const round_window w = round_window_for(plan, sched, index);
-                const std::size_t replayed =
-                    replay.replay(*cursor, w, index, dc);
-                if (round_id >= plan.schedule_rounds) cursor->drain();
-                log_line{log_level::info}
-                    << "PrivCount DC " << self << " round " << round_id
-                    << ": replayed " << replayed << " events ("
-                    << dc.events_observed() << " counted to date, "
-                    << cursor->dropped_outside_windows()
-                    << " dropped outside windows)";
-              }
-            }
-            if (m.type == static_cast<std::uint16_t>(
-                              privcount::msg_type::stop_collection) &&
-                privcount::decode_round_id(m) == configured_round) {
-              if (fault.exit_after &&
-                  privcount::decode_round_id(m) == fault.exit_round + 1) {
-                quit = true;  // report for round k is out; exit between rounds
-              }
-              if (fault.crash_after(privcount::decode_round_id(m))) {
-                maybe_crash(plan, self, "crash_after_round",
-                            privcount::decode_round_id(m) - 1);
-              }
+                round_of(m) == round) {
+              feed.collect(round, dc, fault);
             }
           },
-          [&] { return quit; }, final_stats);
+          feed.stats());
       return {};
     }
   }

@@ -28,8 +28,9 @@
 // write-ahead op-log + checkpoint store under durable_dir/node-<id>
 // (util::durable_store). The TS persists one record per committed round
 // (tally bytes + per-DC participation deltas + the dropped set); a
-// restarted TS replays the log and resumes the schedule at the first
-// uncommitted round. Non-TS roles persist only their schedule position —
+// restarted TS replays the log, re-applies the exclusions it recovered and
+// resumes the schedule at the first uncommitted round. Non-TS roles
+// persist only their schedule position —
 // all other per-round state is re-derived byte-identically from
 // (plan seed, node id, round id) because every node reseeds its RNG per
 // round (crypto::make_node_round_rng), exactly as the in-process
@@ -43,7 +44,8 @@
 // re-admits responders (readmit_dc) before the next begin_round.
 //
 // Fault injection for tests: TORMET_FAULT="<node_id> exit_after_round <k>"
-// makes that DC process exit cleanly after round k's report,
+// makes that peer process exit cleanly once it handled round k's last
+// message (a DC: after its report),
 // "<node_id> delay_round <k> <ms>" stalls its collection phase in round k,
 // "<node_id> crash_in_round <k>" / "<node_id> crash_after_round <k>"
 // _Exit(42) mid-round / right after round k (0-based; "action:k" spelling
@@ -76,6 +78,10 @@ enum class ctl_msg : std::uint16_t {
   dc_stats = 245,        // DC -> TS: privacy-safe accounting lines for the
                          // .summary sidecar (sent before the final ack)
 };
+
+/// Exit code of an injected crash; the orchestrator's supervisor restarts
+/// children that die with it (durable deployments only).
+inline constexpr int k_crash_exit_code = 42;
 
 struct node_result {
   /// Serialized tally — non-empty only for tally-server roles (also

@@ -16,8 +16,6 @@
 #include <sstream>
 #include <thread>
 
-#include <set>
-
 #include "src/cli/node_runner.h"
 #include "src/cli/workload_source.h"
 #include "src/core/instruments.h"
@@ -107,20 +105,6 @@ std::string run_reference_round(const deployment_plan& plan) {
   deployment_plan unpaced = plan;
   unpaced.pace = 0.0;
   std::vector<workload_cursor> cursors;
-  const auto make_cursors = [&](std::size_t dcs) {
-    if (!is_event_workload(plan)) return;
-    // generate/scenario workloads materialize once, shared across cursors.
-    const std::shared_ptr<const std::vector<std::vector<tor::event>>> shared =
-        materialize_plan_events(plan);
-    for (std::size_t i = 0; i < dcs; ++i) {
-      cursors.emplace_back(unpaced, i, shared);
-    }
-  };
-  // The collection window for protocol round id `round_id` (1-based);
-  // single-round plans keep the legacy whole-stream replay.
-  const auto window = [&](std::uint32_t round_id) {
-    return round_window_for(plan, sched, round_id - 1);
-  };
   // The reference round honors the plan's ingest-plane knobs too (one
   // pool shared across every DC, like a node process shares its workers
   // across shards) — bytes are knob-independent, but exercising the same
@@ -140,10 +124,10 @@ std::string run_reference_round(const deployment_plan& plan) {
       plan.workload.kind == workload_kind::relays && plan.sample_prob < 1.0;
   const std::uint64_t sampling_seed = relay::sampling_seed_of(plan.rng_seed);
   std::vector<tor::event> kept;  // reused sampling buffer
-  const auto feed_window = [&](std::uint32_t round_id, auto&& sink_at) {
-    const auto w = window(round_id);
+  const auto feed_window = [&](auto& dep, std::uint32_t round_id) {
+    const round_window w = round_window_for(plan, sched, round_id - 1);
     for (std::size_t i = 0; i < cursors.size(); ++i) {
-      core::event_sink& sink = sink_at(i);
+      core::event_sink& sink = dep.dc_at(i);
       if (sampled_relays) {
         cursors[i].stream_window(
             w.start, w.end, [&](const tor::event* evs, std::size_t n) {
@@ -163,26 +147,35 @@ std::string run_reference_round(const deployment_plan& plan) {
           [&sink](const tor::event* evs, std::size_t n) { sink.ingest(evs, n); });
     }
   };
-  // Scenario-scheduled churn, mirrored from the TS runners: a DC whose
-  // dropout window covers round r is excluded from the protocol for it
-  // (PrivCount blinding and PSC mixing both depend on the DC membership)
-  // and re-admitted when its outage ends.
-  std::set<std::size_t> dark;  // DC indices currently scheduled out
-  const auto apply_scheduled_churn = [&](auto& ts, std::uint32_t round_id,
-                                         const std::vector<net::node_id>& ids) {
-    std::set<std::size_t> want;
-    for (const auto k : scheduled_dark_dcs(plan, round_id - 1)) want.insert(k);
-    for (const auto k : dark) {
-      if (!want.contains(k)) ts.readmit_dc(ids[k]);
+  // One schedule loop for both protocols. Each round first applies the
+  // scenario-scheduled churn, the same transition the TS applies: a DC
+  // whose dropout window covers round r is excluded from the protocol for
+  // it (PrivCount blinding and PSC mixing both depend on the DC membership)
+  // and re-admitted when its outage ends. `run_round(r)` then runs round r
+  // and returns its tally.
+  const auto run_schedule = [&](auto& dep, node_role dc_role,
+                                const auto& run_round) {
+    const std::vector<net::node_id> dc_ids = plan.ids_with(dc_role);
+    if (is_event_workload(plan)) {
+      // generate/scenario workloads materialize once, shared across cursors.
+      const std::shared_ptr<const std::vector<std::vector<tor::event>>>
+          shared = materialize_plan_events(plan);
+      for (std::size_t i = 0; i < dc_ids.size(); ++i) {
+        configure_dc_ingest(plan, dep.dc_at(i), ingest_pool);
+        cursors.emplace_back(unpaced, i, shared);
+      }
     }
-    for (const auto k : want) {
-      if (!dark.contains(k)) ts.exclude_dc(ids[k]);
+    std::vector<std::string> tallies;
+    for (std::uint32_t r = 1; r <= rounds; ++r) {
+      const churn_transition churn = scheduled_churn(plan, r - 1);
+      for (const auto k : churn.readmit) dep.ts().readmit_dc(dc_ids[k]);
+      for (const auto k : churn.exclude) dep.ts().exclude_dc(dc_ids[k]);
+      tallies.push_back(run_round(r));
     }
-    dark = std::move(want);
+    return serialize_multiround_tally(tallies);
   };
 
   net::inproc_net bus;
-  std::vector<std::string> tallies;
   if (plan.protocol == "psc") {
     check_canonical_layout(plan, node_role::psc_cp, node_role::psc_dc);
     const std::vector<net::node_id> dc_ids = plan.ids_with(node_role::psc_dc);
@@ -197,18 +190,11 @@ std::string run_reference_round(const deployment_plan& plan) {
     psc::deployment dep{bus, cfg};
     if (is_event_workload(plan)) {
       dep.set_extractor(core::extractor_by_name(plan.psc_extractor));
-      for (std::size_t i = 0; i < dc_ids.size(); ++i) {
-        configure_dc_ingest(plan, dep.dc_at(i), ingest_pool);
-      }
-      make_cursors(dc_ids.size());
     }
-    for (std::uint32_t r = 1; r <= rounds; ++r) {
-      apply_scheduled_churn(dep.ts(), r, dc_ids);
+    return run_schedule(dep, node_role::psc_dc, [&](std::uint32_t r) {
       const psc::round_outcome out = dep.run_round([&] {
         if (is_event_workload(plan)) {
-          feed_window(r, [&](std::size_t i) -> core::event_sink& {
-            return dep.dc_at(i);
-          });
+          feed_window(dep, r);
           return;
         }
         for (std::size_t i = 0; i < dc_ids.size(); ++i) {
@@ -217,10 +203,8 @@ std::string run_reference_round(const deployment_plan& plan) {
           }
         }
       });
-      tallies.push_back(
-          serialize_psc_tally(out.raw_count, out.bins, out.total_noise_bits));
-    }
-    return serialize_multiround_tally(tallies);
+      return serialize_psc_tally(out.raw_count, out.bins, out.total_noise_bits);
+    });
   }
 
   expects(plan.protocol == "privcount", "unknown protocol in plan");
@@ -239,25 +223,11 @@ std::string run_reference_round(const deployment_plan& plan) {
     for (const auto& name : plan.instruments) {
       dep.add_instrument(core::instrument_by_name(name));
     }
-    for (std::size_t i = 0; i < cfg.measured_relays.size(); ++i) {
-      configure_dc_ingest(plan, dep.dc_at(i), ingest_pool);
-    }
-    make_cursors(cfg.measured_relays.size());
   }
-  const std::vector<net::node_id> pc_dc_ids =
-      plan.ids_with(node_role::privcount_dc);
-  for (std::uint32_t r = 1; r <= rounds; ++r) {
-    apply_scheduled_churn(dep.ts(), r, pc_dc_ids);
-    const std::vector<privcount::counter_result> results =
-        dep.run_round(plan.counters, [&] {
-          if (!is_event_workload(plan)) return;
-          feed_window(r, [&](std::size_t i) -> core::event_sink& {
-            return dep.dc_at(i);
-          });
-        });
-    tallies.push_back(serialize_privcount_tally(results));
-  }
-  return serialize_multiround_tally(tallies);
+  return run_schedule(dep, node_role::privcount_dc, [&](std::uint32_t r) {
+    return serialize_privcount_tally(
+        dep.run_round(plan.counters, [&] { feed_window(dep, r); }));
+  });
 }
 
 distributed_round_result run_distributed_round(const deployment_plan& plan,
@@ -319,7 +289,6 @@ distributed_round_result run_distributed_round(const deployment_plan& plan,
   // Supervisor policy: in a durable plan a child that dies with the crash
   // exit code is restarted (it replays its op-log and rejoins); a cap
   // keeps a crash-looping binary from hanging the round forever.
-  constexpr int k_crash_exit_code = 42;
   const int restart_delay_ms = [] {
     const char* env = std::getenv("TORMET_RESTART_DELAY_MS");
     return env != nullptr ? std::atoi(env) : 0;

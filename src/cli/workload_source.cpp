@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
+#include <iterator>
 #include <thread>
 
 #include "src/core/instruments.h"
@@ -11,13 +11,6 @@
 #include "src/workload/trace_gen.h"
 
 namespace tormet::cli {
-
-namespace {
-
-constexpr sim_time k_stream_begin{std::numeric_limits<std::int64_t>::min()};
-constexpr sim_time k_stream_end{std::numeric_limits<std::int64_t>::max()};
-
-}  // namespace
 
 workload::trace_gen_params trace_gen_params_of(const deployment_plan& plan) {
   workload::trace_gen_params p;
@@ -33,16 +26,9 @@ workload::trace_gen_params trace_gen_params_of(const deployment_plan& plan) {
 }
 
 workload::scenario_params scenario_params_of(const deployment_plan& plan) {
-  workload::scenario_params p;
-  p.name = plan.workload.model;
-  p.dcs = plan.ids_with(plan.protocol == "psc" ? node_role::psc_dc
-                                               : node_role::privcount_dc)
-              .size();
-  p.scale = plan.workload.scale;
-  p.events = plan.workload.events;
-  p.seed = plan.workload.gen_seed;
-  p.days = plan.workload.gen_days;
-  return p;
+  // The same plan fields, the scenario name in the model slot.
+  const workload::trace_gen_params p = trace_gen_params_of(plan);
+  return {p.model, p.dcs, p.scale, p.events, p.seed, p.days};
 }
 
 std::shared_ptr<const std::vector<std::vector<tor::event>>>
@@ -86,6 +72,20 @@ std::vector<std::size_t> scheduled_dark_dcs(const deployment_plan& plan,
   }
   std::sort(dark.begin(), dark.end());
   return dark;
+}
+
+churn_transition scheduled_churn(const deployment_plan& plan,
+                                 std::size_t round_index) {
+  const std::vector<std::size_t> now = scheduled_dark_dcs(plan, round_index);
+  const std::vector<std::size_t> before =
+      round_index > 0 ? scheduled_dark_dcs(plan, round_index - 1)
+                      : std::vector<std::size_t>{};
+  churn_transition t;
+  std::set_difference(now.begin(), now.end(), before.begin(), before.end(),
+                      std::back_inserter(t.exclude));
+  std::set_difference(before.begin(), before.end(), now.begin(), now.end(),
+                      std::back_inserter(t.readmit));
+  return t;
 }
 
 workload_cursor::workload_cursor(const deployment_plan& plan,
@@ -292,12 +292,6 @@ std::size_t workload_cursor::drain() {
   return consumed;
 }
 
-std::size_t stream_dc_workload(const deployment_plan& plan,
-                               std::size_t dc_index, const batch_sink& sink) {
-  workload_cursor cursor{plan, dc_index};
-  return cursor.stream_window(k_stream_begin, k_stream_end, sink);
-}
-
 std::shared_ptr<util::thread_pool> make_ingest_pool(
     const deployment_plan& plan) {
   if (plan.dc_ingest_threads == 0) return nullptr;
@@ -310,15 +304,14 @@ void configure_dc_ingest(const deployment_plan& plan, core::event_sink& dc,
   if (pool != nullptr) dc.set_thread_pool(std::move(pool));
 }
 
-void configure_psc_dc(const deployment_plan& plan, psc::data_collector& dc,
-                      std::shared_ptr<util::thread_pool> pool) {
+void configure_dc(const deployment_plan& plan, psc::data_collector& dc,
+                  std::shared_ptr<util::thread_pool> pool) {
   dc.set_extractor(core::extractor_by_name(plan.psc_extractor));
   configure_dc_ingest(plan, dc, std::move(pool));
 }
 
-void configure_privcount_dc(const deployment_plan& plan,
-                            privcount::data_collector& dc,
-                            std::shared_ptr<util::thread_pool> pool) {
+void configure_dc(const deployment_plan& plan, privcount::data_collector& dc,
+                  std::shared_ptr<util::thread_pool> pool) {
   expects(!plan.instruments.empty(),
           "event workload needs at least one instrument");
   for (const auto& name : plan.instruments) {
@@ -333,28 +326,34 @@ void configure_privcount_dc(const deployment_plan& plan,
   configure_dc_ingest(plan, dc, std::move(pool));
 }
 
+namespace {
+
+/// Adds `instrument` and the counter specs it feeds to `d`.
+void add_instrument(trace_round_defaults& d, const std::string& instrument) {
+  d.instruments.push_back(instrument);
+  for (auto& spec : core::default_specs_for(instrument)) {
+    d.counters.push_back(std::move(spec));
+  }
+}
+
+}  // namespace
+
 trace_round_defaults defaults_for_model(const std::string& model) {
   trace_round_defaults d;
-  const auto add = [&d](const std::string& instrument) {
-    d.instruments.push_back(instrument);
-    for (auto& spec : core::default_specs_for(instrument)) {
-      d.counters.push_back(std::move(spec));
-    }
-  };
   if (model == "zipf" || model == "browsing") {
-    add("stream_taxonomy");
+    add_instrument(d, "stream_taxonomy");
     d.psc_extractor = "primary_sld";
   } else if (model == "population") {
-    add("entry_totals");
+    add_instrument(d, "entry_totals");
     d.psc_extractor = "client_ip";
   } else if (model == "onion") {
-    add("rendezvous");
-    add("hsdir_ahmia");
+    add_instrument(d, "rendezvous");
+    add_instrument(d, "hsdir_ahmia");
     d.psc_extractor = "published_address";
   } else if (model == "mixed") {
-    add("stream_taxonomy");
-    add("entry_totals");
-    add("rendezvous");
+    add_instrument(d, "stream_taxonomy");
+    add_instrument(d, "entry_totals");
+    add_instrument(d, "rendezvous");
     d.psc_extractor = "client_ip";
   } else {
     throw precondition_error{"unknown trace model: " + model};
@@ -367,12 +366,7 @@ trace_round_defaults defaults_for_scenario(const std::string& name) {
       workload::measurements_for_scenario(name);
   trace_round_defaults d;
   d.psc_extractor = m.psc_extractor;
-  for (const auto& instrument : m.instruments) {
-    d.instruments.push_back(instrument);
-    for (auto& spec : core::default_specs_for(instrument)) {
-      d.counters.push_back(std::move(spec));
-    }
-  }
+  for (const auto& instrument : m.instruments) add_instrument(d, instrument);
   return d;
 }
 

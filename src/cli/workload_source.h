@@ -73,23 +73,23 @@ materialize_plan_events(const deployment_plan& plan);
 [[nodiscard]] std::vector<std::size_t> scheduled_dark_dcs(
     const deployment_plan& plan, std::size_t round_index);
 
-/// Contiguous-span sink for batched event delivery: `evs[0..n)` is valid
-/// only for the duration of the call. The one event-delivery shape in the
-/// repo — core::event_sink::ingest matches it directly.
-using batch_sink = std::function<void(const tor::event* evs, std::size_t n)>;
+/// The scheduled-churn transition at the boundary into round `round_index`
+/// (0-based), as DC indices: the DCs that go dark for it and the DCs whose
+/// outage just ended. The one transition rule the TS and the reference
+/// round apply (re-admissions first); a pure function of the plan, so a
+/// restarted TS derives it exactly like an uninterrupted one.
+struct churn_transition {
+  std::vector<std::size_t> exclude;
+  std::vector<std::size_t> readmit;
+};
+[[nodiscard]] churn_transition scheduled_churn(const deployment_plan& plan,
+                                               std::size_t round_index);
 
-/// Streams DC `dc_index`'s whole event slice into `sink` as contiguous
-/// spans, honoring plan.pace. Returns the number of events delivered.
-/// Throws precondition_error for synthetic plans and net::wire_error on
-/// corrupt trace input.
-std::size_t stream_dc_workload(const deployment_plan& plan,
-                               std::size_t dc_index, const batch_sink& sink);
-
-/// One DC's live event stream across a whole deployment lifetime. Unlike
-/// stream_dc_workload (one EOF-terminated replay), a cursor opens its
-/// source once — trace file, materialized generation, or listening event
-/// socket — and stays open across every round of the plan's schedule,
-/// handing out events window by window:
+/// One DC's live event stream across a whole deployment lifetime. A cursor
+/// opens its source once — trace file, materialized generation, or
+/// listening event socket — and stays open across every round of the
+/// plan's schedule, handing out events window by window (a single-round
+/// plan's one window is unbounded, so it replays the whole stream):
 ///
 ///   stream_window(start, end)  — delivers events with start <= t < end to
 ///       the sink as contiguous spans; events before `start` (the
@@ -116,7 +116,10 @@ class workload_cursor {
       const deployment_plan& plan, std::size_t dc_index,
       std::shared_ptr<const std::vector<std::vector<tor::event>>> generated);
 
-  using batch_sink = cli::batch_sink;
+  /// Contiguous-span sink for batched event delivery: `evs[0..n)` is valid
+  /// only for the duration of the call. The one event-delivery shape in the
+  /// repo — core::event_sink::ingest matches it directly.
+  using batch_sink = std::function<void(const tor::event* evs, std::size_t n)>;
 
   /// Streams events with sim time in [start, end) into `sink` as
   /// contiguous spans — the one window-delivery API (a generated slice is
@@ -176,14 +179,13 @@ void configure_dc_ingest(const deployment_plan& plan, core::event_sink& dc,
 
 /// Installs the plan's extractor (psc_extractor) and ingest-plane knobs
 /// on a PSC DC.
-void configure_psc_dc(const deployment_plan& plan, psc::data_collector& dc,
-                      std::shared_ptr<util::thread_pool> pool = nullptr);
+void configure_dc(const deployment_plan& plan, psc::data_collector& dc,
+                  std::shared_ptr<util::thread_pool> pool);
 
 /// Installs the plan's instruments and ingest-plane knobs on a PrivCount
 /// DC.
-void configure_privcount_dc(const deployment_plan& plan,
-                            privcount::data_collector& dc,
-                            std::shared_ptr<util::thread_pool> pool = nullptr);
+void configure_dc(const deployment_plan& plan, privcount::data_collector& dc,
+                  std::shared_ptr<util::thread_pool> pool);
 
 /// Measurement defaults for a trace model: the instruments that consume
 /// its events, their counter specs, and the PSC extractor with signal on

@@ -111,6 +111,18 @@ parse_privcount_rounds(const std::string& tally) {
   return rounds;
 }
 
+/// The first line of a summary sidecar that starts with `prefix` (empty
+/// if there is none).
+[[nodiscard]] std::string summary_line(const std::string& summary,
+                                       const std::string& prefix) {
+  std::istringstream in{summary};
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind(prefix, 0) == 0) return line;
+  }
+  return {};
+}
+
 /// Reads one numeric field from a DC's `dc_stats <id> <key> <value>`
 /// summary-sidecar line (-1 if the line is absent).
 [[nodiscard]] std::int64_t summary_stat(const std::string& summary,
@@ -174,11 +186,16 @@ TEST(WorkloadCursorTest, SingleRoundPlansReplayTheWholeStream) {
   deployment_plan plan = make_psc_plan(1, 1, 64);
   plan.workload.kind = workload_kind::trace;
   plan.workload.trace_dir = workdir.path();
+  // A single-round plan's one window is unbounded.
+  const round_window w = round_window_for(plan, round_schedule_of(plan), 0);
+  workload_cursor cursor{plan, 0};
   std::size_t n = 0;
-  EXPECT_EQ(stream_dc_workload(
-                plan, 0, [&](const tor::event*, std::size_t k) { n += k; }),
+  EXPECT_EQ(cursor.stream_window(
+                w.start, w.end,
+                [&](const tor::event*, std::size_t k) { n += k; }),
             3u);
   EXPECT_EQ(n, 3u);
+  EXPECT_EQ(cursor.dropped_outside_windows(), 0u);
 }
 
 // Hand-crafted event slices through the scenario/generated zero-copy fast
@@ -1099,6 +1116,141 @@ TEST(DurableRoundTest, MaxRestartsZeroTurnsACrashIntoARoundFailure) {
   fault_env fault{std::to_string(victim) + " crash_in_round 1"};
   EXPECT_THROW(run_distributed_round(plan, bin, workdir.path(), 90'000),
                net::transport_error);
+}
+
+/// Each failed attempt counts as one retry: a CP crashing at round 1's
+/// configure fails attempt 0 once, so the summary must say
+/// `round_retries 1` — the count a TS replaying the same round record
+/// after a restart reconstructs.
+TEST(DurableRoundTest, CpCrashCountsOneRetry) {
+  const std::string bin = node_binary();
+  if (bin.empty()) GTEST_SKIP() << "tormet_node binary not found";
+
+  deployment_plan plan = make_psc_plan(3, 2, 512);
+  plan.round.group = crypto::group_backend::toy;
+  plan.rng_seed = 113;
+  plan.dc_grace_ms = 1500;  // bounds the failed attempt's wait
+  workdir_guard workdir;
+  plan.durable_dir = workdir.path() + "/durable";
+  plan.tally_path = workdir.path() + "/tally.out";
+  assign_free_ports(plan);
+
+  // Node layout: TS=0, CPs 1-2, DCs 3-5.
+  fault_env fault{"1 crash_in_round 0"};
+  const distributed_round_result result =
+      run_distributed_round(plan, bin, workdir.path(), 90'000);
+  for (const auto& n : result.nodes) {
+    EXPECT_EQ(n.exit_code, 0) << "node " << n.id << " failed";
+  }
+  EXPECT_GE(restarts_of(result, 1), 1);
+  EXPECT_EQ(result.tally, run_reference_round(plan));
+  EXPECT_EQ(summary_line(result.summary, "round_retries "), "round_retries 1")
+      << result.summary;
+}
+
+/// A restarted TS must re-apply the scheduled churn of the round it last
+/// committed. With relay_churn over 8 daily rounds, DC 0 is scheduled dark
+/// in rounds 3 and 4, and the TS crashes right after committing round 3:
+/// the fresh tally server must keep DC 0 out of round 4, exactly like the
+/// reference applying the same churn — for both protocols.
+TEST(DurableRoundTest, ResumedTsReappliesScheduledDarkExclusions) {
+  const std::string bin = node_binary();
+  if (bin.empty()) GTEST_SKIP() << "tormet_node binary not found";
+
+  const trace_round_defaults defaults = defaults_for_scenario("relay_churn");
+  for (const std::string protocol : {"psc", "privcount"}) {
+    deployment_plan plan = protocol == "psc"
+                               ? make_psc_plan(2, 2, 2'048)
+                               : make_privcount_plan(2, 2, defaults.counters);
+    if (protocol == "psc") {
+      plan.round.group = crypto::group_backend::toy;
+    } else {
+      plan.instruments = defaults.instruments;
+    }
+    plan.psc_extractor = defaults.psc_extractor;
+    plan.workload.kind = workload_kind::scenario;
+    plan.workload.model = "relay_churn";
+    plan.workload.scale = 1.0;
+    plan.workload.events = 2'000;
+    plan.workload.gen_seed = 7;
+    plan.workload.gen_days = 8;
+    plan.schedule_rounds = 8;
+    plan.round_duration_s = k_seconds_per_day;
+    plan.rng_seed = 7;
+    workdir_guard workdir;
+    plan.durable_dir = workdir.path() + "/durable";
+    plan.tally_path = workdir.path() + "/tally.out";
+    assign_free_ports(plan);
+
+    const std::vector<net::node_id> dc_ids = plan.ids_with(
+        protocol == "psc" ? node_role::psc_dc : node_role::privcount_dc);
+    ASSERT_EQ(scheduled_dark_dcs(plan, 2), std::vector<std::size_t>{0});
+    ASSERT_EQ(scheduled_dark_dcs(plan, 3), std::vector<std::size_t>{0});
+
+    distributed_round_result result;
+    {
+      fault_env fault{"0 crash_after_round 2"};
+      result = run_distributed_round(plan, bin, workdir.path(), 120'000);
+    }
+    for (const auto& n : result.nodes) {
+      EXPECT_EQ(n.exit_code, 0) << protocol << ": node " << n.id << " failed";
+    }
+    EXPECT_GE(restarts_of(result, 0), 1) << protocol;
+    EXPECT_EQ(result.tally, run_reference_round(plan)) << protocol;
+    const std::string dc0 =
+        summary_line(result.summary, "dc " + std::to_string(dc_ids[0]) + " ");
+    EXPECT_NE(dc0.find("reported 6 missed 2"), std::string::npos)
+        << protocol << ": " << dc0;
+  }
+}
+
+/// A restarted TS must re-apply the grace exclusions it recovered. The
+/// last DC exits after round 1 and is excluded in round 2 once its graces
+/// run out; the TS crashes right after committing round 2. Configuring the
+/// excluded DC again in round 3 would change that round's noise (sigma
+/// follows the configured DC count) and spend two more retries excluding
+/// it again, so the run must match the same plan without the TS crash:
+/// the same tally bytes and the same summary, retries included.
+TEST(DurableRoundTest, ResumedTsReappliesGraceExclusions) {
+  const std::string bin = node_binary();
+  if (bin.empty()) GTEST_SKIP() << "tormet_node binary not found";
+
+  const trace_round_defaults defaults = defaults_for_model("population");
+  const auto run = [&](const std::string& ts_fault) {
+    deployment_plan plan = make_privcount_plan(3, 3, defaults.counters);
+    plan.instruments = defaults.instruments;
+    plan.workload.kind = workload_kind::generate;
+    plan.workload.model = "population";
+    plan.workload.scale = 5e-5;
+    plan.workload.gen_seed = 11;
+    plan.workload.gen_days = 3;
+    plan.schedule_rounds = 3;
+    plan.round_duration_s = k_seconds_per_day;
+    plan.rng_seed = 11;
+    plan.dc_grace_ms = 1000;
+    plan.round_deadline_ms = 30'000;
+    workdir_guard workdir;
+    plan.durable_dir = workdir.path() + "/durable";
+    plan.tally_path = workdir.path() + "/tally.out";
+    assign_free_ports(plan);
+
+    const net::node_id victim = plan.ids_with(node_role::privcount_dc).back();
+    fault_env fault{std::to_string(victim) + " exit_after_round 0" + ts_fault};
+    const distributed_round_result result =
+        run_distributed_round(plan, bin, workdir.path(), 90'000);
+    for (const auto& n : result.nodes) {
+      EXPECT_EQ(n.exit_code, 0) << "node " << n.id << " failed";
+    }
+    return result;
+  };
+  const distributed_round_result steady = run("");
+  const distributed_round_result resumed = run(";0 crash_after_round 1");
+  EXPECT_GE(restarts_of(resumed, 0), 1);
+  EXPECT_EQ(resumed.tally, steady.tally);
+  EXPECT_EQ(resumed.summary, steady.summary);
+  // Round 2's two failed attempts, each counted once.
+  EXPECT_EQ(summary_line(steady.summary, "round_retries "), "round_retries 2")
+      << steady.summary;
 }
 
 }  // namespace
