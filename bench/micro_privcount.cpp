@@ -13,6 +13,8 @@
 
 #include <cstdio>
 #include <cstring>
+#include <numeric>
+#include <vector>
 
 #include "bench/speedup_common.h"
 #include "src/core/instruments.h"
@@ -34,15 +36,26 @@ tor::event make_stream_event(const std::string& host) {
   return ev;
 }
 
-void bm_stream_taxonomy_instrument(benchmark::State& state) {
-  const auto instrument = core::instrument_stream_taxonomy();
-  const tor::event ev = make_stream_event("www.example.com");
-  std::uint64_t total = 0;
-  const auto incr = [&](const std::string&, std::uint64_t n) { total += n; };
+/// Runs `ins` over `evs` each iteration, into a slab with one slot per
+/// declared counter (the DC's single-shard ingest path).
+void run_instrument(benchmark::State& state,
+                    const privcount::data_collector::instrument& ins,
+                    const std::vector<tor::event>& evs) {
+  std::vector<std::size_t> slots(ins->counters().size());
+  std::iota(slots.begin(), slots.end(), std::size_t{0});
+  std::vector<std::uint64_t> slab(slots.size(), 0);
   for (auto _ : state) {
-    instrument(ev, incr);
+    ins->ingest(evs.data(), evs.size(), slots.data(), slab.data());
+    benchmark::DoNotOptimize(slab.data());
+    benchmark::ClobberMemory();
   }
-  benchmark::DoNotOptimize(total);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(evs.size()));
+}
+
+void bm_stream_taxonomy_instrument(benchmark::State& state) {
+  run_instrument(state, core::instrument_stream_taxonomy(),
+                 {make_stream_event("www.example.com")});
 }
 BENCHMARK(bm_stream_taxonomy_instrument);
 
@@ -58,18 +71,9 @@ void bm_domain_set_matching(benchmark::State& state) {
     set.domains.push_back(alexa.domain_at_rank(rank));
   }
   sets.push_back(std::move(set));
-  const auto instrument = core::instrument_domain_sets("rank", std::move(sets));
-
-  const tor::event hit = make_stream_event("www.amazon.com");
-  const tor::event miss = make_stream_event("tail1234567.com");
-  std::uint64_t total = 0;
-  const auto incr = [&](const std::string&, std::uint64_t n) { total += n; };
-  for (auto _ : state) {
-    instrument(hit, incr);
-    instrument(miss, incr);
-  }
-  benchmark::DoNotOptimize(total);
-  state.SetItemsProcessed(state.iterations() * 2);
+  run_instrument(state, core::instrument_domain_sets("rank", std::move(sets)),
+                 {make_stream_event("www.amazon.com"),
+                  make_stream_event("tail1234567.com")});
 }
 BENCHMARK(bm_domain_set_matching)->Arg(100000)->Arg(1000000)
     ->Unit(benchmark::kNanosecond);
@@ -105,16 +109,12 @@ BENCHMARK(bm_psc_insert_toy);
 void bm_country_instrument(benchmark::State& state) {
   const auto geo = std::make_shared<const workload::geoip_db>(
       workload::geoip_db::make_synthetic());
-  const auto instrument = core::instrument_country_usage(
-      geo, {"US", "RU", "DE", "UA", "FR", "AE"});
   tor::event ev;
   ev.body = tor::entry_connection_event{42};  // country 0 = US block
-  std::uint64_t total = 0;
-  const auto incr = [&](const std::string&, std::uint64_t n) { total += n; };
-  for (auto _ : state) {
-    instrument(ev, incr);
-  }
-  benchmark::DoNotOptimize(total);
+  run_instrument(state,
+                 core::instrument_country_usage(
+                     geo, {"US", "RU", "DE", "UA", "FR", "AE"}),
+                 {ev});
 }
 BENCHMARK(bm_country_instrument);
 

@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
   bus.register_node(0, [](const net::message&) {});
   crypto::deterministic_rng rng{1};
   privcount::data_collector dc{1, 0, bus, rng};
-  dc.add_instrument(core::make_batch_instrument("stream_taxonomy"));
+  dc.add_instrument(core::instrument_by_name("stream_taxonomy"));
   dc.set_shards(4);
   {
     privcount::configure_msg cfg;

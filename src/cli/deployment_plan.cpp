@@ -470,6 +470,11 @@ deployment_plan parse_plan(std::string_view text) {
       ls >> name;
       const auto& known = core::instrument_names();
       want(std::find(known.begin(), known.end(), name) != known.end());
+      // A repeated instrument would count every event twice per DC.
+      if (std::find(plan.instruments.begin(), plan.instruments.end(), name) !=
+          plan.instruments.end()) {
+        fail("duplicate instrument '" + name + "'");
+      }
       plan.instruments.push_back(std::move(name));
     } else if (key == "items_per_dc") {
       ls >> plan.items_per_dc;
@@ -513,6 +518,12 @@ deployment_plan parse_plan(std::string_view text) {
       privcount::counter_spec c;
       ls >> c.name >> c.sensitivity >> c.expected_value;
       want(!c.name.empty());
+      // A repeated counter would split the privacy budget over a phantom
+      // counter that never receives an increment.
+      if (std::any_of(plan.counters.begin(), plan.counters.end(),
+                      [&](const auto& o) { return o.name == c.name; })) {
+        fail("duplicate counter '" + c.name + "'");
+      }
       plan.counters.push_back(std::move(c));
     } else if (key == "node") {
       node_spec n;

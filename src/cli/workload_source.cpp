@@ -315,13 +315,7 @@ void configure_dc(const deployment_plan& plan, privcount::data_collector& dc,
   expects(!plan.instruments.empty(),
           "event workload needs at least one instrument");
   for (const auto& name : plan.instruments) {
-    // Prefer the slot-compiled batch form when one exists; the closure
-    // instrument is the fallback (identical increments either way).
-    if (auto fast = core::make_batch_instrument(name)) {
-      dc.add_instrument(std::move(fast));
-    } else {
-      dc.add_instrument(core::instrument_by_name(name));
-    }
+    dc.add_instrument(core::instrument_by_name(name));
   }
   configure_dc_ingest(plan, dc, std::move(pool));
 }

@@ -1,5 +1,7 @@
 #include "src/core/instruments.h"
 
+#include <optional>
+#include <set>
 #include <unordered_map>
 
 #include "src/util/bytes.h"
@@ -9,6 +11,8 @@
 namespace tormet::core {
 
 namespace {
+
+using privcount::make_instrument;
 
 /// True for the streams whose hostnames the paper calls primary domains:
 /// a circuit's initial stream naming a hostname on a web port (§4.1).
@@ -35,56 +39,97 @@ template <typename Map>
   }
 }
 
+/// True when `hostname` or one of its parent domains is on the list.
+[[nodiscard]] bool alexa_listed(const workload::alexa_list& alexa,
+                                std::string_view hostname) {
+  for (std::string_view rest = hostname;;) {
+    if (alexa.contains(rest)) return true;
+    const std::size_t dot = rest.find('.');
+    if (dot == std::string_view::npos) return false;
+    rest.remove_prefix(dot + 1);
+  }
+}
+
+/// The entry-side totals a client's events feed, in counter-index order
+/// for instruments that lay them out per group (see entry_usage_of).
+enum entry_kind : std::size_t { connections, circuits, bytes, dir_requests };
+constexpr const char* k_entry_kind_names[] = {"connections", "circuits",
+                                              "bytes", "dir-requests"};
+
+/// One entry-side event as usage: its client, the total it feeds and by
+/// how much, and whether it is a directory circuit.
+struct entry_usage {
+  std::uint32_t client_ip;
+  entry_kind kind;
+  std::uint64_t amount;
+  bool directory;
+};
+
+[[nodiscard]] std::optional<entry_usage> entry_usage_of(const tor::event& ev) {
+  if (const auto* c = std::get_if<tor::entry_connection_event>(&ev.body)) {
+    return entry_usage{c->client_ip, connections, 1, false};
+  }
+  if (const auto* c = std::get_if<tor::entry_circuit_event>(&ev.body)) {
+    return entry_usage{c->client_ip, circuits, 1,
+                       c->kind == tor::circuit_kind::directory};
+  }
+  if (const auto* d = std::get_if<tor::entry_data_event>(&ev.body)) {
+    return entry_usage{d->client_ip, bytes, d->bytes, false};
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
 privcount::data_collector::instrument instrument_stream_taxonomy() {
-  return [](const tor::event& ev, const auto& incr) {
-    const auto* s = std::get_if<tor::exit_stream_event>(&ev.body);
-    if (s == nullptr) return;
-    incr("streams/total", 1);
-    if (!s->is_initial) return;
-    incr("streams/initial", 1);
-    switch (s->kind) {
-      case tor::address_kind::hostname: {
-        incr("streams/initial/hostname", 1);
-        const bool web = s->port == 80 || s->port == 443;
-        incr(web ? "streams/initial/hostname/web"
-                 : "streams/initial/hostname/other",
-             1);
-        break;
-      }
-      case tor::address_kind::ipv4:
-        incr("streams/initial/ipv4", 1);
-        break;
-      case tor::address_kind::ipv6:
-        incr("streams/initial/ipv6", 1);
-        break;
-    }
-  };
+  enum : std::size_t { total, initial, hostname, ipv4, ipv6, web, other };
+  return make_instrument(
+      {"streams/total", "streams/initial", "streams/initial/hostname",
+       "streams/initial/ipv4", "streams/initial/ipv6",
+       "streams/initial/hostname/web", "streams/initial/hostname/other"},
+      [](const tor::event& ev, const auto& add) {
+        const auto* s = std::get_if<tor::exit_stream_event>(&ev.body);
+        if (s == nullptr) return;
+        add(total, 1);
+        if (!s->is_initial) return;
+        add(initial, 1);
+        switch (s->kind) {
+          case tor::address_kind::hostname:
+            add(hostname, 1);
+            add(s->port == 80 || s->port == 443 ? web : other, 1);
+            break;
+          case tor::address_kind::ipv4:
+            add(ipv4, 1);
+            break;
+          case tor::address_kind::ipv6:
+            add(ipv6, 1);
+            break;
+        }
+      });
 }
 
 privcount::data_collector::instrument instrument_domain_sets(
     std::string base, std::vector<domain_set> sets) {
-  // domain -> (set index) with first-set-wins semantics.
-  auto index = std::make_shared<std::unordered_map<std::string, std::size_t>>();
-  auto names = std::make_shared<std::vector<std::string>>();
+  // domain -> set index (= counter index) with first-set-wins semantics;
+  // the counter after the sets is <base>/other.
+  std::unordered_map<std::string, std::size_t> index;
+  std::vector<std::string> counters;
   for (std::size_t i = 0; i < sets.size(); ++i) {
-    names->push_back(base + "/" + sets[i].name);
+    counters.push_back(base + "/" + sets[i].name);
     for (const auto& d : sets[i].domains) {
-      index->emplace(d, i);  // emplace keeps the first set that claimed d
+      index.emplace(d, i);  // emplace keeps the first set that claimed d
     }
   }
-  const std::string other = base + "/other";
-  return [index, names, other](const tor::event& ev, const auto& incr) {
-    const auto* s = primary_domain_of(ev);
-    if (s == nullptr) return;
-    const auto it = find_by_suffix(*index, s->target);
-    if (it == index->end()) {
-      incr(other, 1);
-    } else {
-      incr((*names)[it->second], 1);
-    }
-  };
+  const std::size_t other = counters.size();
+  counters.push_back(base + "/other");
+  return make_instrument(
+      std::move(counters),
+      [index = std::move(index), other](const tor::event& ev, const auto& add) {
+        const auto* s = primary_domain_of(ev);
+        if (s == nullptr) return;
+        const auto it = find_by_suffix(index, s->target);
+        add(it == index.end() ? other : it->second, 1);
+      });
 }
 
 privcount::data_collector::instrument instrument_tld_histogram(
@@ -92,160 +137,147 @@ privcount::data_collector::instrument instrument_tld_histogram(
     std::shared_ptr<const workload::alexa_list> alexa, bool separate_torproject,
     std::shared_ptr<const workload::suffix_list> suffixes) {
   expects(suffixes != nullptr, "tld histogram needs a suffix list");
-  auto tld_set = std::make_shared<std::unordered_map<std::string, std::string>>();
+  std::unordered_map<std::string, std::size_t> tld_index;  // tld -> counter
+  std::vector<std::string> counters;
   for (const auto& tld : tlds) {
-    (*tld_set)[tld] = base + "/" + tld;
+    tld_index.emplace(tld, counters.size());
+    counters.push_back(base + "/" + tld);
   }
-  const std::string other = base + "/other";
-  const std::string torproject = base + "/torproject.org";
-  return [tld_set, alexa, separate_torproject, suffixes, other, torproject](
-             const tor::event& ev, const auto& incr) {
-    const auto* s = primary_domain_of(ev);
-    if (s == nullptr) return;
-    if (separate_torproject &&
-        workload::hostname_matches_domain(s->target, "torproject.org")) {
-      incr(torproject, 1);
-      return;
-    }
-    if (alexa != nullptr) {
-      // Restrict to Alexa-listed domains: the hostname or a parent must be
-      // a list entry.
-      std::string_view rest = s->target;
-      bool listed = false;
-      for (;;) {
-        if (alexa->contains(rest)) {
-          listed = true;
-          break;
+  const std::size_t other = counters.size();
+  counters.push_back(base + "/other");
+  const std::size_t torproject = counters.size();
+  if (separate_torproject) counters.push_back(base + "/torproject.org");
+  return make_instrument(
+      std::move(counters),
+      [tld_index = std::move(tld_index), alexa = std::move(alexa),
+       separate_torproject, other,
+       torproject](const tor::event& ev, const auto& add) {
+        const auto* s = primary_domain_of(ev);
+        if (s == nullptr) return;
+        if (separate_torproject &&
+            workload::hostname_matches_domain(s->target, "torproject.org")) {
+          add(torproject, 1);
+          return;
         }
-        const std::size_t dot = rest.find('.');
-        if (dot == std::string_view::npos) break;
-        rest.remove_prefix(dot + 1);
-      }
-      if (!listed) return;
-    }
-    const auto tld = workload::suffix_list::tld_of(s->target);
-    if (!tld.has_value()) return;
-    const auto it = tld_set->find(*tld);
-    incr(it == tld_set->end() ? other : it->second, 1);
-  };
+        if (alexa != nullptr && !alexa_listed(*alexa, s->target)) return;
+        const auto tld = workload::suffix_list::tld_of(s->target);
+        if (!tld.has_value()) return;
+        const auto it = tld_index.find(*tld);
+        add(it == tld_index.end() ? other : it->second, 1);
+      });
 }
 
 privcount::data_collector::instrument instrument_entry_totals() {
-  return [](const tor::event& ev, const auto& incr) {
-    if (std::holds_alternative<tor::entry_connection_event>(ev.body)) {
-      incr("entry/connections", 1);
-    } else if (std::holds_alternative<tor::entry_circuit_event>(ev.body)) {
-      incr("entry/circuits", 1);
-    } else if (const auto* d = std::get_if<tor::entry_data_event>(&ev.body)) {
-      incr("entry/bytes", d->bytes);
-    }
-  };
+  // Counter indices are entry_kind values.
+  return make_instrument({"entry/connections", "entry/circuits", "entry/bytes"},
+                         [](const tor::event& ev, const auto& add) {
+                           if (const auto u = entry_usage_of(ev)) {
+                             add(u->kind, u->amount);
+                           }
+                         });
 }
 
 privcount::data_collector::instrument instrument_country_usage(
     std::shared_ptr<const workload::geoip_db> geo,
     std::vector<std::string> country_codes) {
   expects(geo != nullptr, "country usage needs a geoip db");
-  auto wanted = std::make_shared<std::unordered_map<std::uint16_t, std::string>>();
+  // Every listed code owns one counter per entry_kind, from its first.
+  std::unordered_map<std::uint16_t, std::size_t> first_counter;
+  std::vector<std::string> counters;
   for (const auto& code : country_codes) {
-    (*wanted)[geo->index_of(code)] = code;
-  }
-  return [geo, wanted](const tor::event& ev, const auto& incr) {
-    std::uint32_t ip = 0;
-    const char* suffix = nullptr;
-    std::uint64_t amount = 1;
-    bool is_dir_circuit = false;
-    if (const auto* c = std::get_if<tor::entry_connection_event>(&ev.body)) {
-      ip = c->client_ip;
-      suffix = "connections";
-    } else if (const auto* ci = std::get_if<tor::entry_circuit_event>(&ev.body)) {
-      ip = ci->client_ip;
-      suffix = "circuits";
-      is_dir_circuit = ci->kind == tor::circuit_kind::directory;
-    } else if (const auto* d = std::get_if<tor::entry_data_event>(&ev.body)) {
-      ip = d->client_ip;
-      suffix = "bytes";
-      amount = d->bytes;
-    } else {
-      return;
+    first_counter[geo->index_of(code)] = counters.size();
+    for (const char* kind : k_entry_kind_names) {
+      counters.push_back("country/" + code + "/" + kind);
     }
-    const auto it = wanted->find(geo->country_of(ip));
-    if (it == wanted->end()) return;
-    incr("country/" + it->second + "/" + suffix, amount);
-    // Directory requests feed the Tor-Metrics-style baseline estimator
-    // (stats/metrics_portal.h) — the §5.2 UAE-discrepancy comparison.
-    if (is_dir_circuit) incr("country/" + it->second + "/dir-requests", amount);
-  };
+  }
+  return make_instrument(
+      std::move(counters),
+      [geo = std::move(geo), first_counter = std::move(first_counter)](
+          const tor::event& ev, const auto& add) {
+        const auto u = entry_usage_of(ev);
+        if (!u) return;
+        const auto it = first_counter.find(geo->country_of(u->client_ip));
+        if (it == first_counter.end()) return;
+        add(it->second + u->kind, u->amount);
+        // Directory requests feed the Tor-Metrics-style baseline estimator
+        // (stats/metrics_portal.h) — the §5.2 UAE-discrepancy comparison.
+        if (u->directory) add(it->second + dir_requests, u->amount);
+      });
 }
 
 privcount::data_collector::instrument instrument_as_split(
     std::shared_ptr<const workload::geoip_db> geo,
     std::vector<std::uint32_t> top_asns) {
   expects(geo != nullptr, "as split needs a geoip db");
-  auto top = std::make_shared<std::set<std::uint32_t>>(top_asns.begin(),
-                                                       top_asns.end());
-  return [geo, top](const tor::event& ev, const auto& incr) {
-    std::uint32_t ip = 0;
-    const char* suffix = nullptr;
-    std::uint64_t amount = 1;
-    if (const auto* c = std::get_if<tor::entry_connection_event>(&ev.body)) {
-      ip = c->client_ip;
-      suffix = "connections";
-    } else if (const auto* ci = std::get_if<tor::entry_circuit_event>(&ev.body)) {
-      ip = ci->client_ip;
-      suffix = "circuits";
-    } else if (const auto* d = std::get_if<tor::entry_data_event>(&ev.body)) {
-      ip = d->client_ip;
-      suffix = "bytes";
-      amount = d->bytes;
-    } else {
-      return;
+  // as/<group>/<kind> for every entry_kind before dir_requests, top1000
+  // group first.
+  constexpr std::size_t per_group = dir_requests;
+  std::vector<std::string> counters;
+  for (const char* group : {"top1000", "other"}) {
+    for (const entry_kind kind : {connections, circuits, bytes}) {
+      counters.push_back(std::string{"as/"} + group + "/" +
+                         k_entry_kind_names[kind]);
     }
-    const bool is_top = top->contains(geo->asn_of(ip));
-    incr(std::string{"as/"} + (is_top ? "top1000/" : "other/") + suffix, amount);
-  };
+  }
+  return make_instrument(
+      std::move(counters),
+      [geo = std::move(geo),
+       top = std::set<std::uint32_t>(top_asns.begin(), top_asns.end())](
+          const tor::event& ev, const auto& add) {
+        const auto u = entry_usage_of(ev);
+        if (!u) return;
+        const bool is_top = top.contains(geo->asn_of(u->client_ip));
+        add((is_top ? 0 : per_group) + u->kind, u->amount);
+      });
 }
 
 privcount::data_collector::instrument instrument_hsdir_descriptors(
     std::shared_ptr<const workload::ahmia_index> index) {
   expects(index != nullptr, "hsdir instrument needs an ahmia index");
-  return [index](const tor::event& ev, const auto& incr) {
-    if (std::holds_alternative<tor::hsdir_publish_event>(ev.body)) {
-      incr("hsdir/publishes", 1);
-      return;
-    }
-    const auto* f = std::get_if<tor::hsdir_fetch_event>(&ev.body);
-    if (f == nullptr) return;
-    incr("hsdir/fetch/total", 1);
-    if (f->outcome == tor::fetch_outcome::success) {
-      incr("hsdir/fetch/success", 1);
-      incr(index->contains(f->address) ? "hsdir/fetch/success/public"
-                                       : "hsdir/fetch/success/unknown",
-           1);
-    } else {
-      incr("hsdir/fetch/failed", 1);
-    }
-  };
+  enum : std::size_t { publishes, total, success, failed, pub, unknown };
+  return make_instrument(
+      {"hsdir/publishes", "hsdir/fetch/total", "hsdir/fetch/success",
+       "hsdir/fetch/failed", "hsdir/fetch/success/public",
+       "hsdir/fetch/success/unknown"},
+      [index = std::move(index)](const tor::event& ev, const auto& add) {
+        if (std::holds_alternative<tor::hsdir_publish_event>(ev.body)) {
+          add(publishes, 1);
+          return;
+        }
+        const auto* f = std::get_if<tor::hsdir_fetch_event>(&ev.body);
+        if (f == nullptr) return;
+        add(total, 1);
+        if (f->outcome == tor::fetch_outcome::success) {
+          add(success, 1);
+          add(index->contains(f->address) ? pub : unknown, 1);
+        } else {
+          add(failed, 1);
+        }
+      });
 }
 
 privcount::data_collector::instrument instrument_rendezvous() {
-  return [](const tor::event& ev, const auto& incr) {
-    const auto* r = std::get_if<tor::rend_circuit_event>(&ev.body);
-    if (r == nullptr) return;
-    incr("rend/circuits", 1);
-    switch (r->outcome) {
-      case tor::rend_outcome::succeeded:
-        incr("rend/succeeded", 1);
-        incr("rend/cells", r->payload_cells);
-        break;
-      case tor::rend_outcome::failed_conn_closed:
-        incr("rend/conn-closed", 1);
-        break;
-      case tor::rend_outcome::failed_expired:
-        incr("rend/expired", 1);
-        break;
-    }
-  };
+  enum : std::size_t { circuits, succeeded, conn_closed, expired, cells };
+  return make_instrument(
+      {"rend/circuits", "rend/succeeded", "rend/conn-closed", "rend/expired",
+       "rend/cells"},
+      [](const tor::event& ev, const auto& add) {
+        const auto* r = std::get_if<tor::rend_circuit_event>(&ev.body);
+        if (r == nullptr) return;
+        add(circuits, 1);
+        switch (r->outcome) {
+          case tor::rend_outcome::succeeded:
+            add(succeeded, 1);
+            add(cells, r->payload_cells);
+            break;
+          case tor::rend_outcome::failed_conn_closed:
+            add(conn_closed, 1);
+            break;
+          case tor::rend_outcome::failed_expired:
+            add(expired, 1);
+            break;
+        }
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -292,21 +324,7 @@ psc::data_collector::extractor extract_primary_sld(
     if (s == nullptr) return std::nullopt;
     const auto sld = suffixes->sld_of(s->target);
     if (!sld.has_value()) return std::nullopt;
-    if (alexa != nullptr) {
-      // Restrict to SLDs of Alexa-listed domains.
-      std::string_view rest = s->target;
-      bool listed = false;
-      for (;;) {
-        if (alexa->contains(rest)) {
-          listed = true;
-          break;
-        }
-        const std::size_t dot = rest.find('.');
-        if (dot == std::string_view::npos) break;
-        rest.remove_prefix(dot + 1);
-      }
-      if (!listed) return std::nullopt;
-    }
+    if (alexa != nullptr && !alexa_listed(*alexa, s->target)) return std::nullopt;
     return "sld:" + *sld;
   };
 }
@@ -419,99 +437,7 @@ const std::shared_ptr<const workload::suffix_list>& canonical_suffixes() {
   return suffixes;
 }
 
-/// stream_taxonomy compiled to slab slots: one variant probe and 2-4 array
-/// increments per event, no string handling — the shape the >=50M ev/s
-/// ingest target needs. Emits exactly the increments of
-/// instrument_stream_taxonomy().
-class batch_stream_taxonomy final : public privcount::batch_instrument {
- public:
-  void bind(const privcount::slot_resolver& slot_of) override {
-    total_ = slot_of("streams/total");
-    initial_ = slot_of("streams/initial");
-    hostname_ = slot_of("streams/initial/hostname");
-    ipv4_ = slot_of("streams/initial/ipv4");
-    ipv6_ = slot_of("streams/initial/ipv6");
-    web_ = slot_of("streams/initial/hostname/web");
-    other_ = slot_of("streams/initial/hostname/other");
-  }
-
-  void ingest(const tor::event* const* evs, std::size_t n,
-              std::uint64_t* slab) override {
-    for (std::size_t i = 0; i < n; ++i) step(*evs[i], slab);
-  }
-
-  void ingest_span(const tor::event* evs, std::size_t n,
-                   std::uint64_t* slab) override {
-    for (std::size_t i = 0; i < n; ++i) step(evs[i], slab);
-  }
-
- private:
-  void step(const tor::event& ev, std::uint64_t* slab) const {
-    const auto* s = std::get_if<tor::exit_stream_event>(&ev.body);
-    if (s == nullptr) return;
-    ++slab[total_];
-    if (!s->is_initial) return;
-    ++slab[initial_];
-    switch (s->kind) {
-      case tor::address_kind::hostname:
-        ++slab[hostname_];
-        ++slab[(s->port == 80 || s->port == 443) ? web_ : other_];
-        break;
-      case tor::address_kind::ipv4:
-        ++slab[ipv4_];
-        break;
-      case tor::address_kind::ipv6:
-        ++slab[ipv6_];
-        break;
-    }
-  }
-
-  std::size_t total_ = 0, initial_ = 0, hostname_ = 0, ipv4_ = 0, ipv6_ = 0,
-              web_ = 0, other_ = 0;
-};
-
-/// entry_totals compiled to slab slots (see instrument_entry_totals()).
-class batch_entry_totals final : public privcount::batch_instrument {
- public:
-  void bind(const privcount::slot_resolver& slot_of) override {
-    connections_ = slot_of("entry/connections");
-    circuits_ = slot_of("entry/circuits");
-    bytes_ = slot_of("entry/bytes");
-  }
-
-  void ingest(const tor::event* const* evs, std::size_t n,
-              std::uint64_t* slab) override {
-    for (std::size_t i = 0; i < n; ++i) step(*evs[i], slab);
-  }
-
-  void ingest_span(const tor::event* evs, std::size_t n,
-                   std::uint64_t* slab) override {
-    for (std::size_t i = 0; i < n; ++i) step(evs[i], slab);
-  }
-
- private:
-  void step(const tor::event& ev, std::uint64_t* slab) const {
-    const auto& body = ev.body;
-    if (std::holds_alternative<tor::entry_connection_event>(body)) {
-      ++slab[connections_];
-    } else if (std::holds_alternative<tor::entry_circuit_event>(body)) {
-      ++slab[circuits_];
-    } else if (const auto* d = std::get_if<tor::entry_data_event>(&body)) {
-      slab[bytes_] += d->bytes;
-    }
-  }
-
-  std::size_t connections_ = 0, circuits_ = 0, bytes_ = 0;
-};
-
 }  // namespace
-
-std::unique_ptr<privcount::batch_instrument> make_batch_instrument(
-    const std::string& name) {
-  if (name == "stream_taxonomy") return std::make_unique<batch_stream_taxonomy>();
-  if (name == "entry_totals") return std::make_unique<batch_entry_totals>();
-  return nullptr;
-}
 
 const std::vector<std::string>& instrument_names() {
   static const std::vector<std::string> names{
@@ -612,9 +538,7 @@ psc::data_collector::extractor extractor_by_name(const std::string& name) {
         workload::geoip_db::make_synthetic()));
   }
   if (name == "primary_sld") {
-    return extract_primary_sld(std::make_shared<const workload::suffix_list>(
-                                   workload::suffix_list::embedded()),
-                               nullptr);
+    return extract_primary_sld(canonical_suffixes(), nullptr);
   }
   if (name == "published_address") return extract_published_address();
   if (name == "fetched_address") return extract_fetched_address();

@@ -3,9 +3,10 @@
 // statistic in the paper's evaluation. Benches, examples, and tests compose
 // these with deployments instead of hand-writing event matching.
 //
-// Counter naming convention: "<area>/<statistic>[/<bin>]"; the functions
-// below document the names they emit so callers can build matching
-// counter_spec lists (see specs_* helpers).
+// Every instrument is one immutable privcount::batch_instrument that
+// declares its counters (counters()); counter naming convention:
+// "<area>/<statistic>[/<bin>]". The functions below document the names they
+// declare so callers can build matching counter_spec lists.
 #pragma once
 
 #include <memory>
@@ -131,14 +132,8 @@ struct domain_set {
 /// Registered instrument names: "stream_taxonomy", "entry_totals",
 /// "rendezvous", "tld_histogram", "domain_sets", "hsdir_ahmia".
 [[nodiscard]] const std::vector<std::string>& instrument_names();
-/// Slot-compiled fast path for a registered instrument when one exists
-/// ("stream_taxonomy", "entry_totals" — the hot ingest counters), else
-/// nullptr; callers fall back to wrapping instrument_by_name. Compiled and
-/// wrapped forms produce identical increments.
-[[nodiscard]] std::unique_ptr<privcount::batch_instrument> make_batch_instrument(
-    const std::string& name);
-/// Resolves a registered instrument; throws precondition_error on an
-/// unknown name.
+/// Builds a registered instrument; throws precondition_error on an unknown
+/// name.
 [[nodiscard]] privcount::data_collector::instrument instrument_by_name(
     const std::string& name);
 /// Canonical counter specs for a registered instrument — the counters its

@@ -1,16 +1,17 @@
-// Flat counter slabs for the sharded DC observe path. Each ingest shard
-// owns one contiguous row of uint64 increment slots — one per configured
-// counter plus a trailing trash slot that absorbs increments to names not
-// measured this round — and instruments are compiled against slot indices
-// once per round instead of doing a string lookup per increment. At report
-// time the rows merge by plain mod-2^64 addition onto the blinded base
-// values, so the reported bytes are independent of the shard count and of
-// how events were partitioned across shards.
+// Flat counter slabs for the sharded DC observe path, and the one
+// instrument form that feeds them. Each ingest shard owns one contiguous
+// row of uint64 increment slots — one per configured counter plus a
+// trailing trash slot that absorbs increments to counters not measured
+// this round. An instrument declares its counter names once and adds
+// increments by counter index; the DC maps each index to this round's slot
+// at configure, so ingest does no string handling at all. At report time
+// the rows merge by plain mod-2^64 addition onto the blinded base values,
+// so the reported bytes are independent of the shard count and of how
+// events were partitioned across shards.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,43 +20,69 @@
 
 namespace tormet::privcount {
 
-/// Maps a counter name to its slab slot at bind time; names not measured
-/// this round resolve to the trash slot (index == number of counters).
-using slot_resolver = std::function<std::size_t(const std::string&)>;
-
-/// An instrument compiled to direct slab increments: `bind` resolves its
-/// counter names to slots once per round, `ingest` then increments the
-/// given shard's slab for a batch of events with no per-event name lookup.
+/// A PrivCount instrument: an immutable map from an observed event to
+/// increments of the counters it declares. Increments address counter i of
+/// counters() through `slots[i]`, the slab slot the caller resolved for this
+/// round. ingest() is const and writes only the slab it is given, so one
+/// object serves every DC and every concurrent shard worker.
 class batch_instrument {
  public:
+  explicit batch_instrument(std::vector<std::string> counters)
+      : counters_{std::move(counters)} {}
+  batch_instrument(const batch_instrument&) = delete;
+  batch_instrument& operator=(const batch_instrument&) = delete;
   virtual ~batch_instrument() = default;
-  virtual void bind(const slot_resolver& slot_of) = 0;
-  virtual void ingest(const tor::event* const* evs, std::size_t n,
-                      std::uint64_t* slab) = 0;
-  /// Contiguous-span form: the single-shard hot path calls this directly so
-  /// no per-event pointer array is ever built. Overridden by the compiled
-  /// instruments; the base implementation delegates event by event.
-  virtual void ingest_span(const tor::event* evs, std::size_t n,
-                           std::uint64_t* slab) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const tor::event* p = evs + i;
-      ingest(&p, 1, slab);
-    }
+
+  [[nodiscard]] const std::vector<std::string>& counters() const noexcept {
+    return counters_;
   }
+
+  /// Adds the increments of the contiguous events [evs, evs + n) to `slab`
+  /// (the single-shard hot path: no per-event pointer array is built).
+  virtual void ingest(const tor::event* evs, std::size_t n,
+                      const std::size_t* slots, std::uint64_t* slab) const = 0;
+  /// Same, over one shard's bucket of event pointers.
+  virtual void ingest(const tor::event* const* evs, std::size_t n,
+                      const std::size_t* slots, std::uint64_t* slab) const = 0;
+
+ private:
+  std::vector<std::string> counters_;
 };
 
-/// The string-callback instrument shape (kept as the extension point for
-/// instruments without a compiled fast path). Defined here, aliased by
-/// data_collector::instrument, so the adapter below needs no circular
-/// include.
-using legacy_instrument = std::function<void(
-    const tor::event&,
-    const std::function<void(const std::string& counter, std::uint64_t amount)>&)>;
+/// Builds the shared instrument for `counters` from one step function:
+/// `step(ev, add)` calls `add(counter_index, amount)` for every increment
+/// `ev` causes. Both ingest loops inline the step, so an event costs a
+/// variant probe and a few array increments.
+template <typename Step>
+[[nodiscard]] std::shared_ptr<const batch_instrument> make_instrument(
+    std::vector<std::string> counters, Step step) {
+  class step_instrument final : public batch_instrument {
+   public:
+    step_instrument(std::vector<std::string> counters, Step step)
+        : batch_instrument{std::move(counters)}, step_{std::move(step)} {}
 
-/// Wraps a string-callback instrument as a batch_instrument, memoizing the
-/// name -> slot resolution per round.
-[[nodiscard]] std::unique_ptr<batch_instrument> adapt_instrument(
-    legacy_instrument fn);
+    void ingest(const tor::event* evs, std::size_t n, const std::size_t* slots,
+                std::uint64_t* slab) const override {
+      const auto add = [slots, slab](std::size_t c, std::uint64_t amount) {
+        slab[slots[c]] += amount;
+      };
+      for (std::size_t i = 0; i < n; ++i) step_(evs[i], add);
+    }
+
+    void ingest(const tor::event* const* evs, std::size_t n,
+                const std::size_t* slots, std::uint64_t* slab) const override {
+      const auto add = [slots, slab](std::size_t c, std::uint64_t amount) {
+        slab[slots[c]] += amount;
+      };
+      for (std::size_t i = 0; i < n; ++i) step_(*evs[i], add);
+    }
+
+   private:
+    Step step_;
+  };
+  return std::make_shared<const step_instrument>(std::move(counters),
+                                                 std::move(step));
+}
 
 /// Report-time merge: out[i] = base[i] + Σ over shards of
 /// slabs[s * (counters + 1) + i], mod 2^64, for i in [0, counters). The

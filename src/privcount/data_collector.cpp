@@ -1,5 +1,6 @@
 #include "src/privcount/data_collector.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/crypto/secret_sharing.h"
@@ -15,13 +16,19 @@ data_collector::data_collector(net::node_id self, net::node_id tally_server,
                                crypto::secure_rng& rng)
     : self_{self}, tally_server_{tally_server}, transport_{transport}, rng_{rng} {}
 
-void data_collector::add_instrument(instrument fn) {
-  add_instrument(adapt_instrument(std::move(fn)));
-}
-
-void data_collector::add_instrument(std::unique_ptr<batch_instrument> ins) {
-  expects(ins != nullptr, "instrument must be callable");
-  instruments_.push_back(std::move(ins));
+void data_collector::add_instrument(instrument ins) {
+  expects(ins != nullptr, "instrument must not be null");
+  const auto& mine = ins->counters();
+  for (const auto& other : instruments_) {
+    for (const auto& name : other.ins->counters()) {
+      expects(std::find(mine.begin(), mine.end(), name) == mine.end(),
+              "an installed instrument already counts one of its counters");
+    }
+  }
+  // Every counter aims at the trash slot until the next configure
+  // compiles the instrument against that round's layout.
+  std::vector<std::size_t> trash(mine.size(), counter_names_.size());
+  instruments_.push_back({std::move(ins), std::move(trash)});
 }
 
 void data_collector::set_shards(std::size_t n) {
@@ -58,13 +65,14 @@ void data_collector::on_configure(const configure_msg& m) {
   slabs_.assign(shards_ * (counter_names_.size() + 1), 0);
   collecting_ = false;
 
-  // Compile every instrument against this round's slot layout (unknown
-  // names land in the trash slot and never reach the report).
-  const slot_resolver slot_of = [this](const std::string& name) -> std::size_t {
-    const auto it = counter_index_.find(name);
-    return it == counter_index_.end() ? counter_names_.size() : it->second;
-  };
-  for (const auto& ins : instruments_) ins->bind(slot_of);
+  // Compile every instrument against this round's slot layout (counters
+  // not measured land in the trash slot and never reach the report).
+  for (auto& [ins, slots] : instruments_) {
+    for (std::size_t c = 0; c < slots.size(); ++c) {
+      const auto it = counter_index_.find(ins->counters()[c]);
+      slots[c] = it == counter_index_.end() ? counter_names_.size() : it->second;
+    }
+  }
 
   // Per-counter: noise share + blinding. This DC adds Gaussian noise with
   // variance noise_weight * sigma^2 so the DC noises sum to sigma^2 total.
@@ -145,43 +153,39 @@ void data_collector::ingest(const tor::event* evs, std::size_t n) {
   if (shards_ == 1) {
     // Single shard: the contiguous span goes straight to the instruments —
     // no shard keys, no pointer bucketing.
-    for (const auto& ins : instruments_) {
-      ins->ingest_span(evs, n, slabs_.data());
+    for (const auto& [ins, slots] : instruments_) {
+      ins->ingest(evs, n, slots.data(), slabs_.data());
     }
     return;
   }
   buckets_.resize(shards_);
   for (auto& b : buckets_) b.clear();
-  if (pool_ != nullptr) {
-    // One chunk of shards per party (workers + the calling thread). Each
-    // chunk scans the whole span, keeps only the events whose shard key
-    // lands in its range, and runs the instruments into its own slab rows.
-    // No two chunks touch the same bucket or slab row, so the output is
-    // byte-identical to the serial path for every worker count; the
-    // parallel_for return is the window-end merge barrier.
-    const std::size_t parties = pool_->size() + 1;
-    const std::size_t grain = (shards_ + parties - 1) / parties;
-    pool_->parallel_for(shards_, grain, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t s = tor::shard_of(tor::shard_key_of(evs[i]), shards_);
-        if (s >= begin && s < end) buckets_[s].push_back(evs + i);
-      }
-      for (std::size_t s = begin; s < end; ++s) ingest_shard(s);
-    });
+  // One chunk of shards per party (pool workers + the calling thread; the
+  // caller alone owns every shard without a pool). Each chunk scans the
+  // whole span, keeps only the events whose shard key lands in its range,
+  // and runs the instruments into its own slab rows. No two chunks touch
+  // the same bucket or slab row, so the output is byte-identical for every
+  // worker count; the parallel_for return is the window-end merge barrier.
+  const auto run_chunk = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t s = tor::shard_of(tor::shard_key_of(evs[i]), shards_);
+      if (s >= begin && s < end) buckets_[s].push_back(evs + i);
+    }
+    for (std::size_t s = begin; s < end; ++s) ingest_shard(s);
+  };
+  if (pool_ == nullptr) {
+    run_chunk(0, shards_);
     return;
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t s = tor::shard_of(tor::shard_key_of(evs[i]), shards_);
-    buckets_[s].push_back(evs + i);
-  }
-  for (std::size_t s = 0; s < shards_; ++s) ingest_shard(s);
+  const std::size_t parties = pool_->size() + 1;
+  pool_->parallel_for(shards_, (shards_ + parties - 1) / parties, run_chunk);
 }
 
 void data_collector::ingest_shard(std::size_t s) {
   if (buckets_[s].empty()) return;
   std::uint64_t* slab = slabs_.data() + s * (counter_names_.size() + 1);
-  for (const auto& ins : instruments_) {
-    ins->ingest(buckets_[s].data(), buckets_[s].size(), slab);
+  for (const auto& [ins, slots] : instruments_) {
+    ins->ingest(buckets_[s].data(), buckets_[s].size(), slots.data(), slab);
   }
 }
 

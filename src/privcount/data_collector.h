@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -29,18 +28,18 @@ namespace tormet::privcount {
 
 class data_collector final : public core::event_sink {
  public:
-  /// An instrument maps an observed Tor event to counter increments by name
-  /// (the `increment` callback may be invoked any number of times).
-  using instrument = legacy_instrument;
+  /// A shared handle to an immutable instrument: every DC and every shard
+  /// worker that installs it runs the same object (see batch_instrument).
+  using instrument = std::shared_ptr<const batch_instrument>;
 
   data_collector(net::node_id self, net::node_id tally_server,
                  net::transport& transport, crypto::secure_rng& rng);
 
-  /// Registers a string-callback instrument (before or between rounds),
-  /// wrapped in the slot-memoizing batch adapter.
-  void add_instrument(instrument fn);
-  /// Registers a slot-compiled instrument (the fast path for hot counters).
-  void add_instrument(std::unique_ptr<batch_instrument> ins);
+  /// Installs an instrument; it counts from the next round's configure on.
+  /// Rejects one whose counters overlap an installed instrument's: the
+  /// overlapping events would be counted twice under a sensitivity sized
+  /// for once.
+  void add_instrument(instrument ins);
 
   /// Number of ingest shards (>= 1). A between-rounds operation: changing
   /// it re-sizes the (all-zero) counter slabs immediately so the slab
@@ -78,6 +77,13 @@ class data_collector final : public core::event_sink {
   }
 
  private:
+  /// An installed instrument and this round's slab slot of each of its
+  /// counters (the trash slot for counters not measured this round).
+  struct installed {
+    instrument ins;
+    std::vector<std::size_t> slots;
+  };
+
   void on_configure(const configure_msg& m);
   /// Runs every instrument over shard `s`'s bucket into its slab row.
   void ingest_shard(std::size_t s);
@@ -86,7 +92,7 @@ class data_collector final : public core::event_sink {
   net::node_id tally_server_;
   net::transport& transport_;
   crypto::secure_rng& rng_;
-  std::vector<std::unique_ptr<batch_instrument>> instruments_;
+  std::vector<installed> instruments_;
 
   std::uint32_t round_id_ = 0;
   std::vector<std::string> counter_names_;

@@ -55,8 +55,8 @@ deployment::deployment(net::transport& transport, const deployment_config& confi
   }
 }
 
-void deployment::add_instrument(data_collector::instrument fn) {
-  for (const auto& dc : dcs_) dc->add_instrument(fn);
+void deployment::add_instrument(const data_collector::instrument& ins) {
+  for (const auto& dc : dcs_) dc->add_instrument(ins);
 }
 
 void deployment::attach(tor::network& net) {

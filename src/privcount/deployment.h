@@ -41,8 +41,8 @@ class deployment {
   /// assigned: TS=0, SKs=1..k, DCs=k+1..k+n (in measured_relays order).
   deployment(net::transport& transport, const deployment_config& config);
 
-  /// Installs an instrument on every DC.
-  void add_instrument(data_collector::instrument fn);
+  /// Installs an instrument on every DC (all of them share the one object).
+  void add_instrument(const data_collector::instrument& ins);
 
   /// Hooks the DCs into `net`: sets its observed-relay set and event sink
   /// (events route to the DC of the observing relay).

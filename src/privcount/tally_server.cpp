@@ -22,6 +22,9 @@ tally_server::tally_server(net::node_id self, net::transport& transport,
 void tally_server::begin_round(const std::vector<counter_spec>& specs,
                                const dp::privacy_params& params) {
   expects(!specs.empty(), "round needs at least one counter");
+  std::set<std::string> names;
+  for (const auto& s : specs) names.insert(s.name);
+  expects(names.size() == specs.size(), "round counter names must be distinct");
   ++round_id_;
   counter_names_.clear();
   sigmas_.clear();

@@ -47,7 +47,8 @@ class tally_server {
   }
 
   /// Configures a new round: allocates (ε, δ) across `specs` with the
-  /// equal-relative-noise rule and sends configure messages.
+  /// equal-relative-noise rule and sends configure messages. Rejects a
+  /// repeated counter name.
   void begin_round(const std::vector<counter_spec>& specs,
                    const dp::privacy_params& params);
 

@@ -257,18 +257,20 @@ scenario_truth compute_scenario_truth(
   truth.scenario = params.name;
   truth.seed = params.seed;
 
-  // The registry closures ARE the measurement: running them here over the
-  // raw events guarantees a noiseless pipeline round reproduces these
-  // numbers exactly (same code, no alternate arithmetic to drift).
-  std::vector<privcount::data_collector::instrument> fns;
-  std::vector<std::vector<std::string>> counter_names;
+  // The registry instruments ARE the measurement: running them here over
+  // the raw events guarantees a noiseless pipeline round reproduces these
+  // numbers exactly (same code, no alternate arithmetic to drift). Every
+  // declared counter gets one slot of a single slab.
+  std::vector<privcount::data_collector::instrument> ins;
+  std::vector<std::vector<std::size_t>> slots;
+  std::map<std::string, std::size_t> slot_of;
   for (const auto& name : instruments) {
-    fns.push_back(core::instrument_by_name(name));
-    std::vector<std::string> specs;
-    for (const auto& spec : core::default_specs_for(name)) {
-      specs.push_back(spec.name);
+    ins.push_back(core::instrument_by_name(name));
+    slots.emplace_back();
+    for (const auto& counter : ins.back()->counters()) {
+      const std::size_t next = slot_of.size();
+      slots.back().push_back(slot_of.emplace(counter, next).first->second);
     }
-    counter_names.push_back(std::move(specs));
   }
   std::vector<psc::data_collector::extractor> exs;
   for (const auto& name : extractors) {
@@ -286,26 +288,22 @@ scenario_truth compute_scenario_truth(
       end = start + round_duration_s;
     }
     scenario_round_truth rt;
-    std::map<std::string, std::uint64_t> counters;
-    for (const auto& names : counter_names) {
-      for (const auto& n : names) counters.emplace(n, 0);
-    }
+    std::vector<std::uint64_t> slab(slot_of.size(), 0);
     std::vector<std::set<std::string>> distinct{exs.size()};
-    const auto tally = [&](const std::string& counter, std::uint64_t amount) {
-      counters[counter] += amount;
-    };
     for (const auto& events : per_dc) {
       for (const tor::event& ev : events) {
         if (ev.at.seconds < start || ev.at.seconds >= end) continue;
         ++rt.events;
-        for (const auto& fn : fns) fn(ev, tally);
+        for (std::size_t k = 0; k < ins.size(); ++k) {
+          ins[k]->ingest(&ev, 1, slots[k].data(), slab.data());
+        }
         for (std::size_t e = 0; e < exs.size(); ++e) {
           if (auto item = exs[e](ev)) distinct[e].insert(*std::move(item));
         }
       }
     }
-    for (const auto& [name, value] : counters) {
-      rt.counters.emplace_back(name, value);
+    for (const auto& [name, slot] : slot_of) {
+      rt.counters.emplace_back(name, slab[slot]);
     }
     for (std::size_t e = 0; e < exs.size(); ++e) {
       rt.distinct.emplace_back(extractors[e], distinct[e].size());

@@ -338,6 +338,12 @@ TEST(FuzzTest, PlanParserRejectsGuaranteedInvalidMutations) {
   // Unknown keys never silently parse.
   EXPECT_THROW((void)cli::parse_plan(full + "quantum_flux 1\n"),
                precondition_error);
+  // A repeated instrument would count every event twice; a repeated counter
+  // would split the privacy budget over a counter that stays zero.
+  EXPECT_THROW((void)cli::parse_plan(full + "instrument stream_taxonomy\n"),
+               precondition_error);
+  EXPECT_THROW((void)cli::parse_plan(full + "counter exit/streams 20 1000\n"),
+               precondition_error);
 }
 
 /// A valid scenario plan whose `workload scenario ...` argument is

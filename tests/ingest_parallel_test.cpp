@@ -59,6 +59,35 @@ namespace {
 
 // -- PrivCount ---------------------------------------------------------------
 
+/// Installs every registered instrument on `dc`. The instrument objects are
+/// built once and shared by every DC of the test binary, as in a
+/// deployment; tld_histogram and domain_sets read their shared lookup maps
+/// from every shard worker.
+void install_registered_instruments(privcount::data_collector& dc) {
+  static const std::vector<privcount::data_collector::instrument> all = [] {
+    std::vector<privcount::data_collector::instrument> out;
+    for (const auto& name : core::instrument_names()) {
+      out.push_back(core::instrument_by_name(name));
+    }
+    return out;
+  }();
+  for (const auto& ins : all) dc.add_instrument(ins);
+}
+
+/// Round 1's configure message for every registered instrument's counters.
+[[nodiscard]] privcount::configure_msg registered_round_config() {
+  privcount::configure_msg cfg;
+  cfg.round_id = 1;
+  for (const auto& instrument : core::instrument_names()) {
+    for (const auto& spec : core::default_specs_for(instrument)) {
+      cfg.counter_names.push_back(spec.name);
+      cfg.sigmas.push_back(1.5);
+    }
+  }
+  cfg.noise_weight = 1.0;
+  return cfg;
+}
+
 /// Runs one PrivCount collection round over `events` with the given ingest
 /// plane and returns the blinded report's wire payload. `chunk` == 0 feeds
 /// through observe() per event via the core::event_sink interface; any
@@ -77,25 +106,14 @@ namespace {
   });
   crypto::deterministic_rng rng{4242};
   privcount::data_collector dc{1, 0, bus, rng};
-  // One compiled instrument and one string-callback instrument: the
-  // adapter must be just as safe under concurrent shard workers.
-  dc.add_instrument(core::make_batch_instrument("stream_taxonomy"));
-  dc.add_instrument(core::instrument_by_name("entry_totals"));
+  install_registered_instruments(dc);
   dc.set_shards(shards);
   if (workers > 0) {
     dc.set_thread_pool(std::make_shared<util::thread_pool>(workers));
   }
 
-  privcount::configure_msg cfg;
-  cfg.round_id = 1;
-  for (const auto& instrument : {"stream_taxonomy", "entry_totals"}) {
-    for (const auto& spec : core::default_specs_for(instrument)) {
-      cfg.counter_names.push_back(spec.name);
-      cfg.sigmas.push_back(1.5);
-    }
-  }
-  cfg.noise_weight = 1.0;
-  dc.handle_message(privcount::encode_configure(0, 1, cfg));
+  dc.handle_message(
+      privcount::encode_configure(0, 1, registered_round_config()));
   dc.handle_message(
       privcount::encode_simple(0, 1, privcount::msg_type::start_collection, 1));
 
@@ -155,20 +173,11 @@ TEST(ParallelIngestTest, PrivcountShardChangeBetweenConfigureAndStartIsSafe) {
   });
   crypto::deterministic_rng rng{4242};
   privcount::data_collector dc{1, 0, bus, rng};
-  dc.add_instrument(core::make_batch_instrument("stream_taxonomy"));
-  dc.add_instrument(core::instrument_by_name("entry_totals"));
+  install_registered_instruments(dc);
   dc.set_shards(2);
   dc.set_thread_pool(std::make_shared<util::thread_pool>(2));
-  privcount::configure_msg cfg;
-  cfg.round_id = 1;
-  for (const auto& instrument : {"stream_taxonomy", "entry_totals"}) {
-    for (const auto& spec : core::default_specs_for(instrument)) {
-      cfg.counter_names.push_back(spec.name);
-      cfg.sigmas.push_back(1.5);
-    }
-  }
-  cfg.noise_weight = 1.0;
-  dc.handle_message(privcount::encode_configure(0, 1, cfg));
+  dc.handle_message(
+      privcount::encode_configure(0, 1, registered_round_config()));
   dc.set_shards(8);  // after configure, before start: must re-size slabs
   dc.handle_message(
       privcount::encode_simple(0, 1, privcount::msg_type::start_collection, 1));
@@ -186,7 +195,7 @@ TEST(ParallelIngestTest, PrivcountRejectsIngestPlaneChangesWhileCollecting) {
   bus.register_node(0, [](const net::message&) {});
   crypto::deterministic_rng rng{7};
   privcount::data_collector dc{1, 0, bus, rng};
-  dc.add_instrument(core::make_batch_instrument("stream_taxonomy"));
+  dc.add_instrument(core::instrument_by_name("stream_taxonomy"));
   privcount::configure_msg cfg;
   cfg.round_id = 1;
   for (const auto& spec : core::default_specs_for("stream_taxonomy")) {
@@ -415,21 +424,12 @@ TEST(ParallelIngestTest, FlashCrowdSurgeThroughSocketFeederLosesNothing) {
   });
   crypto::deterministic_rng rng{4242};
   privcount::data_collector dc{1, 0, bus, rng};
-  dc.add_instrument(core::make_batch_instrument("stream_taxonomy"));
-  dc.add_instrument(core::instrument_by_name("entry_totals"));
+  install_registered_instruments(dc);
   dc.set_shards(8);
   dc.set_thread_pool(std::make_shared<util::thread_pool>(4));
 
-  privcount::configure_msg cfg;
-  cfg.round_id = 1;
-  for (const auto& instrument : {"stream_taxonomy", "entry_totals"}) {
-    for (const auto& spec : core::default_specs_for(instrument)) {
-      cfg.counter_names.push_back(spec.name);
-      cfg.sigmas.push_back(1.5);
-    }
-  }
-  cfg.noise_weight = 1.0;
-  dc.handle_message(privcount::encode_configure(0, 1, cfg));
+  dc.handle_message(
+      privcount::encode_configure(0, 1, registered_round_config()));
   dc.handle_message(
       privcount::encode_simple(0, 1, privcount::msg_type::start_collection, 1));
 

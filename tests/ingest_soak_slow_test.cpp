@@ -111,7 +111,7 @@ struct soak_dc {
         reports.push_back(decode_dc_report(m));
       }
     });
-    dc.add_instrument(core::make_batch_instrument("stream_taxonomy"));
+    dc.add_instrument(core::instrument_by_name("stream_taxonomy"));
     dc.set_shards(shards);
   }
 

@@ -7,21 +7,33 @@
 #include <set>
 
 #include "src/core/instruments.h"
-#include "src/crypto/secure_rng.h"
-#include "src/net/inproc.h"
-#include "src/privcount/messages.h"
-#include "src/workload/trace_gen.h"
 
 namespace tormet::core {
 namespace {
 
 using counter_map = std::map<std::string, std::uint64_t>;
 
-[[nodiscard]] counter_map run_instrument(const privcount::data_collector::instrument& fn,
-                                const tor::event& ev) {
+/// The counts `ins` adds for `events`, by counter name, through its own
+/// ingest over a slab with one slot per declared counter. Counters left at
+/// zero are absent.
+[[nodiscard]] counter_map run_instrument(
+    const privcount::data_collector::instrument& ins,
+    const std::vector<tor::event>& events) {
+  const auto& names = ins->counters();
+  std::vector<std::size_t> slots(names.size());
+  std::iota(slots.begin(), slots.end(), std::size_t{0});
+  std::vector<std::uint64_t> slab(names.size(), 0);
+  ins->ingest(events.data(), events.size(), slots.data(), slab.data());
   counter_map out;
-  fn(ev, [&](const std::string& name, std::uint64_t n) { out[name] += n; });
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    if (slab[i] != 0) out[names[i]] += slab[i];
+  }
   return out;
+}
+
+[[nodiscard]] counter_map run_instrument(
+    const privcount::data_collector::instrument& ins, const tor::event& ev) {
+  return run_instrument(ins, std::vector<tor::event>{ev});
 }
 
 [[nodiscard]] tor::event stream_event(std::string host, bool initial = true,
@@ -220,9 +232,13 @@ TEST(RegistryTest, EveryRegisteredInstrumentResolvesAndHasSpecs) {
     EXPECT_NO_THROW((void)instrument_by_name(name)) << name;
     const auto specs = default_specs_for(name);
     EXPECT_FALSE(specs.empty()) << name;
+    std::vector<std::string> spec_names;
     for (const auto& spec : specs) {
       EXPECT_GT(spec.sensitivity, 0.0) << name << "/" << spec.name;
+      spec_names.push_back(spec.name);
     }
+    // The instrument declares exactly the counters its default specs name.
+    EXPECT_EQ(instrument_by_name(name)->counters(), spec_names) << name;
   }
   EXPECT_THROW((void)instrument_by_name("nonexistent"), precondition_error);
   EXPECT_THROW((void)default_specs_for("nonexistent"), precondition_error);
@@ -248,11 +264,8 @@ TEST(RegistryTest, ParameterizedInstrumentsResolveDeterministically) {
   for (const auto& name : instrument_names()) {
     const auto a = instrument_by_name(name);
     const auto b = instrument_by_name(name);
-    counter_map counts_a, counts_b;
-    for (const auto& ev : batch) {
-      a(ev, [&](const std::string& c, std::uint64_t n) { counts_a[c] += n; });
-      b(ev, [&](const std::string& c, std::uint64_t n) { counts_b[c] += n; });
-    }
+    const counter_map counts_a = run_instrument(a, batch);
+    const counter_map counts_b = run_instrument(b, batch);
     EXPECT_EQ(counts_a, counts_b) << name;
   }
 }
@@ -313,78 +326,6 @@ TEST(RegistryTest, HsdirAhmiaClassifiesCanonicalServiceUniverse) {
   EXPECT_EQ(public_hits + unknown_hits, 200u);
   EXPECT_GT(public_hits, 70u);   // ~113 expected
   EXPECT_GT(unknown_hits, 40u);  // ~87 expected
-}
-
-// -- compiled vs closure instruments -----------------------------------------
-
-/// The counts one DC reports after ingesting `events` through instrument
-/// `name`, either slot-compiled (make_batch_instrument) or as the closure
-/// behind the string-keyed adapter (instrument_by_name). Zero sigmas and no
-/// share keepers leave the report values equal to the raw counts.
-[[nodiscard]] std::vector<std::uint64_t> reported_counts(
-    const std::string& name, bool compiled, std::size_t shards,
-    const std::vector<tor::event>& events) {
-  net::inproc_net bus;
-  std::vector<std::uint64_t> values;
-  bus.register_node(0, [&](const net::message& m) {
-    if (m.type == static_cast<std::uint16_t>(privcount::msg_type::dc_report)) {
-      values = privcount::decode_dc_report(m).values;
-    }
-  });
-  crypto::deterministic_rng rng{4242};
-  privcount::data_collector dc{1, 0, bus, rng};
-  if (compiled) {
-    dc.add_instrument(make_batch_instrument(name));
-  } else {
-    dc.add_instrument(instrument_by_name(name));
-  }
-  dc.set_shards(shards);
-  privcount::configure_msg cfg;
-  cfg.round_id = 1;
-  for (const auto& spec : default_specs_for(name)) {
-    cfg.counter_names.push_back(spec.name);
-    cfg.sigmas.push_back(0.0);
-  }
-  cfg.noise_weight = 1.0;
-  dc.handle_message(privcount::encode_configure(0, 1, cfg));
-  dc.handle_message(
-      privcount::encode_simple(0, 1, privcount::msg_type::start_collection, 1));
-  dc.ingest(events.data(), events.size());
-  dc.handle_message(
-      privcount::encode_simple(0, 1, privcount::msg_type::stop_collection, 1));
-  bus.run_until_quiescent();
-  return values;
-}
-
-/// Nodes ingest through the compiled form and the reference round through
-/// the closure, so the byte-identity gates assume the two agree. Check it
-/// directly for every name that compiles, over one mixed trace, on 1 shard
-/// (the span path) and 4 shards (the pointer path).
-TEST(RegistryTest, CompiledAndClosureInstrumentsReportTheSameCounts) {
-  workload::trace_gen_params gen;
-  gen.model = "mixed";
-  gen.dcs = 1;
-  gen.scale = 2e-5;
-  gen.seed = 29;
-  const std::vector<tor::event> events =
-      workload::generate_trace_events(gen).front();
-  std::size_t compiled_names = 0;
-  for (const auto& name : instrument_names()) {
-    if (make_batch_instrument(name) == nullptr) continue;
-    ++compiled_names;
-    for (const std::size_t shards : {1u, 4u}) {
-      const std::vector<std::uint64_t> compiled =
-          reported_counts(name, true, shards, events);
-      ASSERT_EQ(compiled.size(), default_specs_for(name).size()) << name;
-      EXPECT_GT(std::accumulate(compiled.begin(), compiled.end(),
-                                std::uint64_t{0}),
-                0u)
-          << name << ": the trace exercises no counter";
-      EXPECT_EQ(compiled, reported_counts(name, false, shards, events))
-          << name << " at " << shards << " shard(s)";
-    }
-  }
-  EXPECT_GE(compiled_names, 2u);  // stream_taxonomy, entry_totals
 }
 
 // -- extractors --------------------------------------------------------------

@@ -23,11 +23,11 @@ namespace {
 
 /// Instrument counting entry connections into "conns".
 [[nodiscard]] data_collector::instrument count_connections() {
-  return [](const tor::event& ev, const auto& incr) {
+  return make_instrument({"conns"}, [](const tor::event& ev, const auto& add) {
     if (std::holds_alternative<tor::entry_connection_event>(ev.body)) {
-      incr("conns", 1);
+      add(0, 1);
     }
-  };
+  });
 }
 
 [[nodiscard]] std::map<std::string, counter_result> by_name(
@@ -115,13 +115,12 @@ TEST_F(PrivcountRoundTest, NoiseIsAppliedAtConfiguredSigma) {
 TEST_F(PrivcountRoundTest, HistogramCountersAreIndependent) {
   net::inproc_net bus;
   deployment dep{bus, config(/*noise=*/false)};
-  dep.add_instrument([](const tor::event& ev, const auto& incr) {
-    if (const auto* c = std::get_if<tor::entry_circuit_event>(&ev.body)) {
-      incr(std::string{"kind/"} +
-               (c->kind == tor::circuit_kind::directory ? "dir" : "other"),
-           1);
-    }
-  });
+  dep.add_instrument(make_instrument(
+      {"kind/dir", "kind/other"}, [](const tor::event& ev, const auto& add) {
+        if (const auto* c = std::get_if<tor::entry_circuit_event>(&ev.body)) {
+          add(c->kind == tor::circuit_kind::directory ? 0 : 1, 1);
+        }
+      }));
   dep.attach(net_);
 
   // A single-guard client pinned (by rejection) to a measured guard sees
@@ -147,6 +146,33 @@ TEST_F(PrivcountRoundTest, HistogramCountersAreIndependent) {
   ASSERT_TRUE(results.contains("kind/other"));
   EXPECT_EQ(results.at("kind/dir").value, 10);
   EXPECT_EQ(results.at("kind/other").value, 4);
+}
+
+TEST_F(PrivcountRoundTest, RepeatedCountersAreRejected) {
+  net::inproc_net bus;
+  deployment dep{bus, config(/*noise=*/false)};
+  dep.add_instrument(count_connections());
+  // An instrument sharing a counter with an installed one would count the
+  // shared events twice per DC.
+  const auto overlapping = make_instrument(
+      {"circuits", "conns"}, [](const tor::event&, const auto&) {});
+  EXPECT_THROW(dep.add_instrument(overlapping), precondition_error);
+  // A repeated spec would split the budget over a counter that stays zero.
+  EXPECT_THROW(dep.ts().begin_round(
+                   {{"conns", 12.0, 1000.0}, {"conns", 12.0, 1000.0}}, {}),
+               precondition_error);
+
+  // Neither rejection touched the deployment: a clean round runs exactly.
+  dep.attach(net_);
+  const auto results = dep.run_round({{"conns", 12.0, 1000.0}}, [&] {
+    tor::client_profile p;
+    p.ip = 1;
+    p.promiscuous = true;  // hits every guard incl. all measured ones
+    net_.connect_to_guards(net_.add_client(p), sim_time{0});
+  });
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].value, 4);  // one connection per measured relay
+  EXPECT_EQ(dep.ts().round_id(), 1u);
 }
 
 TEST_F(PrivcountRoundTest, DcDropoutIsRecoverable) {
