@@ -137,172 +137,110 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    // -- generate mode ------------------------------------------------------
+    // -- generate mode: traces (+ a scenario's ground truth), then a plan ---
     if (out_dir.empty()) {
       usage();
       return 2;
     }
-    // -- scenario mode: traces + ground-truth sidecar + scenario plan -------
-    if (!scenario.empty()) {
-      if (!workload::is_known_scenario(scenario)) {
-        std::cerr << "tormet_tracegen: unknown scenario '" << scenario << "'\n";
-        return 2;
-      }
-      if (params.days < 1) {
-        std::cerr << "tormet_tracegen: --days must be >= 1\n";
-        return 2;
-      }
-      workload::scenario_params sp;
-      sp.name = scenario;
-      sp.dcs = params.dcs;
-      // --scale means client-population scale here; the trace models'
-      // network_scale default would render a minimal population.
-      sp.scale = scale_given ? params.scale : 1.0;
-      sp.events = params.events;
-      sp.seed = params.seed;
-      sp.days = params.days;
-      std::filesystem::create_directories(out_dir);
-      const std::vector<std::size_t> counts =
-          workload::write_scenario_dir(sp, out_dir);
-      std::size_t total = 0;
-      for (std::size_t k = 0; k < counts.size(); ++k) {
-        std::cerr << "  dc-" << k << ".trace: " << counts[k] << " events\n";
-        total += counts[k];
-      }
-      std::cerr << "tormet_tracegen: scenario " << scenario << ", " << total
-                << " events across " << sp.dcs << " DCs -> " << out_dir
-                << " (+ ground_truth.cfg)\n";
-      if (write_plan) {
-        cli::deployment_plan plan;
-        if (protocol == "psc") {
-          plan = cli::make_psc_plan(sp.dcs, cps, bins);
-          plan.round.group = group == "p256" ? crypto::group_backend::p256
-                                             : crypto::group_backend::toy;
-        } else if (protocol == "privcount") {
-          plan = cli::make_privcount_plan(sp.dcs, sks, {{"placeholder", 1, 1}});
-          plan.counters.clear();
-        } else {
-          usage();
-          return 2;
-        }
-        const cli::trace_round_defaults defaults =
-            cli::defaults_for_scenario(scenario);
-        // The plan's DCs materialize the scenario themselves (pure function
-        // of the plan); the trace files beside it are for inspection and
-        // socket feeding.
-        plan.workload.kind = cli::workload_kind::scenario;
-        plan.workload.model = scenario;
-        plan.workload.scale = sp.scale;
-        plan.workload.events = sp.events;
-        plan.workload.gen_seed = sp.seed;
-        plan.workload.gen_days = sp.days;
-        if (sp.days > 1) {
-          plan.schedule_rounds = static_cast<std::uint32_t>(sp.days);
-          plan.round_duration_s = tormet::k_seconds_per_day;
-          plan.round_gap_s = 0;
-        }
-        plan.psc_extractor = defaults.psc_extractor;
-        plan.instruments = defaults.instruments;
-        plan.counters = defaults.counters;
-        plan.rng_seed = sp.seed;
-        plan.tally_path =
-            (std::filesystem::absolute(out_dir) / "tally.out").string();
-        for (std::size_t k = 0; k < plan.nodes.size(); ++k) {
-          plan.nodes[k].port = static_cast<std::uint16_t>(port_base + k);
-        }
-        const std::string plan_path = out_dir + "/plan.cfg";
-        cli::save_plan(plan, plan_path);
-        std::cerr << "tormet_tracegen: wrote " << plan_path << " ("
-                  << plan.protocol << ", " << plan.nodes.size()
-                  << " nodes, ports " << port_base << "..)\n";
-      }
-      return 0;
-    }
-    if (!workload::is_known_trace_model(params.model)) {
-      std::cerr << "tormet_tracegen: unknown model '" << params.model << "'\n";
+    const bool is_scenario = !scenario.empty();
+    if (is_scenario ? !workload::is_known_scenario(scenario)
+                    : !workload::is_known_trace_model(params.model)) {
+      std::cerr << "tormet_tracegen: unknown "
+                << (is_scenario ? "scenario '" + scenario
+                                : "model '" + params.model)
+                << "'\n";
       return 2;
     }
     if (params.days < 1) {
       std::cerr << "tormet_tracegen: --days must be >= 1\n";
       return 2;
     }
+    // A scenario's --scale is a client-population scale; the trace models'
+    // network_scale default would render a minimal population.
+    if (is_scenario && !scale_given) params.scale = 1.0;
     std::filesystem::create_directories(out_dir);
-    const std::vector<std::size_t> counts =
-        workload::write_trace_dir(params, out_dir);
+    std::vector<std::size_t> counts;
+    if (is_scenario) {
+      workload::scenario_params sp;
+      sp.name = scenario;
+      sp.dcs = params.dcs;
+      sp.scale = params.scale;
+      sp.events = params.events;
+      sp.seed = params.seed;
+      sp.days = params.days;
+      counts = workload::write_scenario_dir(sp, out_dir);
+    } else {
+      counts = workload::write_trace_dir(params, out_dir);
+    }
     std::size_t total = 0;
     for (std::size_t k = 0; k < counts.size(); ++k) {
       std::cerr << "  dc-" << k << ".trace: " << counts[k] << " events\n";
       total += counts[k];
     }
-    std::cerr << "tormet_tracegen: model " << params.model << ", " << total
-              << " events across " << params.dcs << " DCs -> " << out_dir
-              << "\n";
+    std::cerr << "tormet_tracegen: "
+              << (is_scenario ? "scenario " + scenario
+                              : "model " + params.model)
+              << ", " << total << " events across " << params.dcs
+              << " DCs -> " << out_dir
+              << (is_scenario ? " (+ ground_truth.cfg)\n" : "\n");
+    if (!write_plan) return 0;
 
-    if (write_plan) {
-      cli::deployment_plan plan;
-      if (protocol == "psc") {
-        plan = cli::make_psc_plan(params.dcs, cps, bins);
-        plan.round.group = group == "p256" ? crypto::group_backend::p256
-                                           : crypto::group_backend::toy;
-      } else if (protocol == "privcount") {
-        // Counters filled from the model defaults below.
-        plan.protocol = "privcount";
-        net::node_id id = 0;
-        plan.nodes.push_back(
-            {id++, cli::node_role::privcount_ts, "127.0.0.1", 0});
-        for (std::size_t s = 0; s < sks; ++s) {
-          plan.nodes.push_back(
-              {id++, cli::node_role::privcount_sk, "127.0.0.1", 0});
-        }
-        for (std::size_t d = 0; d < params.dcs; ++d) {
-          plan.nodes.push_back(
-              {id++, cli::node_role::privcount_dc, "127.0.0.1", 0});
-        }
-      } else {
-        usage();
-        return 2;
-      }
-      const cli::trace_round_defaults defaults =
-          cli::defaults_for_model(params.model);
-      if (relays > 0) {
-        // Relay-agent deployment: the DCs regenerate the model themselves
-        // (pure function of the plan) and detour every window through
-        // N/dcs embedded stats agents + publish-file aggregation. The
-        // trace files beside the plan are for inspection and feeding.
-        plan.workload.kind = cli::workload_kind::relays;
-        plan.workload.relay_count = relays;
-        plan.workload.model = params.model;
-        plan.workload.scale = params.scale;
-        plan.workload.events = params.events;
-        plan.workload.gen_seed = params.seed;
-        plan.workload.gen_days = params.days;
-        plan.sample_prob = sample_prob;
-      } else {
-        plan.workload.kind = cli::workload_kind::trace;
-        plan.workload.trace_dir = std::filesystem::absolute(out_dir).string();
-      }
-      if (params.days > 1) {
-        // One daily measurement round per generated day: the node processes
-        // stay up across the schedule and window the trace by sim time.
-        plan.schedule_rounds = static_cast<std::uint32_t>(params.days);
-        plan.round_duration_s = tormet::k_seconds_per_day;
-        plan.round_gap_s = 0;
-      }
-      plan.psc_extractor = defaults.psc_extractor;
-      plan.instruments = defaults.instruments;
+    const cli::trace_round_defaults defaults =
+        is_scenario ? cli::defaults_for_scenario(scenario)
+                    : cli::defaults_for_model(params.model);
+    cli::deployment_plan plan;
+    if (protocol == "psc") {
+      plan = cli::make_psc_plan(params.dcs, cps, bins);
+      plan.round.group = group == "p256" ? crypto::group_backend::p256
+                                         : crypto::group_backend::toy;
       plan.counters = defaults.counters;
-      plan.rng_seed = params.seed;
-      plan.tally_path =
-          (std::filesystem::absolute(out_dir) / "tally.out").string();
-      for (std::size_t k = 0; k < plan.nodes.size(); ++k) {
-        plan.nodes[k].port = static_cast<std::uint16_t>(port_base + k);
-      }
-      const std::string plan_path = out_dir + "/plan.cfg";
-      cli::save_plan(plan, plan_path);
-      std::cerr << "tormet_tracegen: wrote " << plan_path << " ("
-                << plan.protocol << ", " << plan.nodes.size()
-                << " nodes, ports " << port_base << "..)\n";
+    } else if (protocol == "privcount") {
+      plan = cli::make_privcount_plan(params.dcs, sks, defaults.counters);
+    } else {
+      usage();
+      return 2;
     }
+    plan.psc_extractor = defaults.psc_extractor;
+    plan.instruments = defaults.instruments;
+    // Scenario and relay plans have their DCs materialize the workload
+    // themselves (a pure function of the plan); a relay plan also detours
+    // every window through relays/dcs embedded stats agents and
+    // publish-file aggregation. Their trace files are for inspection and
+    // socket feeding.
+    plan.workload.kind = is_scenario  ? cli::workload_kind::scenario
+                         : relays > 0 ? cli::workload_kind::relays
+                                      : cli::workload_kind::trace;
+    if (plan.workload.kind == cli::workload_kind::trace) {
+      plan.workload.trace_dir = std::filesystem::absolute(out_dir).string();
+    } else {
+      plan.workload.model = is_scenario ? scenario : params.model;
+      plan.workload.scale = params.scale;
+      plan.workload.events = params.events;
+      plan.workload.gen_seed = params.seed;
+      plan.workload.gen_days = params.days;
+    }
+    if (plan.workload.kind == cli::workload_kind::relays) {
+      plan.workload.relay_count = relays;
+      plan.sample_prob = sample_prob;
+    }
+    if (params.days > 1) {
+      // One daily measurement round per generated day: the node processes
+      // stay up across the schedule and window the workload by sim time.
+      plan.schedule_rounds = static_cast<std::uint32_t>(params.days);
+      plan.round_duration_s = tormet::k_seconds_per_day;
+      plan.round_gap_s = 0;
+    }
+    plan.rng_seed = params.seed;
+    plan.tally_path =
+        (std::filesystem::absolute(out_dir) / "tally.out").string();
+    for (std::size_t k = 0; k < plan.nodes.size(); ++k) {
+      plan.nodes[k].port = static_cast<std::uint16_t>(port_base + k);
+    }
+    const std::string plan_path = out_dir + "/plan.cfg";
+    cli::save_plan(plan, plan_path);
+    std::cerr << "tormet_tracegen: wrote " << plan_path << " ("
+              << plan.protocol << ", " << plan.nodes.size() << " nodes, ports "
+              << port_base << "..)\n";
     return 0;
   } catch (const std::exception& e) {
     std::cerr << "tormet_tracegen: " << e.what() << "\n";

@@ -1,25 +1,14 @@
 // google-benchmark microbenchmarks for the crypto substrate: hashing,
 // deterministic DRBG, group operations and ElGamal for both backends,
 // additive blinding, and the wire codec.
-//
-// `micro_crypto --speedup-json [batch] [workers]` skips google-benchmark and
-// instead times the serial per-element ElGamal path against the batched +
-// threaded engine path on the toy backend, emitting one JSON object so the
-// speedup is tracked in the bench trajectory.
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-#include <cstring>
-
-#include "bench/speedup_common.h"
-#include "src/crypto/batch_engine.h"
 #include "src/crypto/elgamal.h"
 #include "src/crypto/hmac.h"
 #include "src/crypto/secret_sharing.h"
 #include "src/crypto/secure_rng.h"
 #include "src/crypto/sha256.h"
 #include "src/net/wire.h"
-#include "src/util/thread_pool.h"
 
 namespace {
 
@@ -152,92 +141,6 @@ void bm_wire_roundtrip(benchmark::State& state) {
 }
 BENCHMARK(bm_wire_roundtrip);
 
-// ---------------------------------------------------------------------------
-// --speedup-json: serial vs batched+threaded throughput on the PSC hot path
-// (rerandomize + strip-share, toy backend), as one JSON line for the bench
-// trajectory.
-// ---------------------------------------------------------------------------
-
-int run_speedup_json(std::size_t batch, std::size_t workers) {
-  const auto group = crypto::make_toy_group();
-  const crypto::elgamal scheme{group};
-  const auto pool = std::make_shared<util::thread_pool>(workers);
-  const crypto::batch_engine engine{group, pool};
-  crypto::deterministic_rng rng{2024};
-  const auto kp = scheme.generate_keypair(rng);
-  const auto input = scheme.encrypt_zero_batch(kp.pub, batch, rng);
-
-  // Every repetition processes the whole batch.
-  const auto measure = [&](const auto& fn) {
-    return bench::measure_items_per_sec(batch, fn);
-  };
-
-  const double serial_rerand = measure([&] {
-    std::vector<crypto::elgamal_ciphertext> out;
-    out.reserve(input.size());
-    for (const auto& ct : input) {
-      out.push_back(scheme.rerandomize(kp.pub, ct, rng));
-    }
-    benchmark::DoNotOptimize(out);
-  });
-  const double serial_strip = measure([&] {
-    std::vector<crypto::elgamal_ciphertext> out;
-    out.reserve(input.size());
-    for (const auto& ct : input) {
-      out.push_back(scheme.strip_share(ct, kp.secret));
-    }
-    benchmark::DoNotOptimize(out);
-  });
-  const double serial_pipeline = measure([&] {
-    std::vector<crypto::elgamal_ciphertext> out;
-    out.reserve(input.size());
-    for (const auto& ct : input) {
-      out.push_back(scheme.strip_share(scheme.rerandomize(kp.pub, ct, rng),
-                                       kp.secret));
-    }
-    benchmark::DoNotOptimize(out);
-  });
-
-  const crypto::sha256_digest seed = crypto::batch_engine::derive_seed(rng);
-  const double batched_rerand = measure([&] {
-    benchmark::DoNotOptimize(engine.rerandomize_batch(kp.pub, input, seed));
-  });
-  const double batched_strip = measure([&] {
-    benchmark::DoNotOptimize(engine.strip_share_batch(input, kp.secret));
-  });
-  const double batched_pipeline = measure([&] {
-    benchmark::DoNotOptimize(engine.strip_share_batch(
-        engine.rerandomize_batch(kp.pub, input, seed), kp.secret));
-  });
-
-  std::printf(
-      "{\"bench\":\"micro_crypto.batch_speedup\",\"backend\":\"%s\","
-      "\"batch\":%zu,\"workers\":%zu,\"shard_size\":%zu,"
-      "\"serial_ops_per_sec\":{\"rerandomize\":%.0f,\"strip_share\":%.0f,"
-      "\"rerandomize_strip\":%.0f},"
-      "\"batched_ops_per_sec\":{\"rerandomize\":%.0f,\"strip_share\":%.0f,"
-      "\"rerandomize_strip\":%.0f},"
-      "\"speedup\":{\"rerandomize\":%.2f,\"strip_share\":%.2f,"
-      "\"rerandomize_strip\":%.2f}}\n",
-      group->name().c_str(), batch, workers, engine.shard_size(),
-      serial_rerand, serial_strip, serial_pipeline, batched_rerand,
-      batched_strip, batched_pipeline, batched_rerand / serial_rerand,
-      batched_strip / serial_strip, batched_pipeline / serial_pipeline);
-  return 0;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--speedup-json") == 0) {
-      return run_speedup_json(bench::positive_arg_or(argc, argv, i + 1, 8192),
-                              bench::positive_arg_or(argc, argv, i + 2, 4));
-    }
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

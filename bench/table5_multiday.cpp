@@ -9,7 +9,7 @@
 // With noise disabled the raw counts are exact occupancy counts, so the
 // printed ratio isolates the churn model + windowing, not DP noise.
 //
-// Usage: table5_multiday [--days N] [--scale X] [--json]
+// Usage: table5_multiday [--days N] [--scale X]
 #include "common.h"
 
 #include <cstdlib>
@@ -56,7 +56,7 @@ using namespace tormet;
   return plan;
 }
 
-int run(std::uint64_t days, double scale, bool json) {
+int run(std::uint64_t days, double scale) {
   // Daily rounds: one PSC unique-IP round per generated day, through the
   // multi-round reference pipeline (persistent deployment + windowed
   // cursors).
@@ -83,16 +83,6 @@ int run(std::uint64_t days, double scale, bool json) {
   const double churn = workload::population_params{}.daily_churn;
   const double model_ratio = 1.0 + static_cast<double>(days - 1) * churn;
   const double paper_ratio = 672'303.0 / 313'213.0;  // 4-day / 1-day IPs
-
-  if (json) {
-    std::printf(
-        "{\"bench\":\"table5_multiday\",\"days\":%llu,\"scale\":%g,"
-        "\"day1_unique\":%.1f,\"multiday_unique\":%.1f,\"ratio\":%.4f,"
-        "\"model_ratio\":%.4f}\n",
-        static_cast<unsigned long long>(days), scale, day1, multi, ratio,
-        model_ratio);
-    return 0;
-  }
 
   bench::print_header(
       "Table 5 (multi-day) — unique clients via the live multi-round pipeline",
@@ -121,17 +111,14 @@ int run(std::uint64_t days, double scale, bool json) {
 int main(int argc, char** argv) {
   std::uint64_t days = 4;
   double scale = 5e-4;
-  bool json = false;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    if (arg == "--json") {
-      json = true;
-    } else if (arg == "--days" && i + 1 < argc) {
+    if (arg == "--days" && i + 1 < argc) {
       days = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg == "--scale" && i + 1 < argc) {
       scale = std::strtod(argv[++i], nullptr);
     } else {
-      std::fprintf(stderr, "usage: table5_multiday [--days N] [--scale X] [--json]\n");
+      std::fprintf(stderr, "usage: table5_multiday [--days N] [--scale X]\n");
       return 2;
     }
   }
@@ -139,5 +126,5 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "table5_multiday: --days must be >= 2\n");
     return 2;
   }
-  return run(days, scale, json);
+  return run(days, scale);
 }

@@ -115,34 +115,27 @@ std::string serialize_plan(const deployment_plan& plan) {
     case workload_kind::trace:
       out << " " << plan.workload.trace_dir;
       break;
-    case workload_kind::generate:
-      out << " " << plan.workload.model << " "
-          << format_double(plan.workload.scale) << " " << plan.workload.events
-          << " " << plan.workload.gen_seed;
-      // Optional trailing field, omitted at its default so pre-multi-day
-      // plans serialize (and hand-written ones parse) unchanged.
-      if (plan.workload.gen_days > 1) out << " " << plan.workload.gen_days;
-      break;
     case workload_kind::socket:
       out << " " << plan.workload.event_port_base;
       break;
+    case workload_kind::generate:
     case workload_kind::scenario:
-      // One comma-joined token: `scenario <name>,<scale>,<events>,<seed>
-      // [,<days>]`, the days field omitted at its default like generate's.
-      out << " " << plan.workload.model << ","
-          << format_double(plan.workload.scale) << "," << plan.workload.events
-          << "," << plan.workload.gen_seed;
-      if (plan.workload.gen_days > 1) out << "," << plan.workload.gen_days;
+    case workload_kind::relays: {
+      // The generated kinds share one field list (see parse_plan): generate
+      // spells it as separate tokens, scenario and relays as one
+      // comma-joined token, relays behind a leading fleet size. The days
+      // field is omitted at its default, so single-day plans serialize (and
+      // hand-written ones parse) unchanged.
+      const char sep = plan.workload.kind == workload_kind::generate ? ' ' : ',';
+      out << " ";
+      if (plan.workload.kind == workload_kind::relays) {
+        out << plan.workload.relay_count << sep;
+      }
+      out << plan.workload.model << sep << format_double(plan.workload.scale)
+          << sep << plan.workload.events << sep << plan.workload.gen_seed;
+      if (plan.workload.gen_days > 1) out << sep << plan.workload.gen_days;
       break;
-    case workload_kind::relays:
-      // `relays <count>,<model>,<scale>,<events>,<seed>[,<days>]`: the
-      // generate fields behind a leading fleet size, comma-joined like
-      // scenario's token.
-      out << " " << plan.workload.relay_count << "," << plan.workload.model
-          << "," << format_double(plan.workload.scale) << ","
-          << plan.workload.events << "," << plan.workload.gen_seed;
-      if (plan.workload.gen_days > 1) out << "," << plan.workload.gen_days;
-      break;
+    }
   }
   out << "\n";
   // Omitted at the all-default single-round shape, so classic plans
@@ -254,158 +247,86 @@ deployment_plan parse_plan(std::string_view text) {
         // Rest of the line: directories may contain spaces, like tally.
         std::getline(ls >> std::ws, plan.workload.trace_dir);
         want(!plan.workload.trace_dir.empty());
-      } else if (kind == "generate") {
-        plan.workload.kind = workload_kind::generate;
-        ls >> plan.workload.model >> plan.workload.scale >>
-            plan.workload.events >> plan.workload.gen_seed;
-        want(workload::is_known_trace_model(plan.workload.model) &&
-             plan.workload.scale > 0.0);
-        // Optional fifth field: days of population churn (default 1).
-        std::uint64_t days = 0;
-        if (ls >> days) {
-          if (days < 1) fail("generate days must be >= 1");
-          plan.workload.gen_days = days;
-        }
       } else if (kind == "socket") {
         plan.workload.kind = workload_kind::socket;
         unsigned port = 0;
         ls >> port;
         want(port >= 1 && port <= 0xffff);
         plan.workload.event_port_base = static_cast<std::uint16_t>(port);
-      } else if (kind == "scenario") {
-        // `scenario <name>,<scale>,<events>,<seed>[,<days>]` — one
-        // comma-joined token. Every field is validated here with a typed
-        // error: an unknown name or an out-of-range envelope parameter must
-        // fail the parse, not render a silently different workload.
-        plan.workload.kind = workload_kind::scenario;
-        std::string spec;
-        ls >> spec;
-        want(!spec.empty());
+      } else if (kind == "generate" || kind == "scenario" || kind == "relays") {
+        // The generated kinds share one field list, parsed and bounded here
+        // for all three. generate spells it as separate tokens, scenario and
+        // relays as one comma-joined token, relays behind a leading fleet
+        // size:
+        //   generate <model> <scale> <events> <seed> [<days>]
+        //   scenario <name>,<scale>,<events>,<seed>[,<days>]
+        //   relays <count>,<model>,<scale>,<events>,<seed>[,<days>]
+        // Every DC process materializes the workload, so an unknown name or
+        // an out-of-range field must fail the parse, not render a silently
+        // different or unbounded workload.
+        workload_spec& w = plan.workload;
         std::vector<std::string> fields;
-        std::size_t pos = 0;
-        for (;;) {
-          const std::size_t comma = spec.find(',', pos);
-          fields.push_back(spec.substr(pos, comma == std::string::npos
-                                                ? std::string::npos
-                                                : comma - pos));
-          if (comma == std::string::npos) break;
-          pos = comma + 1;
+        if (kind == "generate") {
+          w.kind = workload_kind::generate;
+          for (std::string field; ls >> field;) fields.push_back(field);
+        } else {
+          w.kind = kind == "scenario" ? workload_kind::scenario
+                                      : workload_kind::relays;
+          std::string spec;
+          ls >> spec;
+          want(!spec.empty());
+          for (std::size_t pos = 0;;) {
+            const std::size_t comma = spec.find(',', pos);
+            fields.push_back(spec.substr(pos, comma - pos));
+            if (comma == std::string::npos) break;
+            pos = comma + 1;
+          }
         }
-        if (fields.size() < 4 || fields.size() > 5) {
-          fail("scenario spec needs name,scale,events,seed[,days], got " +
-               std::to_string(fields.size()) + " field(s)");
+        const std::size_t lead = w.kind == workload_kind::relays ? 1 : 0;
+        if (fields.size() < lead + 4 || fields.size() > lead + 5) {
+          fail(kind + " needs " + std::to_string(lead + 4) + " or " +
+               std::to_string(lead + 5) + " fields, got " +
+               std::to_string(fields.size()));
         }
-        const auto parse_u64 = [&](const std::string& field,
-                                   const char* what) {
+        const auto parse_u64 = [&](std::size_t i, const char* what,
+                                   std::uint64_t lo, std::uint64_t hi) {
+          const std::string& field = fields[i];
           std::uint64_t v = 0;
           std::istringstream fs{field};
           fs >> v;
-          if (fs.fail() || !fs.eof() || field.empty() || field[0] == '-') {
-            fail("scenario " + std::string{what} + " is not a number: '" +
-                 field + "'");
+          if (field.empty() || field[0] == '-' || fs.fail() || !fs.eof()) {
+            fail(kind + " " + what + " is not a number: '" + field + "'");
+          }
+          if (v < lo || v > hi) {
+            fail(kind + " " + what + " must be in [" + std::to_string(lo) +
+                 ", " + std::to_string(hi) + "]");
           }
           return v;
         };
-        plan.workload.model = fields[0];
-        if (!workload::is_known_scenario(plan.workload.model)) {
-          fail("unknown scenario '" + plan.workload.model +
-               "' (expected flash_crowd|diurnal|botnet_surge|relay_churn|"
-               "country_block)");
+        if (lead == 1) w.relay_count = parse_u64(0, "count", 1, 100'000);
+        w.model = fields[lead];
+        const bool scenario = w.kind == workload_kind::scenario;
+        if (scenario ? !workload::is_known_scenario(w.model)
+                     : !workload::is_known_trace_model(w.model)) {
+          fail(std::string{scenario ? "unknown scenario '"
+                                    : "unknown trace model '"} +
+               w.model + "'");
         }
-        {
-          double scale = 0.0;
-          std::istringstream fs{fields[1]};
-          fs >> scale;
-          if (fs.fail() || !fs.eof()) {
-            fail("scenario scale is not a number: '" + fields[1] + "'");
-          }
-          // Bounded so hostile plan text cannot demand a client population
-          // (256 * scale) beyond what generation can materialize.
-          if (!(scale > 0.0) || scale > 1'000.0) {
-            fail("scenario scale must be in (0, 1000]");
-          }
-          plan.workload.scale = scale;
+        std::istringstream fs{fields[lead + 1]};
+        fs >> w.scale;
+        if (fs.fail() || !fs.eof()) {
+          fail(kind + " scale is not a number: '" + fields[lead + 1] + "'");
         }
-        plan.workload.events = parse_u64(fields[2], "events");
-        if (plan.workload.events < 1 ||
-            plan.workload.events > 100'000'000) {
-          fail("scenario events/day must be in [1, 100000000]");
+        // Bounded so hostile plan text cannot demand a client population or
+        // a simulated network beyond what generation can materialize.
+        if (!(w.scale > 0.0) || w.scale > 1'000.0) {
+          fail(kind + " scale must be in (0, 1000]");
         }
-        plan.workload.gen_seed = parse_u64(fields[3], "seed");
-        if (fields.size() == 5) {
-          const std::uint64_t days = parse_u64(fields[4], "days");
-          if (days < 1 || days > 366) {
-            fail("scenario days must be in [1, 366]");
-          }
-          plan.workload.gen_days = days;
-        }
-      } else if (kind == "relays") {
-        // `relays <count>,<model>,<scale>,<events>,<seed>[,<days>]` — one
-        // comma-joined token: the generate workload routed through a
-        // simulated relay fleet (src/relay/).
-        plan.workload.kind = workload_kind::relays;
-        std::string spec;
-        ls >> spec;
-        want(!spec.empty());
-        std::vector<std::string> fields;
-        std::size_t pos = 0;
-        for (;;) {
-          const std::size_t comma = spec.find(',', pos);
-          fields.push_back(spec.substr(pos, comma == std::string::npos
-                                                ? std::string::npos
-                                                : comma - pos));
-          if (comma == std::string::npos) break;
-          pos = comma + 1;
-        }
-        if (fields.size() < 5 || fields.size() > 6) {
-          fail("relays spec needs count,model,scale,events,seed[,days], got " +
-               std::to_string(fields.size()) + " field(s)");
-        }
-        const auto parse_u64 = [&](const std::string& field,
-                                   const char* what) {
-          std::uint64_t v = 0;
-          std::istringstream fs{field};
-          fs >> v;
-          if (fs.fail() || !fs.eof() || field.empty() || field[0] == '-') {
-            fail("relays " + std::string{what} + " is not a number: '" +
-                 field + "'");
-          }
-          return v;
-        };
-        plan.workload.relay_count = parse_u64(fields[0], "count");
-        if (plan.workload.relay_count < 1 ||
-            plan.workload.relay_count > 100'000) {
-          fail("relays count must be in [1, 100000]");
-        }
-        plan.workload.model = fields[1];
-        if (!workload::is_known_trace_model(plan.workload.model)) {
-          fail("unknown trace model '" + plan.workload.model + "'");
-        }
-        {
-          double scale = 0.0;
-          std::istringstream fs{fields[2]};
-          fs >> scale;
-          if (fs.fail() || !fs.eof()) {
-            fail("relays scale is not a number: '" + fields[2] + "'");
-          }
-          if (!(scale > 0.0) || scale > 1'000.0) {
-            fail("relays scale must be in (0, 1000]");
-          }
-          plan.workload.scale = scale;
-        }
-        plan.workload.events = parse_u64(fields[3], "events");
-        if (plan.workload.events < 1 ||
-            plan.workload.events > 100'000'000) {
-          fail("relays events must be in [1, 100000000]");
-        }
-        plan.workload.gen_seed = parse_u64(fields[4], "seed");
-        if (fields.size() == 6) {
-          const std::uint64_t days = parse_u64(fields[5], "days");
-          if (days < 1 || days > 366) {
-            fail("relays days must be in [1, 366]");
-          }
-          plan.workload.gen_days = days;
-        }
+        w.events = parse_u64(lead + 2, "events", 1, 100'000'000);
+        w.gen_seed = parse_u64(lead + 3, "seed", 0,
+                               std::numeric_limits<std::uint64_t>::max());
+        w.gen_days =
+            fields.size() == lead + 5 ? parse_u64(lead + 4, "days", 1, 366) : 1;
       } else {
         fail("unknown workload kind '" + kind +
              "' (expected synthetic|trace|generate|socket|scenario|relays)");

@@ -53,7 +53,9 @@ struct node_spec {
 /// tor::event streams through the DC's observe() pipeline:
 ///   trace     — DC k replays `<trace_dir>/dc-<k>.trace` (tor::trace_reader)
 ///   generate  — every process materializes workload::generate_trace_events
-///               ({model, dcs, scale, events, seed}) and DC k replays slice k
+///               ({model, dcs, scale, events, seed, days}) and DC k replays
+///               slice k; declared as `workload generate <model> <scale>
+///               <events> <seed> [<days>]`
 ///   socket    — DC k listens on 127.0.0.1:(event_port_base + k) and ingests
 ///               a trace stream a feeder pushes (tormet_tracegen --feed)
 ///   scenario  — every process materializes workload::generate_scenario_events

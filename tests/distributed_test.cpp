@@ -126,6 +126,20 @@ TEST(DeploymentPlanTest, RejectsBadWorkloadSections) {
                precondition_error);
   EXPECT_THROW(parse_plan(base + "workload generate zipf 0 100 1\n"),
                precondition_error);
+  // generate's fields are typed and bounded like scenario's and relays':
+  // a wrapped negative event count, an astronomical scale and a days field
+  // past a year each fail with the line that holds them.
+  for (const char* bad : {"workload generate zipf 1e-4 -1 7\n",
+                          "workload generate population 1e300 100 7\n",
+                          "workload generate zipf 1e-4 100 7 99999999\n"}) {
+    try {
+      (void)parse_plan(base + bad);
+      ADD_FAILURE() << "accepted " << bad;
+    } catch (const precondition_error& e) {
+      EXPECT_NE(std::string{e.what()}.find("plan line 5: "), std::string::npos)
+          << e.what();
+    }
+  }
   EXPECT_THROW(parse_plan(base + "workload socket 0\n"), precondition_error);
   EXPECT_THROW(parse_plan(base + "workload socket 99999\n"), precondition_error);
   // Unknown measurement names are rejected at parse time, not when a node
