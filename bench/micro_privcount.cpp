@@ -67,12 +67,13 @@ BENCHMARK(bm_domain_set_matching)->Arg(100000)->Arg(1000000)
 
 void bm_psc_table_init_toy(benchmark::State& state) {
   const auto group = crypto::make_toy_group();
-  const crypto::elgamal scheme{group};
+  const crypto::batch_engine engine{group};
+  const crypto::elgamal& scheme = engine.scheme();
   crypto::deterministic_rng rng{9};
   const auto kp = scheme.generate_keypair(rng);
   const std::size_t bins = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    psc::oblivious_set set{scheme, kp.pub, bins, rng};
+    psc::oblivious_set set{engine, kp.pub, bins, rng};
     benchmark::DoNotOptimize(set.slots().data());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -81,10 +82,11 @@ BENCHMARK(bm_psc_table_init_toy)->Arg(1 << 12)->Arg(1 << 16);
 
 void bm_psc_insert_toy(benchmark::State& state) {
   const auto group = crypto::make_toy_group();
-  const crypto::elgamal scheme{group};
+  const crypto::batch_engine engine{group};
+  const crypto::elgamal& scheme = engine.scheme();
   crypto::deterministic_rng rng{9};
   const auto kp = scheme.generate_keypair(rng);
-  psc::oblivious_set set{scheme, kp.pub, 1 << 14, rng};
+  psc::oblivious_set set{engine, kp.pub, 1 << 14, rng};
   std::uint64_t i = 0;
   for (auto _ : state) {
     set.insert(as_bytes("ip:" + std::to_string(i++)), rng);

@@ -688,10 +688,10 @@ class dc_collection {
  public:
   template <class data_collector>
   dc_collection(const deployment_plan& plan, net::node_id self,
-                data_collector& dc)
+                data_collector& dc, std::shared_ptr<util::thread_pool> pool)
       : plan_{plan}, self_{self}, sched_{round_schedule_of(plan)} {
     if (!is_event_workload(plan)) return;
-    configure_dc(plan, dc, make_ingest_pool(plan));
+    configure_dc(plan, dc, std::move(pool));
     const std::size_t dc_index = dc_index_of(plan, self);
     cursor_.emplace(plan, dc_index);
     if (plan.workload.kind == workload_kind::relays) {
@@ -1129,12 +1129,18 @@ node_result run_node(const deployment_plan& plan, net::node_id self) {
   crypto::deterministic_rng rng = crypto::make_node_rng(plan.rng_seed, self);
   const net::node_id ts_id = plan.tally_server_id();
   const fault_spec fault = fault_for(self);
+  // Every PSC role runs its batch crypto on one pool that fills the host.
+  // The bytes never depend on its size (see crypto::batch_engine).
+  const auto host_pool = [] {
+    return std::make_shared<util::thread_pool>(util::host_workers());
+  };
 
   switch (spec.role) {
     case node_role::psc_ts: {
       tolerant_transport out{net};
       psc::tally_server ts{self, out, plan.ids_with(node_role::psc_dc),
                            plan.ids_with(node_role::psc_cp)};
+      ts.set_thread_pool(host_pool());
       return drive_ts_rounds(net, out, plan, self, fault, psc_rounds(ts, plan));
     }
     case node_role::privcount_ts: {
@@ -1148,6 +1154,7 @@ node_result run_node(const deployment_plan& plan, net::node_id self) {
     }
     case node_role::psc_cp: {
       psc::computation_party cp{self, ts_id, net, rng};
+      cp.set_thread_pool(host_pool());
       serve_peer(net, plan, self, fault, rng,
                  peer_hooks{psc::msg_type::cp_configure,
                             psc::msg_type::cp_configure,
@@ -1170,7 +1177,13 @@ node_result run_node(const deployment_plan& plan, net::node_id self) {
     }
     case node_role::psc_dc: {
       psc::data_collector dc{self, ts_id, net, rng};
-      dc_collection feed{plan, self, dc};
+      // Table setup and the report run on the DC's pool for every workload
+      // kind, an event workload's ingest shards too. dc_ingest_threads
+      // sizes it when set.
+      std::shared_ptr<util::thread_pool> pool = make_ingest_pool(plan);
+      if (pool == nullptr) pool = host_pool();
+      dc.set_thread_pool(pool);
+      dc_collection feed{plan, self, dc, pool};
       const peer_hooks h{psc::msg_type::dc_configure,
                          psc::msg_type::dc_configure,
                          psc::msg_type::report_request};
@@ -1194,7 +1207,7 @@ node_result run_node(const deployment_plan& plan, net::node_id self) {
     }
     case node_role::privcount_dc: {
       privcount::data_collector dc{self, ts_id, net, rng};
-      dc_collection feed{plan, self, dc};
+      dc_collection feed{plan, self, dc, make_ingest_pool(plan)};
       const peer_hooks h{privcount::msg_type::configure,
                          privcount::msg_type::start_collection,
                          privcount::msg_type::stop_collection};

@@ -166,7 +166,8 @@ class workload_cursor {
 };
 
 /// Builds the plan's DC ingest worker pool: nullptr when
-/// plan.dc_ingest_threads == 0 (every shard runs on the calling thread).
+/// plan.dc_ingest_threads == 0, where a PrivCount DC runs every shard on
+/// the calling thread and a PSC DC on its host-sized crypto pool.
 /// Callers feeding several DCs share one pool across them.
 [[nodiscard]] std::shared_ptr<util::thread_pool> make_ingest_pool(
     const deployment_plan& plan);

@@ -35,9 +35,6 @@ class batch_engine {
   [[nodiscard]] const elgamal& scheme() const noexcept { return scheme_; }
   [[nodiscard]] const group& grp() const noexcept { return scheme_.grp(); }
   [[nodiscard]] std::size_t shard_size() const noexcept { return shard_size_; }
-  [[nodiscard]] std::size_t workers() const noexcept {
-    return pool_ == nullptr ? 1 : pool_->size();
-  }
 
   /// Draws a fresh 32-byte batch seed from a session RNG (one fill, so the
   /// caller's stream advances identically no matter the batch size).

@@ -107,7 +107,7 @@ shuffle_result shuffle_and_rerandomize_encoded(
   shuffle_result result;
   result.output = engine.rerandomize_batch(joint_pub, permuted,
                                            batch_engine::derive_seed(rng));
-  result.output_encoded = engine.scheme().encode_batch(result.output);
+  result.output_encoded = engine.encode_batch(result.output);
 
   transcript.input_digest = digest_encoded_ciphertexts(input_encoded);
   transcript.output_digest = digest_encoded_ciphertexts(result.output_encoded);

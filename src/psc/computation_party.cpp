@@ -53,7 +53,6 @@ void computation_party::on_mix(const net::message& msg) {
   }
   expects(joint_pk_.valid(), "mix pass before joint key distribution");
   mixed_ = true;
-  const crypto::elgamal& scheme = engine_->scheme();
   std::vector<crypto::elgamal_ciphertext> cts = engine_->decode_batch(m.ciphertexts);
 
   // Binomial noise: append noise_bits ciphertexts, each an encryption of a
@@ -69,8 +68,10 @@ void computation_party::on_mix(const net::message& msg) {
   // The wire message already carries every input encoding; only the fresh
   // noise ciphertexts need serializing before the digest.
   std::vector<byte_buffer> encoded = std::move(m.ciphertexts);
-  encoded.reserve(encoded.size() + noise.size());
-  for (const auto& ct : noise) encoded.push_back(scheme.encode(ct));
+  std::vector<byte_buffer> noise_encoded = engine_->encode_batch(noise);
+  encoded.reserve(encoded.size() + noise_encoded.size());
+  std::move(noise_encoded.begin(), noise_encoded.end(),
+            std::back_inserter(encoded));
   cts.reserve(cts.size() + noise.size());
   std::move(noise.begin(), noise.end(), std::back_inserter(cts));
 

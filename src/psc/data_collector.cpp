@@ -48,7 +48,7 @@ void data_collector::handle_message(const net::message& msg) {
       }
       vector_msg report;
       report.round_id = round_id_;
-      report.ciphertexts = engine_->scheme().encode_batch(set_->take_slots());
+      report.ciphertexts = engine_->encode_batch(set_->take_slots());
       transport_.send(encode_vector(self_, tally_server_, msg_type::dc_vector,
                                     report));
       set_.reset();  // the table has been shipped; nothing remains to seize

@@ -36,10 +36,10 @@ class data_collector final : public core::event_sink {
                  net::transport& transport, crypto::secure_rng& rng);
 
   void set_extractor(extractor fn);
-  /// Shares `pool` for the bulk table initialization at configure time and
-  /// for running the ingest shards. Rejected while a table is live (between
-  /// dc_configure and the report): the ingest plane is reconfigured between
-  /// rounds only.
+  /// Shares `pool` for the bulk table initialization at configure time, the
+  /// report's encode and running the ingest shards. Rejected while a table
+  /// is live (between dc_configure and the report): the ingest plane is
+  /// reconfigured between rounds only.
   void set_thread_pool(std::shared_ptr<util::thread_pool> pool) override;
   /// Number of ingest shards (>= 1) for batched ingest. The table bytes
   /// are identical for every value: seeds are pre-drawn per insert in

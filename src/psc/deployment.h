@@ -30,10 +30,11 @@ struct deployment_config {
   /// nodes — an in-process round and a distributed multi-process round
   /// with the same seed produce identical tallies.
   std::uint64_t rng_seed = 3141;
-  /// Workers in the shared crypto thread pool (0 = inline, no pool).
+  /// Workers in the crypto thread pool every node shares. The default
+  /// fills the host (util::host_workers()); 0 runs every batch inline.
   /// Protocol outputs are identical for any value — batch RNG streams are
   /// seeded per shard, never per worker.
-  std::size_t worker_threads = 0;
+  std::size_t worker_threads = util::host_workers();
 };
 
 /// Raw protocol outcome of one PSC round plus its point estimate.

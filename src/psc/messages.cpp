@@ -107,15 +107,4 @@ vector_msg decode_vector(const net::message& msg) {
   return m;
 }
 
-std::vector<byte_buffer> encode_ciphertexts(
-    const crypto::elgamal& scheme,
-    const std::vector<crypto::elgamal_ciphertext>& cts) {
-  return scheme.encode_batch(cts);
-}
-
-std::vector<crypto::elgamal_ciphertext> decode_ciphertexts(
-    const crypto::elgamal& scheme, const std::vector<byte_buffer>& enc) {
-  return scheme.decode_batch(enc);
-}
-
 }  // namespace tormet::psc

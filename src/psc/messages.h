@@ -80,11 +80,4 @@ struct vector_msg {
                                          msg_type type, const vector_msg& m);
 [[nodiscard]] vector_msg decode_vector(const net::message& msg);
 
-/// Helpers converting between ciphertext vectors and their encodings.
-[[nodiscard]] std::vector<byte_buffer> encode_ciphertexts(
-    const crypto::elgamal& scheme,
-    const std::vector<crypto::elgamal_ciphertext>& cts);
-[[nodiscard]] std::vector<crypto::elgamal_ciphertext> decode_ciphertexts(
-    const crypto::elgamal& scheme, const std::vector<byte_buffer>& enc);
-
 }  // namespace tormet::psc

@@ -6,14 +6,6 @@
 
 namespace tormet::psc {
 
-oblivious_set::oblivious_set(const crypto::elgamal& scheme,
-                             crypto::group_element joint_pub, std::size_t bins,
-                             crypto::secure_rng& rng)
-    : scheme_{scheme}, joint_pub_{std::move(joint_pub)} {
-  expects(bins >= 2, "oblivious set needs at least two bins");
-  slots_ = scheme_.encrypt_zero_batch(joint_pub_, bins, rng);
-}
-
 oblivious_set::oblivious_set(const crypto::batch_engine& engine,
                              crypto::group_element joint_pub, std::size_t bins,
                              crypto::secure_rng& rng)

@@ -17,14 +17,10 @@ namespace tormet::psc {
 
 class oblivious_set {
  public:
-  /// All bins initialized to encryptions of zero under `joint_pub`, drawn
-  /// serially from `rng` through the elgamal batch path.
-  oblivious_set(const crypto::elgamal& scheme, crypto::group_element joint_pub,
-                std::size_t bins, crypto::secure_rng& rng);
-
-  /// Same table, initialized through `engine` (multi-threaded when the
-  /// engine has a pool; `rng` supplies only the 32-byte batch seed). The
-  /// engine must outlive this set — inserts use its elgamal instance.
+  /// All bins initialized to encryptions of zero under `joint_pub`, through
+  /// `engine` (multi-threaded when the engine has a pool; `rng` supplies
+  /// only the 32-byte batch seed). The engine must outlive this set —
+  /// inserts use its elgamal instance.
   oblivious_set(const crypto::batch_engine& engine,
                 crypto::group_element joint_pub, std::size_t bins,
                 crypto::secure_rng& rng);

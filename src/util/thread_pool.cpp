@@ -43,10 +43,12 @@ struct thread_pool::batch_state {
   }
 };
 
+std::size_t host_workers() noexcept {
+  const std::size_t threads = std::thread::hardware_concurrency();
+  return threads > 1 ? threads - 1 : 0;
+}
+
 thread_pool::thread_pool(std::size_t workers) {
-  if (workers == 0) {
-    workers = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
   workers_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -86,7 +88,11 @@ void thread_pool::parallel_for(
   if (n == 0) return;
   const std::size_t chunks = (n + grain - 1) / grain;
   if (chunks == 1 || workers_.empty()) {
-    fn(0, n);
+    // Inline, still one call per chunk: callers may key work on the chunk
+    // boundaries (the batch engine's per-shard RNG streams do).
+    for (std::size_t begin = 0; begin < n; begin += grain) {
+      fn(begin, std::min(begin + grain, n));
+    }
     return;
   }
 

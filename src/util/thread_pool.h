@@ -16,8 +16,9 @@ namespace tormet::util {
 
 class thread_pool {
  public:
-  /// Starts `workers` threads (0 = std::thread::hardware_concurrency, min 1).
-  explicit thread_pool(std::size_t workers = 0);
+  /// Starts `workers` threads. With 0 workers every parallel_for runs
+  /// inline on the calling thread.
+  explicit thread_pool(std::size_t workers);
   ~thread_pool();
   thread_pool(const thread_pool&) = delete;
   thread_pool& operator=(const thread_pool&) = delete;
@@ -26,7 +27,8 @@ class thread_pool {
 
   /// Partitions [0, n) into chunks of at most `grain` indices, runs
   /// fn(begin, end) for every chunk across the workers plus the calling
-  /// thread, and blocks until all chunks finish. The first exception thrown
+  /// thread (in chunk order on the caller alone when there are no
+  /// workers), and blocks until all chunks finish. The first exception thrown
   /// by any chunk is rethrown on the caller after the batch drains. `fn`
   /// must be safe to invoke concurrently on disjoint ranges.
   void parallel_for(std::size_t n, std::size_t grain,
@@ -42,5 +44,11 @@ class thread_pool {
   std::vector<std::function<void()>> queue_;
   bool shutting_down_ = false;
 };
+
+/// The worker count that fills this host: one fewer than its hardware
+/// threads, because the thread that calls parallel_for drains chunks too;
+/// 0 (inline) on a single-core host or when the count is unknown. The only
+/// place the host's size is read.
+[[nodiscard]] std::size_t host_workers() noexcept;
 
 }  // namespace tormet::util

@@ -5,6 +5,9 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "src/crypto/batch_engine.h"
 #include "src/crypto/elgamal.h"
@@ -32,6 +35,20 @@ TEST(ThreadPoolTest, CoversEveryIndexExactlyOnce) {
   for (std::size_t i = 0; i < n; ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
+}
+
+TEST(ThreadPoolTest, ZeroWorkersRunEveryChunkInlineInOrder) {
+  util::thread_pool pool{0};
+  EXPECT_EQ(pool.size(), 0u);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::pair<std::size_t, std::size_t>> chunks;
+  pool.parallel_for(10, 4, [&](std::size_t begin, std::size_t end) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    chunks.emplace_back(begin, end);
+  });
+  const std::vector<std::pair<std::size_t, std::size_t>> want{
+      {0, 4}, {4, 8}, {8, 10}};
+  EXPECT_EQ(chunks, want);
 }
 
 TEST(ThreadPoolTest, EmptyRangeIsNoop) {
@@ -274,7 +291,8 @@ TEST(BatchEngineTest, SameSeedSameOutputRegardlessOfWorkerCount) {
   const auto want_bits = reference.encrypt_bits_batch(kp.pub, bits, seed);
   const auto want_rerand = reference.rerandomize_batch(kp.pub, input, seed);
 
-  for (const std::size_t workers : {1u, 2u, 4u}) {
+  // 0 workers is a node's pool on a one-core host: inline, shard by shard.
+  for (const std::size_t workers : {0u, 1u, 2u, 4u}) {
     const auto pool = std::make_shared<util::thread_pool>(workers);
     const batch_engine engine{group, pool, 128};
     expect_same_cts(scheme, engine.encrypt_zero_batch(kp.pub, 1500, seed),

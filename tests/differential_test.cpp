@@ -83,7 +83,7 @@ struct round_run {
 /// coin values — though not their count — would legitimately diverge.
 [[nodiscard]] round_run run_round(crypto::group_backend backend,
                                   std::size_t worker_threads,
-                                  bool noise = false) {
+                                  bool noise = false, std::uint64_t bins = 128) {
   tor::consensus_params params;
   params.num_relays = 120;
   params.seed = 29;
@@ -94,7 +94,7 @@ struct round_run {
   deployment_config cfg;
   cfg.num_computation_parties = 3;
   cfg.measured_relays.assign(guards.begin(), guards.begin() + 3);
-  cfg.round.bins = 128;
+  cfg.round.bins = bins;
   cfg.round.group = backend;
   cfg.round.noise_enabled = noise;
   cfg.round.sensitivity = 1.0;
@@ -159,10 +159,17 @@ TEST(BackendDifferentialTest, ToyAndP256ProduceTheSameProtocolTranscript) {
 TEST(BackendDifferentialTest, PooledRunIsByteIdenticalToSerialRun) {
   // Same backend, same seed, noise enabled: worker count must not leak into
   // the transcript at all (the engine's determinism contract, end to end).
-  expect_identical_bytes(run_round(crypto::group_backend::toy, 0, true),
-                         run_round(crypto::group_backend::toy, 4, true));
-  expect_identical_bytes(run_round(crypto::group_backend::p256, 0, true),
-                         run_round(crypto::group_backend::p256, 4, true));
+  // 1100 bins span three 512-element engine shards, so every table, mix
+  // and decrypt vector is split across the pool.
+  for (const auto backend :
+       {crypto::group_backend::toy, crypto::group_backend::p256}) {
+    const round_run serial = run_round(backend, 0, true, 1100);
+    for (const std::size_t workers : {1u, 4u}) {
+      SCOPED_TRACE("backend " + std::to_string(static_cast<int>(backend)) +
+                   ", " + std::to_string(workers) + " workers");
+      expect_identical_bytes(serial, run_round(backend, workers, true, 1100));
+    }
+  }
 }
 
 }  // namespace

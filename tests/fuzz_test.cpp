@@ -95,7 +95,7 @@ TEST(FuzzTest, PscVectorTruncationsAndCorruption) {
   m.round_id = 2;
   std::vector<crypto::elgamal_ciphertext> cts;
   for (int i = 0; i < 8; ++i) cts.push_back(scheme.encrypt_one(kp.pub, rng_c));
-  m.ciphertexts = psc::encode_ciphertexts(scheme, cts);
+  m.ciphertexts = scheme.encode_batch(cts);
   const net::message full = psc::encode_vector(1, 2, psc::msg_type::mix_pass, m);
 
   for (std::size_t len = 0; len < full.payload.size(); len += 3) {
@@ -103,7 +103,7 @@ TEST(FuzzTest, PscVectorTruncationsAndCorruption) {
     cut.payload.resize(len);
     expect_graceful([&] {
       const psc::vector_msg decoded = psc::decode_vector(cut);
-      (void)psc::decode_ciphertexts(scheme, decoded.ciphertexts);
+      (void)scheme.decode_batch(decoded.ciphertexts);
     });
   }
 
@@ -115,7 +115,7 @@ TEST(FuzzTest, PscVectorTruncationsAndCorruption) {
     corrupt.payload[pos] ^= static_cast<std::uint8_t>(1 + r.below(255));
     expect_graceful([&] {
       const psc::vector_msg decoded = psc::decode_vector(corrupt);
-      (void)psc::decode_ciphertexts(scheme, decoded.ciphertexts);
+      (void)scheme.decode_batch(decoded.ciphertexts);
     });
   }
 }
@@ -702,7 +702,8 @@ TEST(FuzzTest, SeededBinInsertsCommuteAcrossBins) {
   // byte-identical table, under random streams, all-one-bin skew, and
   // never-touched (empty) bins.
   const auto group = crypto::make_toy_group();
-  const crypto::elgamal scheme{group};
+  const crypto::batch_engine engine{group};
+  const crypto::elgamal& scheme = engine.scheme();
   constexpr std::size_t bins = 32;
   rng r{2718};
   for (int trial = 0; trial < 8; ++trial) {
@@ -717,7 +718,7 @@ TEST(FuzzTest, SeededBinInsertsCommuteAcrossBins) {
     const auto table_after = [&](std::size_t shards) {
       // Fresh rng per set: both start from the same all-zero table bytes.
       crypto::deterministic_rng set_rng{90 + static_cast<std::uint64_t>(trial)};
-      psc::oblivious_set set{scheme, scheme.generate_keypair(set_rng).pub,
+      psc::oblivious_set set{engine, scheme.generate_keypair(set_rng).pub,
                              bins, set_rng};
       // Replay in shard-bucketed order: per-bin order is preserved because
       // a bin lives on exactly one shard.

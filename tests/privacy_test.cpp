@@ -69,11 +69,12 @@ TEST(PrivacyTest, ObliviousTablesAreUnlinkableAcrossDcs) {
   // correlation without the CP keys.
   crypto::deterministic_rng rng{17};
   const auto group = crypto::make_toy_group();
-  const crypto::elgamal scheme{group};
+  const crypto::batch_engine engine{group};
+  const crypto::elgamal& scheme = engine.scheme();
   const auto kp = scheme.generate_keypair(rng);
 
-  psc::oblivious_set a{scheme, kp.pub, 128, rng};
-  psc::oblivious_set b{scheme, kp.pub, 128, rng};
+  psc::oblivious_set a{engine, kp.pub, 128, rng};
+  psc::oblivious_set b{engine, kp.pub, 128, rng};
   for (int i = 0; i < 40; ++i) {
     const std::string item = "item" + std::to_string(i);
     a.insert(as_bytes(item), rng);
@@ -91,10 +92,11 @@ TEST(PrivacyTest, InsertRerandomizesTheBin) {
   // not whether the bin was previously set (fresh ciphertext either way).
   crypto::deterministic_rng rng{19};
   const auto group = crypto::make_toy_group();
-  const crypto::elgamal scheme{group};
+  const crypto::batch_engine engine{group};
+  const crypto::elgamal& scheme = engine.scheme();
   const auto kp = scheme.generate_keypair(rng);
 
-  psc::oblivious_set set{scheme, kp.pub, 64, rng};
+  psc::oblivious_set set{engine, kp.pub, 64, rng};
   const std::size_t bin = set.bin_of(as_bytes("x"));
   const byte_buffer before = scheme.encode(set.slots()[bin]);
   set.insert(as_bytes("x"), rng);

@@ -34,9 +34,10 @@ namespace {
 TEST(ObliviousSetTest, BinMappingIsStableAndInRange) {
   crypto::deterministic_rng rng{1};
   const auto group = crypto::make_toy_group();
-  const crypto::elgamal scheme{group};
+  const crypto::batch_engine engine{group};
+  const crypto::elgamal& scheme = engine.scheme();
   const auto kp = scheme.generate_keypair(rng);
-  oblivious_set set{scheme, kp.pub, 64, rng};
+  oblivious_set set{engine, kp.pub, 64, rng};
   const std::size_t b1 = set.bin_of(as_bytes("item-a"));
   EXPECT_EQ(b1, set.bin_of(as_bytes("item-a")));
   EXPECT_LT(b1, 64u);
@@ -46,9 +47,10 @@ TEST(ObliviousSetTest, BinMappingIsStableAndInRange) {
 TEST(ObliviousSetTest, InsertSetsExactlyTheHashedBin) {
   crypto::deterministic_rng rng{2};
   const auto group = crypto::make_toy_group();
-  const crypto::elgamal scheme{group};
+  const crypto::batch_engine engine{group};
+  const crypto::elgamal& scheme = engine.scheme();
   const auto kp = scheme.generate_keypair(rng);
-  oblivious_set set{scheme, kp.pub, 32, rng};
+  oblivious_set set{engine, kp.pub, 32, rng};
 
   set.insert(as_bytes("x"), rng);
   set.insert(as_bytes("x"), rng);  // idempotent by construction
@@ -212,10 +214,11 @@ TEST_P(PscAccuracySweep, EstimatorRecoversCardinality) {
   const auto [bins, items] = GetParam();
   crypto::deterministic_rng rng{42};
   const auto group = crypto::make_toy_group();
-  const crypto::elgamal scheme{group};
+  const crypto::batch_engine engine{group};
+  const crypto::elgamal& scheme = engine.scheme();
   const auto kp = scheme.generate_keypair(rng);
 
-  oblivious_set set{scheme, kp.pub, bins, rng};
+  oblivious_set set{engine, kp.pub, bins, rng};
   for (std::size_t i = 0; i < items; ++i) {
     set.insert(as_bytes("item" + std::to_string(i)), rng);
   }
@@ -276,11 +279,11 @@ TEST(PscMessagesTest, VectorRoundTrip) {
 
   vector_msg m;
   m.round_id = 11;
-  m.ciphertexts = encode_ciphertexts(scheme, cts);
+  m.ciphertexts = scheme.encode_batch(cts);
   const net::message wire = encode_vector(2, 3, msg_type::mix_pass, m);
   const vector_msg back = decode_vector(wire);
   EXPECT_EQ(back.round_id, 11u);
-  const auto decoded = decode_ciphertexts(scheme, back.ciphertexts);
+  const auto decoded = scheme.decode_batch(back.ciphertexts);
   ASSERT_EQ(decoded.size(), cts.size());
   for (std::size_t i = 0; i < cts.size(); ++i) {
     EXPECT_TRUE(group->equal(scheme.decrypt(kp.secret, decoded[i]),
