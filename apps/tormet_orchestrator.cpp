@@ -12,10 +12,10 @@
 //                       [--check-inproc] [--keep-workdir] [--verbose]
 //
 // Without --config a plan is synthesized from the flags (defaults: PSC,
-// 4 DCs, 3 CPs, 1024 bins, toy group). --durable gives every node a
-// write-ahead op-log under the workdir: crashed (exit 42) nodes are
-// restarted and resume from their log. Exits 0 on success, 1 on any node
-// failure, timeout, or tally mismatch.
+// 4 DCs, 3 CPs, 1024 bins, toy group). --durable gives the TS a
+// write-ahead op-log under the workdir and restarts crashed (exit 42)
+// nodes: the TS resumes from its log, a peer re-derives its rounds. Exits
+// 0 on success, 1 on any node failure, timeout, or tally mismatch.
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>

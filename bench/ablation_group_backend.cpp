@@ -23,7 +23,8 @@ double ms_since(clock_type::time_point start) {
 void run_backend(const char* name, crypto::group_backend backend,
                  std::size_t bins, repro_table& table) {
   const auto group = crypto::make_group(backend);
-  const crypto::elgamal scheme{group};
+  const crypto::batch_engine engine{group};
+  const crypto::elgamal& scheme = engine.scheme();
   crypto::deterministic_rng rng{7};
 
   const auto kp1 = scheme.generate_keypair(rng);
@@ -55,11 +56,15 @@ void run_backend(const char* name, crypto::group_backend backend,
   }
   const double combine_ms = ms_since(t0);
 
-  // One CP mix pass (shuffle + rerandomize).
+  // One CP mix pass (shuffle + rerandomize). Encoding the input stands in
+  // for the wire bytes a CP receives.
   t0 = clock_type::now();
   crypto::shuffle_transcript transcript;
   std::vector<crypto::elgamal_ciphertext> mixed =
-      crypto::shuffle_and_rerandomize(scheme, joint, table_a, rng, transcript);
+      crypto::shuffle_and_rerandomize_encoded(engine, joint, table_a,
+                                              engine.encode_batch(table_a),
+                                              rng, transcript)
+          .output;
   const double mix_ms = ms_since(t0);
 
   // Decryption passes (3 CPs strip shares, then count).

@@ -150,9 +150,6 @@ std::string serialize_plan(const deployment_plan& plan) {
   // Durability keys are omitted for classic (non-durable) plans so existing
   // plan files round-trip unchanged.
   if (!plan.durable_dir.empty()) out << "durable_dir " << plan.durable_dir << "\n";
-  if (plan.checkpoint_every != 8) {
-    out << "checkpoint_every " << plan.checkpoint_every << "\n";
-  }
   // Ingest-shard count is a per-process tuning knob: it never changes tally
   // bytes, so single-shard plans round-trip without the key.
   if (plan.dc_shards != 1) out << "dc_shards " << plan.dc_shards << "\n";
@@ -363,9 +360,6 @@ deployment_plan parse_plan(std::string_view text) {
       // Rest of the line: directories may contain spaces, like tally.
       std::getline(ls >> std::ws, plan.durable_dir);
       want(!plan.durable_dir.empty());
-    } else if (key == "checkpoint_every") {
-      ls >> plan.checkpoint_every;
-      want(plan.checkpoint_every >= 1 && plan.checkpoint_every <= 100'000);
     } else if (key == "dc_shards") {
       ls >> plan.dc_shards;
       want(plan.dc_shards >= 1 && plan.dc_shards <= 4096);

@@ -139,8 +139,9 @@ struct deployment_plan {
   /// PrivCount: which instruments map replayed events to counter
   /// increments (core::instrument_by_name). Required for event workloads.
   std::vector<std::string> instruments;
-  /// Sim-time pacing for event replay: wall-clock seconds per simulated
-  /// second (0 = replay at full speed). See tor::replay_options.
+  /// Sim-time pacing for event replay: wall-clock seconds slept per
+  /// simulated second between successive events (0 = replay at full
+  /// speed). See workload_cursor::stream_window.
   double pace = 0.0;
 
   /// Synthetic workload (workload.kind == synthetic): each PSC DC inserts
@@ -156,16 +157,13 @@ struct deployment_plan {
   int round_deadline_ms = 120'000;
 
   // -- Durability ------------------------------------------------------------
-  /// When non-empty, every node keeps a write-ahead op-log + checkpoint
-  /// under `<durable_dir>/node-<id>/` (util::durable_store): the TS
-  /// persists completed-round tallies and exclusion state, every role
-  /// persists its round position, and a restarted process replays to its
-  /// pre-crash state and resumes the schedule. Empty = classic
-  /// non-durable rounds.
+  /// When non-empty, the TS keeps a write-ahead op-log under
+  /// `<durable_dir>/node-<id>/` (util::durable_store), one record per
+  /// committed round (tally and exclusion state), and crashed processes
+  /// are restarted: a restarted TS replays the log and resumes the
+  /// schedule, a restarted peer re-derives each round it is asked to run
+  /// again. Empty = classic non-durable rounds.
   std::string durable_dir;
-  /// TS checkpoint cadence in rounds: after every N committed rounds the
-  /// op-log is folded into a checkpoint and truncated.
-  std::uint32_t checkpoint_every = 8;
 
   /// Ingest shards per DC process (>= 1): batched events are hash-
   /// partitioned by client/circuit key across this many flat counter

@@ -161,64 +161,20 @@ struct ts_state {
   throw util::op_log_error{std::string{"TS durable record: "} + what};
 }
 
-/// Writes the membership lines round records and checkpoints share: the
-/// dropped set, then one `dc` counter line per DC.
-void write_membership(std::ostream& out, const std::set<net::node_id>& dropped,
-                      const std::map<net::node_id, dc_counters>& counters) {
-  out << "dropped";
-  for (const auto id : dropped) out << " " << id;
-  out << "\n";
-  for (const auto& [id, c] : counters) {
-    out << "dc " << id << " " << c.reported << " " << c.missed << " "
-        << c.excluded << " " << c.rejoined << "\n";
-  }
-}
-
-/// Reads a `dropped` or `dc` line (its `key` already taken from `ls`) into
-/// the membership fields; false for any other key.
-[[nodiscard]] bool read_membership(
-    const std::string& key, std::istream& ls, std::set<net::node_id>& dropped,
-    std::map<net::node_id, dc_counters>& counters) {
-  net::node_id id = 0;
-  if (key == "dropped") {
-    while (ls >> id) dropped.insert(id);
-    return true;
-  }
-  if (key != "dc") return false;
-  dc_counters c;
-  if (!(ls >> id >> c.reported >> c.missed >> c.excluded >> c.rejoined)) {
-    record_fail("bad dc line");
-  }
-  counters[id] = c;
-  return true;
-}
-
 [[nodiscard]] std::string encode_round_record(const round_record& r) {
   std::ostringstream out;
   out << "tormet-ts-round-v1\n";
   out << "round " << r.round << "\n";
   out << "retries " << r.retries << "\n";
-  write_membership(out, r.dropped, r.delta);
+  out << "dropped";
+  for (const auto id : r.dropped) out << " " << id;
+  out << "\n";
+  for (const auto& [id, c] : r.delta) {
+    out << "dc " << id << " " << c.reported << " " << c.missed << " "
+        << c.excluded << " " << c.rejoined << "\n";
+  }
   out << "tally " << r.tally.size() << "\n" << r.tally;
   return out.str();
-}
-
-/// Reads "tally <len>\n<len raw bytes>" from `in` (shared by the round
-/// record and the checkpoint decoders).
-[[nodiscard]] std::string read_tally_bytes(std::istream& in,
-                                           const std::string& line) {
-  std::istringstream ls{line};
-  std::string key;
-  std::uint64_t len = 0;
-  if (!(ls >> key >> len) || key != "tally" || len > (64u << 20)) {
-    record_fail("bad tally length");
-  }
-  std::string tally(static_cast<std::size_t>(len), '\0');
-  in.read(tally.data(), static_cast<std::streamsize>(len));
-  if (static_cast<std::uint64_t>(in.gcount()) != len) {
-    record_fail("truncated tally bytes");
-  }
-  return tally;
 }
 
 [[nodiscard]] round_record decode_round_record(byte_view payload) {
@@ -233,14 +189,29 @@ void write_membership(std::ostream& out, const std::set<net::node_id>& dropped,
     std::istringstream ls{line};
     std::string key;
     ls >> key;
+    net::node_id id = 0;
     if (key == "round") {
       if (!(ls >> r.round)) record_fail("bad round line");
     } else if (key == "retries") {
       if (!(ls >> r.retries)) record_fail("bad retries line");
+    } else if (key == "dropped") {
+      while (ls >> id) r.dropped.insert(id);
+    } else if (key == "dc") {
+      dc_counters c;
+      if (!(ls >> id >> c.reported >> c.missed >> c.excluded >> c.rejoined)) {
+        record_fail("bad dc line");
+      }
+      r.delta[id] = c;
     } else if (key == "tally") {
-      r.tally = read_tally_bytes(in, line);
+      std::uint64_t len = 0;
+      if (!(ls >> len) || len > (64u << 20)) record_fail("bad tally length");
+      r.tally.resize(static_cast<std::size_t>(len));
+      in.read(r.tally.data(), static_cast<std::streamsize>(len));
+      if (static_cast<std::uint64_t>(in.gcount()) != len) {
+        record_fail("truncated tally bytes");
+      }
       have_tally = true;
-    } else if (!read_membership(key, ls, r.dropped, r.delta)) {
+    } else {
       record_fail("unknown round-record key");
     }
   }
@@ -265,54 +236,13 @@ void apply_round_record(ts_state& s, const round_record& r) {
   s.next_round = r.round + 1;
 }
 
-[[nodiscard]] std::string encode_ts_checkpoint(const ts_state& s) {
-  std::ostringstream out;
-  out << "tormet-ts-ckpt-v1\n";
-  out << "next_round " << s.next_round << "\n";
-  out << "retries " << s.retries_total << "\n";
-  write_membership(out, s.dropped, s.counters);
-  for (const auto& t : s.tallies) {
-    out << "tally " << t.size() << "\n" << t;
-  }
-  return out.str();
-}
-
-void apply_ts_checkpoint(ts_state& s, byte_view payload) {
-  std::istringstream in{std::string{payload.begin(), payload.end()}};
-  std::string line;
-  if (!std::getline(in, line) || line != "tormet-ts-ckpt-v1") {
-    record_fail("bad checkpoint magic");
-  }
-  while (std::getline(in, line)) {
-    std::istringstream ls{line};
-    std::string key;
-    ls >> key;
-    if (key == "next_round") {
-      if (!(ls >> s.next_round) || s.next_round == 0) {
-        record_fail("bad next_round line");
-      }
-    } else if (key == "retries") {
-      if (!(ls >> s.retries_total)) record_fail("bad retries line");
-    } else if (key == "tally") {
-      s.tallies.push_back(read_tally_bytes(in, line));
-    } else if (!read_membership(key, ls, s.dropped, s.counters)) {
-      record_fail("unknown checkpoint key");
-    }
-  }
-  if (s.tallies.size() + 1 != s.next_round) {
-    record_fail("checkpoint tally count does not match next_round");
-  }
-}
-
 [[nodiscard]] ts_state load_ts_state(const deployment_plan& plan,
                                      net::node_id self) {
   ts_state s;
   if (!plan.durable()) return s;
   s.store = std::make_unique<util::durable_store>(
       plan.durable_dir + "/node-" + std::to_string(self));
-  const util::durable_state& rec = s.store->recovered();
-  if (rec.has_checkpoint) apply_ts_checkpoint(s, rec.checkpoint);
-  for (const auto& r : rec.records) {
+  for (const auto& r : s.store->recovered()) {
     apply_round_record(s, decode_round_record(r));
   }
   if (s.next_round > 1) {
@@ -355,51 +285,14 @@ void apply_ts_checkpoint(ts_state& s, byte_view payload) {
 }
 
 /// Commits one round: folds it into the cumulative state, appends the
-/// op-log record (checkpointing on the plan's cadence), and rewrites the
-/// tally file plus its .summary sidecar atomically.
+/// op-log record, and rewrites the tally file plus its .summary sidecar
+/// atomically.
 void commit_round(ts_state& s, const deployment_plan& plan, round_record rec,
                   const std::string& protocol) {
   apply_round_record(s, rec);
-  if (s.store != nullptr) {
-    s.store->append(as_bytes(encode_round_record(rec)));
-    if (plan.checkpoint_every > 0 && rec.round % plan.checkpoint_every == 0) {
-      s.store->write_checkpoint(as_bytes(encode_ts_checkpoint(s)));
-    }
-  }
+  if (s.store != nullptr) s.store->append(as_bytes(encode_round_record(rec)));
   write_file_atomic(plan.tally_path, serialize_multiround_tally(s.tallies));
   write_file_atomic(plan.tally_path + ".summary", ts_summary(s, protocol, {}));
-}
-
-// -- non-TS durable position -------------------------------------------------
-
-/// The 1-based round id the store's previous incarnation last saw (0 for a
-/// fresh start). Non-TS roles persist only this schedule position: every
-/// other bit of per-round state is re-derived byte-identically from
-/// (plan seed, node id, round id) when the TS re-drives the round.
-[[nodiscard]] std::uint32_t recovered_round(const util::durable_store& store) {
-  const auto parse = [](byte_view payload) -> std::uint32_t {
-    std::istringstream in{std::string{payload.begin(), payload.end()}};
-    std::string key;
-    std::uint32_t r = 0;
-    if (!(in >> key >> r) || key != "round") {
-      throw util::op_log_error{"node round record malformed"};
-    }
-    return r;
-  };
-  std::uint32_t round = 0;
-  const util::durable_state& rec = store.recovered();
-  if (rec.has_checkpoint) round = parse(rec.checkpoint);
-  for (const auto& r : rec.records) round = parse(r);
-  return round;
-}
-
-void record_node_round(util::durable_store& store, std::uint32_t round,
-                       std::uint32_t checkpoint_every) {
-  const std::string rec = "round " + std::to_string(round);
-  store.append(as_bytes(rec));
-  if (checkpoint_every > 0 && round % checkpoint_every == 0) {
-    store.write_checkpoint(as_bytes(rec));
-  }
 }
 
 // -- transport helpers -------------------------------------------------------
@@ -544,7 +437,7 @@ struct peer_hooks {
         crash_in{static_cast<std::uint16_t>(crashes_in)},
         round_end{static_cast<std::uint16_t>(ends)} {}
 
-  std::uint16_t configure;  // opens a round: reseed, durable position
+  std::uint16_t configure;  // opens a round: the per-round reseed
   std::uint16_t crash_in;   // crash_in_round fires before it is handled
   std::uint16_t round_end;  // exit/crash_after_round fire after it is handled
 };
@@ -552,7 +445,8 @@ struct peer_hooks {
 /// Serves a CP, SK or DC role until the TS's ROUND_DONE arrives (or an
 /// injected exit_after_round fires), then acks and flushes. The round
 /// bookkeeping every peer shares runs here, keyed by `hooks`: the
-/// per-round reseed, the crash points and the durable position record.
+/// per-round reseed and the crash points. A peer keeps no durable state: a
+/// restarted one re-derives each round the TS re-drives.
 /// `handle` processes protocol messages and gets the round the peer was
 /// last configured for; rejoin control traffic is answered here. When
 /// `final_stats` is set, its text rides a DC_STATS message sent BEFORE the
@@ -565,18 +459,6 @@ void serve_peer(
     const std::function<void(const net::message&, std::uint32_t)>& handle,
     const std::function<std::string()>& final_stats = nullptr) {
   const net::node_id ts_id = plan.tally_server_id();
-  std::unique_ptr<util::durable_store> store;
-  std::uint32_t recorded_round = 0;
-  if (plan.durable()) {
-    store = std::make_unique<util::durable_store>(
-        plan.durable_dir + "/node-" + std::to_string(self));
-    recorded_round = recovered_round(*store);
-    if (recorded_round > 0) {
-      log_line{log_level::info} << "node " << self
-                                << ": recovered durable position at round "
-                                << recorded_round;
-    }
-  }
   std::uint32_t configured = 0;  // 1-based protocol round id
   bool done = false;
   bool quit = false;
@@ -618,10 +500,6 @@ void serve_peer(
       // stream for (seed, node, round), which is what makes crash re-runs
       // byte-identical.
       rng = crypto::make_node_round_rng(plan.rng_seed, self, configured);
-      if (store != nullptr && configured > recorded_round) {
-        record_node_round(*store, configured, plan.checkpoint_every);
-        recorded_round = configured;
-      }
     }
     handle(m, configured);
     if (m.type == hooks.round_end && round_of(m) == configured) {

@@ -24,14 +24,13 @@
 // deployment (later rounds exclude it; its ROUND_ACK is not awaited), and
 // TS sends to unreachable peers are logged instead of fatal.
 //
-// Durable rounds (plan.durable_dir non-empty): every role opens a
-// write-ahead op-log + checkpoint store under durable_dir/node-<id>
-// (util::durable_store). The TS persists one record per committed round
-// (tally bytes + per-DC participation deltas + the dropped set); a
-// restarted TS replays the log, re-applies the exclusions it recovered and
-// resumes the schedule at the first uncommitted round. Non-TS roles
-// persist only their schedule position —
-// all other per-round state is re-derived byte-identically from
+// Durable rounds (plan.durable_dir non-empty): the TS keeps the only
+// durable state, a write-ahead op-log under durable_dir/node-<id>
+// (util::durable_store) holding one record per committed round (tally
+// bytes + per-DC participation deltas + the dropped set). A restarted TS
+// replays the log, re-applies the exclusions it recovered and resumes the
+// schedule at the first uncommitted round. Non-TS roles persist nothing:
+// their per-round state is re-derived byte-identically from
 // (plan seed, node id, round id) because every node reseeds its RNG per
 // round (crypto::make_node_round_rng), exactly as the in-process
 // reference deployments do. A failed round attempt (peer crash) is

@@ -287,7 +287,7 @@ distributed_round_result run_distributed_round(const deployment_plan& plan,
   }
 
   // Supervisor policy: in a durable plan a child that dies with the crash
-  // exit code is restarted (it replays its op-log and rejoins); a cap
+  // exit code is restarted (a TS replays its op-log, a peer rejoins); a cap
   // keeps a crash-looping binary from hanging the round forever.
   const int restart_delay_ms = [] {
     const char* env = std::getenv("TORMET_RESTART_DELAY_MS");

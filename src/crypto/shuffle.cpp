@@ -65,32 +65,6 @@ namespace {
 
 }  // namespace
 
-std::vector<elgamal_ciphertext> shuffle_and_rerandomize(
-    const elgamal& scheme, const group_element& joint_pub,
-    std::span<const elgamal_ciphertext> input, secure_rng& rng,
-    shuffle_transcript& transcript, shuffle_opening* opening) {
-  const std::vector<std::uint32_t> perm = random_permutation(input.size(), rng);
-
-  byte_buffer seed(32);
-  rng.fill(seed);
-
-  // rerandomize_batch draws its nonces in index order, so this consumes the
-  // RNG stream exactly like the historical per-element loop did.
-  const std::vector<elgamal_ciphertext> permuted = apply_permutation(input, perm);
-  std::vector<elgamal_ciphertext> output =
-      scheme.rerandomize_batch(joint_pub, permuted, rng);
-
-  transcript.input_digest = digest_ciphertexts(scheme, input);
-  transcript.output_digest = digest_ciphertexts(scheme, output);
-  transcript.commitment = permutation_commitment(seed, perm);
-
-  if (opening != nullptr) {
-    opening->permutation = perm;
-    opening->seed = std::move(seed);
-  }
-  return output;
-}
-
 shuffle_result shuffle_and_rerandomize_encoded(
     const batch_engine& engine, const group_element& joint_pub,
     std::span<const elgamal_ciphertext> input,

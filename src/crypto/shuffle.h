@@ -55,14 +55,6 @@ struct shuffle_opening {
 [[nodiscard]] sha256_digest permutation_commitment(
     byte_view seed, std::span<const std::uint32_t> perm);
 
-/// Applies a uniform permutation and rerandomizes every ciphertext under
-/// `joint_pub`. Returns the mixed vector; fills `transcript` and, if
-/// `opening` is non-null, the audit opening.
-[[nodiscard]] std::vector<elgamal_ciphertext> shuffle_and_rerandomize(
-    const elgamal& scheme, const group_element& joint_pub,
-    std::span<const elgamal_ciphertext> input, secure_rng& rng,
-    shuffle_transcript& transcript, shuffle_opening* opening = nullptr);
-
 /// Mix output with its serialized form: mixers sit between two wire
 /// messages, so producing the encodings once here lets the caller reuse
 /// them for both the transcript digest and the outgoing message.
@@ -71,9 +63,10 @@ struct shuffle_result {
   std::vector<byte_buffer> output_encoded;  // output_encoded[i] = encode(output[i])
 };
 
-/// Batched + threaded mix pass: permutes, rerandomizes via `engine` (the
-/// permutation, batch seed, and commitment seed come from `rng`; group math
-/// runs on the engine's pool), and fills `transcript` from `input_encoded`
+/// The mix pass: applies a uniform permutation, rerandomizes every
+/// ciphertext under `joint_pub` via `engine` (the permutation, batch seed,
+/// and commitment seed come from `rng`; group math runs on the engine's
+/// pool), and fills `transcript` from `input_encoded`
 /// and the freshly encoded output without re-serializing either vector.
 /// `input_encoded[i]` must equal scheme.encode(input[i]) (digest-checked
 /// protocols would reject a mismatch downstream, not here).

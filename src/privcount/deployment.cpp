@@ -9,10 +9,6 @@ deployment::deployment(net::transport& transport, const deployment_config& confi
   expects(!config_.measured_relays.empty(), "deployment needs measured relays");
   expects(config_.num_share_keepers >= 1, "deployment needs a share keeper");
 
-  if (config_.worker_threads > 0) {
-    pool_ = std::make_shared<util::thread_pool>(config_.worker_threads);
-  }
-
   const net::node_id ts_id = 0;
   std::vector<net::node_id> sk_ids;
   for (std::size_t i = 0; i < config_.num_share_keepers; ++i) {
@@ -25,7 +21,6 @@ deployment::deployment(net::transport& transport, const deployment_config& confi
 
   ts_ = std::make_unique<tally_server>(ts_id, transport_, dc_ids, sk_ids);
   ts_->set_noise_enabled(config_.noise_enabled);
-  ts_->set_thread_pool(pool_);
   transport_.register_node(ts_id,
                            [this](const net::message& m) { ts_->handle_message(m); });
 

@@ -15,7 +15,6 @@
 #include "src/privcount/share_keeper.h"
 #include "src/privcount/tally_server.h"
 #include "src/tor/network.h"
-#include "src/util/thread_pool.h"
 
 namespace tormet::privcount {
 
@@ -29,10 +28,6 @@ struct deployment_config {
   /// crypto::derive_node_seed(rng_seed, node_id), so noise/blinding are
   /// identical in-process and across a distributed multi-process round.
   std::uint64_t rng_seed = 2718;
-  /// Workers in the TS's combine thread pool (0 = inline). Only worth > 0
-  /// for per-domain/per-country censuses with 10^5+ counters; results are
-  /// identical either way.
-  std::size_t worker_threads = 0;
 };
 
 class deployment {
@@ -70,7 +65,6 @@ class deployment {
   /// construction and crypto::derive_node_round_seed at round boundaries.
   std::vector<std::unique_ptr<crypto::deterministic_rng>> node_rngs_;
   std::vector<net::node_id> rng_node_ids_;  // parallel to node_rngs_
-  std::shared_ptr<util::thread_pool> pool_;
   std::unique_ptr<tally_server> ts_;
   std::vector<std::unique_ptr<share_keeper>> sks_;
   std::vector<std::unique_ptr<data_collector>> dcs_;

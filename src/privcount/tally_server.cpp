@@ -153,16 +153,6 @@ bool tally_server::is_member(net::node_id dc) const {
 
 void tally_server::combine_report(std::span<const std::uint64_t> values) {
   expects(values.size() == aggregate_.size(), "report arity mismatch");
-  // Ring addition is per-index, so shard boundaries cannot change results.
-  // Below ~64k counters the fan-out overhead beats any parallelism win.
-  constexpr std::size_t k_parallel_threshold = 1 << 16;
-  if (pool_ != nullptr && values.size() >= k_parallel_threshold) {
-    pool_->parallel_for(values.size(), 1 << 14,
-                        [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) aggregate_[i] += values[i];
-    });
-    return;
-  }
   for (std::size_t i = 0; i < values.size(); ++i) aggregate_[i] += values[i];
 }
 

@@ -15,14 +15,12 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <vector>
-
-#include <memory>
 
 #include "src/dp/action_bounds.h"
 #include "src/net/transport.h"
 #include "src/privcount/messages.h"
-#include "src/util/thread_pool.h"
 
 namespace tormet::privcount {
 
@@ -37,14 +35,6 @@ class tally_server {
   /// Disables noise (sigma = 0) — for tests that verify exact blinded
   /// aggregation. Production rounds always add noise.
   void set_noise_enabled(bool enabled) noexcept { noise_enabled_ = enabled; }
-
-  /// Shards the report-combine loop across `pool` when a round carries a
-  /// large counter vector (per-domain/per-country censuses run to 10^5+
-  /// counters). nullptr (the default) combines inline; results are
-  /// identical — the ring addition is per-index.
-  void set_thread_pool(std::shared_ptr<util::thread_pool> pool) {
-    pool_ = std::move(pool);
-  }
 
   /// Configures a new round: allocates (ε, δ) across `specs` with the
   /// equal-relative-noise rule and sends configure messages. Rejects a
@@ -103,15 +93,13 @@ class tally_server {
  private:
   /// True when `dc` is still part of the deployment (not excluded).
   [[nodiscard]] bool is_member(net::node_id dc) const;
-  /// aggregate_[i] += values[i] over the whole report, sharded across the
-  /// pool when the counter vector is large enough to amortize the fan-out.
+  /// aggregate_[i] += values[i] over the whole report (ring addition).
   void combine_report(std::span<const std::uint64_t> values);
 
   net::node_id self_;
   net::transport& transport_;
   std::vector<net::node_id> dcs_;
   std::vector<net::node_id> sks_;
-  std::shared_ptr<util::thread_pool> pool_;
   bool noise_enabled_ = true;
 
   std::uint32_t round_id_ = 0;

@@ -66,28 +66,17 @@ void data_collector::insert_item(std::string_view item) {
   ++items_inserted_;
 }
 
-void data_collector::observe(const tor::event& ev) {
-  if (extractor_ == nullptr || set_ == nullptr) return;
-  ++events_observed_;
-  const std::optional<std::string> item = extractor_(ev);
-  if (item.has_value()) insert_item(*item);
-}
+void data_collector::observe(const tor::event& ev) { ingest(&ev, 1); }
 
 void data_collector::ingest(const tor::event* evs, std::size_t n) {
   if (extractor_ == nullptr || set_ == nullptr || n == 0) return;
   events_observed_ += n;
-  if (shards_ == 1) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::optional<std::string> item = extractor_(evs[i]);
-      if (item.has_value()) insert_item(*item);
-    }
-    return;
-  }
   // Serial pre-pass in event order: hash each extracted item to its bin and
   // draw its insert seed. Drawing here (not in the per-shard loop) keeps the
-  // rng stream identical to observe()-per-event, and bucketing by bin means
-  // one bin is only ever touched by one shard, so in-bin insert order equals
-  // event order and last-insert-wins yields partition-independent bytes.
+  // rng stream identical to insert_item() per extracted item, and bucketing
+  // by bin means one bin is only ever touched by one shard, so in-bin insert
+  // order equals event order and last-insert-wins yields
+  // partition-independent bytes.
   buckets_.resize(shards_);
   for (auto& b : buckets_) b.clear();
   for (std::size_t i = 0; i < n; ++i) {

@@ -27,7 +27,7 @@ std::size_t oblivious_set::bin_of(byte_view item) const {
 
 void oblivious_set::insert(byte_view item, crypto::secure_rng& rng) {
   expects(!slots_.empty(), "set has been taken");
-  // Route through the seeded path so a per-event observe() and a sharded
+  // Route through the seeded path so per-item inserts and a sharded
   // batched ingest of the same stream produce byte-identical tables (both
   // consume exactly one u64 of `rng` per insert).
   insert_seeded_bin(bin_of(item), rng.next_u64());

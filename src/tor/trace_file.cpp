@@ -1,8 +1,5 @@
 #include "src/tor/trace_file.h"
 
-#include <chrono>
-#include <thread>
-
 #include "src/util/check.h"
 
 namespace tormet::tor {
@@ -94,31 +91,6 @@ std::optional<event> trace_reader::next() {
     }
     decoder_.feed(byte_view{chunk, n});
   }
-}
-
-// -- replay ------------------------------------------------------------------
-
-std::size_t replay_events(trace_reader& reader,
-                          const std::function<void(const event&)>& sink,
-                          const replay_options& options) {
-  using clock = std::chrono::steady_clock;
-  std::size_t delivered = 0;
-  std::optional<std::int64_t> first_seconds;
-  const clock::time_point start = clock::now();
-  while (const std::optional<event> ev = reader.next()) {
-    if (options.pace > 0.0) {
-      if (!first_seconds.has_value()) first_seconds = ev->at.seconds;
-      const double sim_elapsed =
-          static_cast<double>(ev->at.seconds - *first_seconds);
-      const auto due = start + std::chrono::duration_cast<clock::duration>(
-                                   std::chrono::duration<double>{
-                                       sim_elapsed * options.pace});
-      std::this_thread::sleep_until(due);
-    }
-    sink(*ev);
-    ++delivered;
-  }
-  return delivered;
 }
 
 }  // namespace tormet::tor

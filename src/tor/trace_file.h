@@ -1,14 +1,12 @@
 // Event-trace files: streaming reader/writer over the event_codec record
 // format. A trace file is one trace stream (header + records) whose events
-// are non-decreasing in sim time — the writer enforces the ordering, the
-// reader validates it, and replay_events() can pace delivery against the
-// timestamps (sim-time pacing). Reading is incremental with a bounded
+// are non-decreasing in sim time — the writer enforces the ordering and
+// the reader validates it. Reading is incremental with a bounded
 // buffer (fixed-size file chunks feeding an event_decoder), so multi-GB
 // traces never need to fit in memory.
 #pragma once
 
 #include <cstdio>
-#include <functional>
 #include <optional>
 #include <string>
 
@@ -75,19 +73,5 @@ class trace_reader {
   bool saw_event_ = false;
   std::int64_t last_seconds_ = 0;
 };
-
-/// Sim-time pacing for replay: `pace` is wall-clock seconds slept per
-/// simulated second (0 = replay as fast as possible). Pacing follows the
-/// gap to the trace's first event, so a trace starting at hour 12 does not
-/// stall for 12 simulated hours.
-struct replay_options {
-  double pace = 0.0;
-};
-
-/// Streams every event of `reader` into `sink`, pacing per `options`.
-/// Returns the number of events delivered.
-std::size_t replay_events(trace_reader& reader,
-                          const std::function<void(const event&)>& sink,
-                          const replay_options& options = {});
 
 }  // namespace tormet::tor

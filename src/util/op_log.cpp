@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <array>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -18,8 +17,7 @@ namespace tormet::util {
 namespace {
 
 constexpr std::string_view k_log_magic = "tormet-oplog-v1\n";
-constexpr std::string_view k_ckpt_magic = "tormet-ckpt-v1\n";
-// A record far larger than any protocol snapshot is corruption, not data;
+// A record far larger than any protocol record is corruption, not data;
 // bounding it keeps a flipped length byte from allocating gigabytes.
 constexpr std::uint32_t k_max_record = 64u * 1024 * 1024;
 
@@ -33,13 +31,6 @@ constexpr std::uint32_t k_max_record = 64u * 1024 * 1024;
     table[i] = c;
   }
   return table;
-}
-
-[[nodiscard]] std::string log_path(const std::string& dir) {
-  return dir + "/oplog";
-}
-[[nodiscard]] std::string ckpt_path(const std::string& dir) {
-  return dir + "/checkpoint";
 }
 
 void put_u32(byte_buffer& out, std::uint32_t v) {
@@ -108,60 +99,42 @@ std::uint32_t crc32(byte_view data) {
   return c ^ 0xFFFFFFFFu;
 }
 
-durable_store::durable_store(std::string dir) : dir_{std::move(dir)} {
+durable_store::durable_store(std::string dir) : path_{dir + "/oplog"} {
   std::error_code ec;
-  std::filesystem::create_directories(dir_, ec);
-  if (ec) throw op_log_error{"cannot create durable dir " + dir_};
+  std::filesystem::create_directories(dir, ec);
+  if (ec) throw op_log_error{"cannot create durable dir " + dir};
 
-  if (const auto ckpt = read_file(ckpt_path(dir_))) {
-    const byte_buffer& data = *ckpt;
-    if (data.size() < k_ckpt_magic.size() ||
-        !std::equal(k_ckpt_magic.begin(), k_ckpt_magic.end(), data.begin())) {
-      throw op_log_error{"bad checkpoint magic in " + ckpt_path(dir_)};
-    }
-    std::size_t off = k_ckpt_magic.size();
-    recovered_.checkpoint = parse_record(data, off, ckpt_path(dir_));
-    if (off != data.size()) {
-      throw op_log_error{"trailing bytes after checkpoint in " + ckpt_path(dir_)};
-    }
-    recovered_.has_checkpoint = true;
-  }
-
-  if (const auto log = read_file(log_path(dir_))) {
+  const std::optional<byte_buffer> log = read_file(path_);
+  if (log.has_value()) {
     const byte_buffer& data = *log;
     if (data.size() < k_log_magic.size() ||
         !std::equal(k_log_magic.begin(), k_log_magic.end(), data.begin())) {
-      throw op_log_error{"bad op-log magic in " + log_path(dir_)};
+      throw op_log_error{"bad op-log magic in " + path_};
     }
     std::size_t off = k_log_magic.size();
     while (off < data.size()) {
-      recovered_.records.push_back(parse_record(data, off, log_path(dir_)));
+      recovered_.push_back(parse_record(data, off, path_));
     }
-    log_records_ = recovered_.records.size();
-    open_log_for_append(/*truncate=*/false);
-  } else {
-    open_log_for_append(/*truncate=*/true);
+  }
+  log_fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
+                   0644);
+  if (log_fd_ < 0) {
+    throw op_log_error{"cannot open " + path_ + ": " + std::strerror(errno)};
+  }
+  if (!log.has_value()) {
+    try {
+      write_all(log_fd_,
+                reinterpret_cast<const std::uint8_t*>(k_log_magic.data()),
+                k_log_magic.size(), path_);
+    } catch (...) {
+      ::close(log_fd_);
+      throw;
+    }
   }
 }
 
 durable_store::~durable_store() {
   if (log_fd_ >= 0) ::close(log_fd_);
-}
-
-void durable_store::open_log_for_append(bool truncate) {
-  if (log_fd_ >= 0) ::close(log_fd_);
-  const std::string path = log_path(dir_);
-  int flags = O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC;
-  if (truncate) flags |= O_TRUNC;
-  log_fd_ = ::open(path.c_str(), flags, 0644);
-  if (log_fd_ < 0) {
-    throw op_log_error{"cannot open " + path + ": " + std::strerror(errno)};
-  }
-  if (truncate) {
-    write_all(log_fd_, reinterpret_cast<const std::uint8_t*>(k_log_magic.data()),
-              k_log_magic.size(), path);
-    log_records_ = 0;
-  }
 }
 
 void durable_store::append(byte_view record) {
@@ -170,42 +143,15 @@ void durable_store::append(byte_view record) {
   put_u32(frame, static_cast<std::uint32_t>(record.size()));
   put_u32(frame, crc32(record));
   frame.insert(frame.end(), record.begin(), record.end());
-  // One write() call per record: the frame reaches the OS atomically enough
-  // for the process-crash model (_Exit / SIGKILL keep kernel buffers).
-  write_all(log_fd_, frame.data(), frame.size(), log_path(dir_));
-  ++log_records_;
-}
-
-void durable_store::write_checkpoint(byte_view snapshot) {
-  const std::string path = ckpt_path(dir_);
-  const std::string tmp = path + ".tmp";
-  {
-    const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                          0644);
-    if (fd < 0) {
-      throw op_log_error{"cannot open " + tmp + ": " + std::strerror(errno)};
+  // One write() call per record, then a flush to the device: the log is
+  // the deployment's only durable state.
+  write_all(log_fd_, frame.data(), frame.size(), path_);
+  while (::fdatasync(log_fd_) != 0) {
+    if (errno != EINTR) {
+      throw op_log_error{"fdatasync failed for " + path_ + ": " +
+                         std::strerror(errno)};
     }
-    byte_buffer frame;
-    frame.reserve(k_ckpt_magic.size() + 8 + snapshot.size());
-    frame.insert(frame.end(), k_ckpt_magic.begin(), k_ckpt_magic.end());
-    put_u32(frame, static_cast<std::uint32_t>(snapshot.size()));
-    put_u32(frame, crc32(snapshot));
-    frame.insert(frame.end(), snapshot.begin(), snapshot.end());
-    try {
-      write_all(fd, frame.data(), frame.size(), tmp);
-    } catch (...) {
-      ::close(fd);
-      throw;
-    }
-    ::fsync(fd);
-    ::close(fd);
   }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    throw op_log_error{"cannot rename " + tmp + ": " + std::strerror(errno)};
-  }
-  // The snapshot supersedes every logged record: truncate the log back to
-  // its header so the store stays bounded.
-  open_log_for_append(/*truncate=*/true);
 }
 
 }  // namespace tormet::util

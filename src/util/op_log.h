@@ -1,18 +1,14 @@
-// Write-ahead op-log + periodic checkpoint for crash-recoverable rounds
-// (the PRISM OpLog shape): a bounded append-only file of CRC-framed records
-// beside an atomically-replaced checkpoint snapshot. A process appends one
-// record per durable state transition; on restart it replays
-// checkpoint + suffix records to its pre-crash state and resumes the
-// schedule. Payloads are opaque bytes — the protocol layer owns their
-// encoding; this module owns framing, integrity, and atomicity.
+// Write-ahead op-log for crash-recoverable rounds: an append-only file of
+// CRC-framed records. A process appends one record per durable state
+// transition; on restart it replays the records in order to its
+// pre-crash state and resumes the schedule. Payloads are opaque bytes —
+// the protocol layer owns their encoding; this module owns framing,
+// integrity, and durability.
 //
 // On-disk layout under the store directory:
 //
 //   oplog       "tormet-oplog-v1\n" then records of [u32 len][u32 crc][payload]
-//   checkpoint  "tormet-ckpt-v1\n" then one [u32 len][u32 crc][payload] record
 //
-// A checkpoint write is tmp-file + rename (atomic on POSIX) and truncates
-// the op-log back to its header, which is what keeps the log bounded.
 // Loading is strict: any truncated, oversized, or CRC-mismatched input
 // throws op_log_error — corrupt durable state must fail loudly, never
 // silently misrecover.
@@ -27,8 +23,8 @@
 
 namespace tormet::util {
 
-/// Structured recovery failure: the op-log or checkpoint on disk is
-/// truncated, corrupted, or otherwise unreadable.
+/// Structured recovery failure: the op-log on disk is truncated,
+/// corrupted, or otherwise unreadable.
 class op_log_error : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -37,15 +33,6 @@ class op_log_error : public std::runtime_error {
 /// CRC-32 (IEEE 802.3, reflected 0xEDB88320) over `data`. Exposed so tests
 /// can frame valid records and fuzzers can target the checksum.
 [[nodiscard]] std::uint32_t crc32(byte_view data);
-
-/// The recovered durable state: the last checkpoint snapshot (empty if no
-/// checkpoint was ever written) plus every op-log record appended after it,
-/// in append order.
-struct durable_state {
-  bool has_checkpoint = false;
-  byte_buffer checkpoint;
-  std::vector<byte_buffer> records;
-};
 
 class durable_store {
  public:
@@ -56,32 +43,19 @@ class durable_store {
   durable_store(const durable_store&) = delete;
   durable_store& operator=(const durable_store&) = delete;
 
-  /// State recovered at open time (checkpoint + replayed records).
-  [[nodiscard]] const durable_state& recovered() const noexcept {
+  /// Every record the log held at open time, in append order.
+  [[nodiscard]] const std::vector<byte_buffer>& recovered() const noexcept {
     return recovered_;
   }
 
-  /// Appends one CRC-framed record and flushes it to the OS, so the record
-  /// survives a process crash (_Exit / SIGKILL).
+  /// Appends one CRC-framed record and fdatasync()s it: the record
+  /// survives a process crash (_Exit / SIGKILL) and reaches the disk
+  /// before append returns.
   void append(byte_view record);
 
-  /// Atomically replaces the checkpoint with `snapshot` and truncates the
-  /// op-log back to its header.
-  void write_checkpoint(byte_view snapshot);
-
-  /// Records appended since the last checkpoint (replayed + live).
-  [[nodiscard]] std::size_t log_records() const noexcept {
-    return log_records_;
-  }
-
-  [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
-
  private:
-  void open_log_for_append(bool truncate);
-
-  std::string dir_;
-  durable_state recovered_;
-  std::size_t log_records_ = 0;
+  std::string path_;  // <dir>/oplog
+  std::vector<byte_buffer> recovered_;
   int log_fd_ = -1;
 };
 

@@ -216,7 +216,8 @@ TEST_P(GroupTest, ElGamalCiphertextCodec) {
 }
 
 TEST_P(GroupTest, ShuffleIsPermutationWithSamePlaintexts) {
-  const elgamal scheme{g_};
+  const batch_engine engine{g_};
+  const elgamal& scheme = engine.scheme();
   const elgamal_keypair kp = scheme.generate_keypair(rng_);
   std::vector<elgamal_ciphertext> input;
   std::vector<byte_buffer> plain_enc;
@@ -227,8 +228,11 @@ TEST_P(GroupTest, ShuffleIsPermutationWithSamePlaintexts) {
   }
   shuffle_transcript transcript;
   shuffle_opening opening;
-  const std::vector<elgamal_ciphertext> output = shuffle_and_rerandomize(
-      scheme, kp.pub, input, rng_, transcript, &opening);
+  const std::vector<elgamal_ciphertext> output =
+      shuffle_and_rerandomize_encoded(engine, kp.pub, input,
+                                      scheme.encode_batch(input), rng_,
+                                      transcript, &opening)
+          .output;
 
   ASSERT_EQ(output.size(), input.size());
   EXPECT_TRUE(verify_shuffle_structure(scheme, input, output, transcript));
@@ -246,7 +250,8 @@ TEST_P(GroupTest, ShuffleIsPermutationWithSamePlaintexts) {
 }
 
 TEST_P(GroupTest, ShuffleVerificationRejectsTampering) {
-  const elgamal scheme{g_};
+  const batch_engine engine{g_};
+  const elgamal& scheme = engine.scheme();
   const elgamal_keypair kp = scheme.generate_keypair(rng_);
   std::vector<elgamal_ciphertext> input;
   for (int i = 0; i < 8; ++i) {
@@ -254,8 +259,11 @@ TEST_P(GroupTest, ShuffleVerificationRejectsTampering) {
   }
   shuffle_transcript transcript;
   shuffle_opening opening;
-  std::vector<elgamal_ciphertext> output = shuffle_and_rerandomize(
-      scheme, kp.pub, input, rng_, transcript, &opening);
+  const std::vector<elgamal_ciphertext> output =
+      shuffle_and_rerandomize_encoded(engine, kp.pub, input,
+                                      scheme.encode_batch(input), rng_,
+                                      transcript, &opening)
+          .output;
 
   // Replace one output ciphertext: structure check fails (digest mismatch).
   std::vector<elgamal_ciphertext> tampered = output;

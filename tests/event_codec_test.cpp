@@ -5,7 +5,6 @@
 // out-of-bounds reads (including a randomized corruption fuzz pass).
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -283,30 +282,6 @@ TEST(TraceFileTest, ReaderRejectsTimestampRegression) {
   trace_reader reader{dir.file("t.trace")};
   EXPECT_TRUE(reader.next().has_value());
   EXPECT_THROW((void)reader.next(), net::wire_error);
-}
-
-TEST(TraceFileTest, ReplayPacesAgainstSimTime) {
-  const temp_dir dir;
-  {
-    trace_writer writer{dir.file("t.trace")};
-    writer.write({1, sim_time{100}, exit_data_event{1}});
-    writer.write({1, sim_time{101}, exit_data_event{2}});
-    writer.write({1, sim_time{102}, exit_data_event{3}});
-    writer.close();
-  }
-  trace_reader reader{dir.file("t.trace")};
-  const auto start = std::chrono::steady_clock::now();
-  std::size_t n = 0;
-  // 2 simulated seconds after the first event at 0.01 wall s/sim s >= 20 ms.
-  // Pacing is relative to the first event, so the t=100 start does not stall.
-  replay_events(reader, [&n](const event&) { ++n; },
-                replay_options{.pace = 0.01});
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_EQ(n, 3u);
-  EXPECT_GE(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(),
-            20);
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(),
-            5'000);
 }
 
 TEST(TraceSocketTest, StreamsEventsOverTcp) {

@@ -482,19 +482,12 @@ TEST(FuzzTest, OpLogTruncationsRecoverOrFailLoudly) {
   {
     util::durable_store store{scratch.dir()};
     store.append(as_bytes("round 1"));
-    store.write_checkpoint(as_bytes("checkpoint state"));
     store.append(as_bytes("round 2"));
     store.append(as_bytes(std::string(3000, 'z')));
   }
   const std::string log = slurp(scratch.file("oplog"));
-  const std::string ckpt = slurp(scratch.file("checkpoint"));
   for (std::size_t len = 0; len <= log.size(); ++len) {
     spit(scratch.file("oplog"), log.substr(0, len));
-    expect_clean_recovery(scratch.dir());
-  }
-  spit(scratch.file("oplog"), log);
-  for (std::size_t len = 0; len <= ckpt.size(); ++len) {
-    spit(scratch.file("checkpoint"), ckpt.substr(0, len));
     expect_clean_recovery(scratch.dir());
   }
 }
@@ -503,27 +496,22 @@ TEST(FuzzTest, OpLogBitFlipsRecoverOrFailLoudly) {
   oplog_dir scratch;
   {
     util::durable_store store{scratch.dir()};
-    store.write_checkpoint(as_bytes("snapshot of cumulative state"));
     store.append(as_bytes("round 5"));
     store.append(as_bytes("round 6"));
   }
   const std::string log = slurp(scratch.file("oplog"));
-  const std::string ckpt = slurp(scratch.file("checkpoint"));
 
   rng r{4242};
   for (int trial = 0; trial < 400; ++trial) {
     std::string bad_log = log;
-    std::string bad_ckpt = ckpt;
-    // 1-3 random bit flips across the two files.
+    // 1-3 random bit flips.
     const int flips = 1 + static_cast<int>(r.below(3));
     for (int f = 0; f < flips; ++f) {
-      std::string& target = r.below(2) == 0 ? bad_log : bad_ckpt;
-      const std::size_t pos = static_cast<std::size_t>(r.below(target.size()));
-      target[pos] = static_cast<char>(
-          target[pos] ^ static_cast<char>(1 << r.below(8)));
+      const std::size_t pos = static_cast<std::size_t>(r.below(bad_log.size()));
+      bad_log[pos] = static_cast<char>(
+          bad_log[pos] ^ static_cast<char>(1 << r.below(8)));
     }
     spit(scratch.file("oplog"), bad_log);
-    spit(scratch.file("checkpoint"), bad_ckpt);
     expect_clean_recovery(scratch.dir());
   }
 }
@@ -539,7 +527,6 @@ TEST(FuzzTest, OpLogRandomJunkFilesFailLoudly) {
       return s;
     };
     spit(scratch.file("oplog"), junk(200));
-    spit(scratch.file("checkpoint"), junk(200));
     expect_clean_recovery(scratch.dir());
   }
 }

@@ -12,6 +12,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <map>
@@ -26,6 +27,7 @@
 #include "src/tor/event_codec.h"
 #include "src/tor/trace_file.h"
 #include "src/tor/trace_socket.h"
+#include "src/util/op_log.h"
 #include "src/workload/trace_gen.h"
 
 namespace tormet::cli {
@@ -196,6 +198,41 @@ TEST(WorkloadCursorTest, SingleRoundPlansReplayTheWholeStream) {
             3u);
   EXPECT_EQ(n, 3u);
   EXPECT_EQ(cursor.dropped_outside_windows(), 0u);
+}
+
+/// A plan with `pace > 0` replays its window one event at a time, sleeping
+/// out each sim-time gap. Pacing is relative to the first event, so a trace
+/// starting at t=100 does not stall.
+TEST(WorkloadCursorTest, PacedWindowSleepsAgainstSimTime) {
+  workdir_guard workdir;
+  {
+    tor::trace_writer writer{workdir.path() + "/" + tor::trace_file_name(0)};
+    for (const std::int64_t t : {100, 101, 102}) {
+      writer.write(stream_event_at(t, 0));
+    }
+    writer.close();
+  }
+  deployment_plan plan = make_psc_plan(1, 1, 64);
+  plan.workload.kind = workload_kind::trace;
+  plan.workload.trace_dir = workdir.path();
+  plan.pace = 0.01;
+  const round_window w = round_window_for(plan, round_schedule_of(plan), 0);
+  workload_cursor cursor{plan, 0};
+  std::size_t spans = 0;
+  const auto start = std::chrono::steady_clock::now();
+  // 2 simulated seconds after the first event at 0.01 wall s/sim s >= 20 ms.
+  EXPECT_EQ(cursor.stream_window(w.start, w.end,
+                                 [&](const tor::event*, std::size_t k) {
+                                   EXPECT_EQ(k, 1u);
+                                   ++spans;
+                                 }),
+            3u);
+  const auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+  EXPECT_EQ(spans, 3u);
+  EXPECT_GE(elapsed_ms, 20);
+  EXPECT_LT(elapsed_ms, 5'000);
 }
 
 // Hand-crafted event slices through the scenario/generated zero-copy fast
@@ -1152,17 +1189,31 @@ TEST(DurableRoundTest, CpCrashCountsOneRetry) {
 /// committed. With relay_churn over 8 daily rounds, DC 0 is scheduled dark
 /// in rounds 3 and 4, and the TS crashes right after committing round 3:
 /// the fresh tally server must keep DC 0 out of round 4, exactly like the
-/// reference applying the same churn — for both protocols.
+/// reference applying the same churn — for both protocols. Over 10 rounds
+/// DC 1 is dark in rounds 9 and 10, and the TS crashes after its 9th
+/// commit and replays nine round records. Either way the TS's round log,
+/// one record per committed round, is all the durable state there is.
 TEST(DurableRoundTest, ResumedTsReappliesScheduledDarkExclusions) {
   const std::string bin = node_binary();
   if (bin.empty()) GTEST_SKIP() << "tormet_node binary not found";
 
+  struct resume_case {
+    std::string protocol;
+    std::uint32_t rounds;
+    std::size_t crash_after;  // 0-based round the TS crashes right after
+    std::size_t dark_dc;      // scheduled dark in that round and the next
+    std::string dark_counts;  // its participation in the summary
+  };
   const trace_round_defaults defaults = defaults_for_scenario("relay_churn");
-  for (const std::string protocol : {"psc", "privcount"}) {
-    deployment_plan plan = protocol == "psc"
+  for (const resume_case& c : std::vector<resume_case>{
+           {"psc", 8, 2, 0, "reported 6 missed 2"},
+           {"privcount", 8, 2, 0, "reported 6 missed 2"},
+           {"privcount", 10, 8, 1, "reported 8 missed 2"}}) {
+    const std::string label = c.protocol + " over " + std::to_string(c.rounds);
+    deployment_plan plan = c.protocol == "psc"
                                ? make_psc_plan(2, 2, 2'048)
                                : make_privcount_plan(2, 2, defaults.counters);
-    if (protocol == "psc") {
+    if (c.protocol == "psc") {
       plan.round.group = crypto::group_backend::toy;
     } else {
       plan.instruments = defaults.instruments;
@@ -1173,8 +1224,8 @@ TEST(DurableRoundTest, ResumedTsReappliesScheduledDarkExclusions) {
     plan.workload.scale = 1.0;
     plan.workload.events = 2'000;
     plan.workload.gen_seed = 7;
-    plan.workload.gen_days = 8;
-    plan.schedule_rounds = 8;
+    plan.workload.gen_days = c.rounds;
+    plan.schedule_rounds = c.rounds;
     plan.round_duration_s = k_seconds_per_day;
     plan.rng_seed = 7;
     workdir_guard workdir;
@@ -1183,24 +1234,42 @@ TEST(DurableRoundTest, ResumedTsReappliesScheduledDarkExclusions) {
     assign_free_ports(plan);
 
     const std::vector<net::node_id> dc_ids = plan.ids_with(
-        protocol == "psc" ? node_role::psc_dc : node_role::privcount_dc);
-    ASSERT_EQ(scheduled_dark_dcs(plan, 2), std::vector<std::size_t>{0});
-    ASSERT_EQ(scheduled_dark_dcs(plan, 3), std::vector<std::size_t>{0});
+        c.protocol == "psc" ? node_role::psc_dc : node_role::privcount_dc);
+    ASSERT_EQ(scheduled_dark_dcs(plan, c.crash_after),
+              std::vector<std::size_t>{c.dark_dc});
+    ASSERT_EQ(scheduled_dark_dcs(plan, c.crash_after + 1),
+              std::vector<std::size_t>{c.dark_dc});
 
     distributed_round_result result;
     {
-      fault_env fault{"0 crash_after_round 2"};
+      fault_env fault{"0 crash_after_round " + std::to_string(c.crash_after)};
       result = run_distributed_round(plan, bin, workdir.path(), 120'000);
     }
     for (const auto& n : result.nodes) {
-      EXPECT_EQ(n.exit_code, 0) << protocol << ": node " << n.id << " failed";
+      EXPECT_EQ(n.exit_code, 0) << label << ": node " << n.id << " failed";
     }
-    EXPECT_GE(restarts_of(result, 0), 1) << protocol;
-    EXPECT_EQ(result.tally, run_reference_round(plan)) << protocol;
-    const std::string dc0 =
-        summary_line(result.summary, "dc " + std::to_string(dc_ids[0]) + " ");
-    EXPECT_NE(dc0.find("reported 6 missed 2"), std::string::npos)
-        << protocol << ": " << dc0;
+    EXPECT_GE(restarts_of(result, 0), 1) << label;
+    EXPECT_EQ(result.tally, run_reference_round(plan)) << label;
+    const std::string dark = summary_line(
+        result.summary, "dc " + std::to_string(dc_ids[c.dark_dc]) + " ");
+    EXPECT_NE(dark.find(c.dark_counts), std::string::npos)
+        << label << ": " << dark;
+
+    std::vector<std::string> entries;
+    for (const auto& e :
+         std::filesystem::recursive_directory_iterator(plan.durable_dir)) {
+      entries.push_back(
+          std::filesystem::relative(e.path(), plan.durable_dir).string());
+    }
+    std::sort(entries.begin(), entries.end());
+    const std::string marker =
+        "crashed-0-crash_after_round-" + std::to_string(c.crash_after);
+    EXPECT_EQ(entries,
+              (std::vector<std::string>{marker, "node-0", "node-0/oplog"}))
+        << label;
+    EXPECT_EQ(util::durable_store{plan.durable_dir + "/node-0"}.recovered().size(),
+              c.rounds)
+        << label;
   }
 }
 

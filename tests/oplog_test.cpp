@@ -1,8 +1,7 @@
-// Write-ahead op-log + checkpoint store tests: append/replay round-trips,
-// checkpoint compaction (log truncation), and strict rejection of every
-// kind of on-disk damage — truncation, CRC mismatch, oversized lengths,
-// bad magic — as a typed op_log_error, never a crash or a silent
-// misrecovery.
+// Write-ahead op-log tests: append/replay round-trips and strict
+// rejection of every kind of on-disk damage — truncation, CRC mismatch,
+// oversized lengths, bad magic — as a typed op_log_error, never a crash or
+// a silent misrecovery.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -40,9 +39,6 @@ class oplog_fixture : public ::testing::Test {
   [[nodiscard]] std::filesystem::path log_path() const {
     return dir_ / "oplog";
   }
-  [[nodiscard]] std::filesystem::path checkpoint_path() const {
-    return dir_ / "checkpoint";
-  }
 
   [[nodiscard]] std::string read_raw(const std::filesystem::path& p) const {
     std::ifstream in{p, std::ios::binary};
@@ -60,9 +56,7 @@ class oplog_fixture : public ::testing::Test {
 
 TEST_F(oplog_fixture, FreshStoreIsEmptyAndCreatesTheDirectory) {
   durable_store store{dir()};
-  EXPECT_FALSE(store.recovered().has_checkpoint);
-  EXPECT_TRUE(store.recovered().records.empty());
-  EXPECT_EQ(store.log_records(), 0u);
+  EXPECT_TRUE(store.recovered().empty());
   EXPECT_TRUE(std::filesystem::exists(log_path()));
 }
 
@@ -74,47 +68,10 @@ TEST_F(oplog_fixture, AppendedRecordsReplayInOrderAcrossReopen) {
     store.append(bytes_of(std::string(100'000, 'x')));  // multi-chunk-ish
   }
   durable_store back{dir()};
-  ASSERT_EQ(back.recovered().records.size(), 3u);
-  EXPECT_EQ(back.recovered().records[0], bytes_of("round 1"));
-  EXPECT_EQ(back.recovered().records[1], bytes_of("round 2"));
-  EXPECT_EQ(back.recovered().records[2].size(), 100'000u);
-  EXPECT_FALSE(back.recovered().has_checkpoint);
-  // Replayed records count toward the compaction trigger.
-  EXPECT_EQ(back.log_records(), 3u);
-}
-
-TEST_F(oplog_fixture, CheckpointTruncatesTheLogAndReplaysFirst) {
-  {
-    durable_store store{dir()};
-    store.append(bytes_of("a"));
-    store.append(bytes_of("b"));
-    store.write_checkpoint(bytes_of("state-after-b"));
-    EXPECT_EQ(store.log_records(), 0u);  // log truncated to its header
-    store.append(bytes_of("c"));
-  }
-  durable_store back{dir()};
-  EXPECT_TRUE(back.recovered().has_checkpoint);
-  EXPECT_EQ(back.recovered().checkpoint, bytes_of("state-after-b"));
-  ASSERT_EQ(back.recovered().records.size(), 1u);
-  EXPECT_EQ(back.recovered().records[0], bytes_of("c"));
-}
-
-TEST_F(oplog_fixture, CheckpointReplacementIsAtomicAcrossRewrites) {
-  durable_store store{dir()};
-  for (int i = 0; i < 5; ++i) {
-    store.append(bytes_of("r" + std::to_string(i)));
-    store.write_checkpoint(bytes_of("ckpt" + std::to_string(i)));
-  }
-  durable_store back{dir()};
-  EXPECT_EQ(back.recovered().checkpoint, bytes_of("ckpt4"));
-  EXPECT_TRUE(back.recovered().records.empty());
-  // No stray temp file left behind.
-  std::size_t files = 0;
-  for (const auto& e : std::filesystem::directory_iterator(dir())) {
-    (void)e;
-    ++files;
-  }
-  EXPECT_EQ(files, 2u);  // oplog + checkpoint
+  ASSERT_EQ(back.recovered().size(), 3u);
+  EXPECT_EQ(back.recovered()[0], bytes_of("round 1"));
+  EXPECT_EQ(back.recovered()[1], bytes_of("round 2"));
+  EXPECT_EQ(back.recovered()[2].size(), 100'000u);
 }
 
 TEST_F(oplog_fixture, EmptyRecordsRoundTrip) {
@@ -124,8 +81,8 @@ TEST_F(oplog_fixture, EmptyRecordsRoundTrip) {
     store.append(bytes_of("x"));
   }
   durable_store back{dir()};
-  ASSERT_EQ(back.recovered().records.size(), 2u);
-  EXPECT_TRUE(back.recovered().records[0].empty());
+  ASSERT_EQ(back.recovered().size(), 2u);
+  EXPECT_TRUE(back.recovered()[0].empty());
 }
 
 TEST_F(oplog_fixture, EveryLogTruncationFailsLoudly) {
@@ -142,7 +99,7 @@ TEST_F(oplog_fixture, EveryLogTruncationFailsLoudly) {
     write_raw(log_path(), full.substr(0, len));
     try {
       durable_store store{dir()};
-      for (const auto& rec : store.recovered().records) {
+      for (const auto& rec : store.recovered()) {
         EXPECT_TRUE(rec == bytes_of("round 1") || rec == bytes_of("round 2"));
       }
     } catch (const op_log_error&) {
@@ -164,27 +121,6 @@ TEST_F(oplog_fixture, CorruptedLogBytesFailLoudly) {
     write_raw(log_path(), bad);
     EXPECT_THROW(durable_store{dir()}, op_log_error) << "byte " << pos;
   }
-}
-
-TEST_F(oplog_fixture, CorruptedCheckpointFailsLoudly) {
-  {
-    durable_store store{dir()};
-    store.write_checkpoint(bytes_of("snapshot"));
-  }
-  const std::string full = read_raw(checkpoint_path());
-  for (std::size_t pos = 0; pos < full.size(); ++pos) {
-    std::string bad = full;
-    bad[pos] = static_cast<char>(bad[pos] ^ 0x40);
-    write_raw(checkpoint_path(), bad);
-    EXPECT_THROW(durable_store{dir()}, op_log_error) << "byte " << pos;
-  }
-  for (std::size_t len = 0; len < full.size(); ++len) {
-    write_raw(checkpoint_path(), full.substr(0, len));
-    EXPECT_THROW(durable_store{dir()}, op_log_error) << "prefix " << len;
-  }
-  // Trailing garbage after the single checkpoint record is also corruption.
-  write_raw(checkpoint_path(), full + "extra");
-  EXPECT_THROW(durable_store{dir()}, op_log_error);
 }
 
 TEST_F(oplog_fixture, OversizedRecordLengthIsRejectedNotAllocated) {

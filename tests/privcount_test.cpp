@@ -266,11 +266,10 @@ TEST_F(PrivcountRoundTest, SequentialRoundsAreIndependent) {
   EXPECT_EQ(r2[0].value, 0);  // counters were reset between rounds
 }
 
-TEST(PrivcountTallyServerTest, ShardedCombineMatchesSerialOnHugeCounterVectors) {
-  // Above the parallel threshold (2^16 counters — a per-domain census), the
-  // pooled TS shards its combine loop; results must be identical to the
-  // inline path. Driven directly via handle_message so the report size is
-  // under test control.
+TEST(PrivcountTallyServerTest, CombineWrapsTheRingOnHugeCounterVectors) {
+  // A per-domain census runs to 2^16 counters, and every DC value plus SK
+  // sum below wraps past 2^64. Driven directly via handle_message so the
+  // report size is under test control.
   constexpr std::size_t n = std::size_t{1} << 16;
   std::vector<counter_spec> specs;
   specs.reserve(n);
@@ -288,28 +287,19 @@ TEST(PrivcountTallyServerTest, ShardedCombineMatchesSerialOnHugeCounterVectors) 
     sk.sums[i] = ~std::uint64_t{0} - i;  // exercises ring wraparound
   }
 
-  const auto run = [&](std::shared_ptr<util::thread_pool> pool) {
-    net::inproc_net bus;  // configure messages stay queued; TS is driven directly
-    tally_server ts{0, bus, {4}, {1}};
-    ts.set_noise_enabled(false);
-    ts.set_thread_pool(std::move(pool));
-    ts.begin_round(specs, {1.0, 1e-6});
-    ts.handle_message(encode_dc_report(4, 0, dc));
-    ts.handle_message(encode_sk_report(1, 0, sk));
-    EXPECT_TRUE(ts.results_ready());
-    return ts.results();
-  };
-
-  const std::vector<counter_result> serial = run(nullptr);
-  const std::vector<counter_result> sharded =
-      run(std::make_shared<util::thread_pool>(4));
-  ASSERT_EQ(serial.size(), n);
-  ASSERT_EQ(sharded.size(), n);
+  net::inproc_net bus;  // configure messages stay queued; TS is driven directly
+  tally_server ts{0, bus, {4}, {1}};
+  ts.set_noise_enabled(false);
+  ts.begin_round(specs, {1.0, 1e-6});
+  ts.handle_message(encode_dc_report(4, 0, dc));
+  ts.handle_message(encode_sk_report(1, 0, sk));
+  ASSERT_TRUE(ts.results_ready());
+  const std::vector<counter_result> results = ts.results();
+  ASSERT_EQ(results.size(), n);
+  // (3i + 1) + (2^64 - 1 - i) = 2i mod 2^64.
   for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(serial[i].value, sharded[i].value) << "counter " << i;
+    ASSERT_EQ(results[i].value, crypto::to_signed_count(2 * i)) << "counter " << i;
   }
-  // Spot-check the ring arithmetic itself.
-  EXPECT_EQ(serial[0].value, crypto::to_signed_count(1 + ~std::uint64_t{0}));
 }
 
 // Regression tests for two message races a distributed deployment exposes

@@ -444,6 +444,10 @@ TEST(DeploymentPlanTest, SampleProbAndMaxRestartsRoundTrip) {
                precondition_error);
   EXPECT_THROW((void)parse_plan(serialize_plan(plan) + "max_restarts 1001\n"),
                precondition_error);
+  // Durable recovery replays the TS's round log alone: there is no
+  // checkpoint cadence to set.
+  EXPECT_THROW((void)parse_plan(serialize_plan(plan) + "checkpoint_every 8\n"),
+               precondition_error);
 }
 
 }  // namespace
