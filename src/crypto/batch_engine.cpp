@@ -1,5 +1,6 @@
 #include "src/crypto/batch_engine.h"
 
+#include <algorithm>
 #include <atomic>
 #include <utility>
 
@@ -34,38 +35,44 @@ sha256_digest batch_engine::shard_stream_key(const sha256_digest& seed,
 }
 
 template <typename Fn>
-void batch_engine::run_sharded(std::size_t n, Fn&& fn) const {
+void batch_engine::run_chunked(std::size_t n, std::size_t grain, Fn&& fn) const {
   if (n == 0) return;
-  const auto shard_fn = [&](std::size_t begin, std::size_t end) {
-    // parallel_for's grain equals shard_size_, so every chunk is exactly one
-    // shard (the last may be short).
-    fn(begin / shard_size_, begin, end);
-  };
   if (pool_ != nullptr) {
-    pool_->parallel_for(n, shard_size_, shard_fn);
+    pool_->parallel_for(n, grain, fn);
     return;
   }
-  for (std::size_t begin = 0; begin < n; begin += shard_size_) {
-    shard_fn(begin, std::min(begin + shard_size_, n));
+  for (std::size_t begin = 0; begin < n; begin += grain) {
+    fn(begin, std::min(begin + grain, n));
   }
 }
 
 template <typename T, typename Fn>
-std::vector<T> batch_engine::map_sharded(std::size_t n, Fn&& per_shard) const {
+std::vector<T> batch_engine::map_chunked(std::size_t n, std::size_t grain,
+                                         Fn&& per_chunk) const {
   std::vector<T> out(n);
-  run_sharded(n, [&](std::size_t shard, std::size_t begin, std::size_t end) {
-    std::vector<T> slice = per_shard(shard, begin, end);
+  run_chunked(n, grain, [&](std::size_t begin, std::size_t end) {
+    std::vector<T> slice = per_chunk(begin, end);
     std::move(slice.begin(), slice.end(), out.begin() + begin);
   });
   return out;
 }
 
+std::size_t batch_engine::pure_grain(std::size_t n) const noexcept {
+  // Inline execution gains nothing from finer chunks.
+  if (pool_ == nullptr || pool_->size() == 0) return shard_size_;
+  constexpr std::size_t k_chunks_per_party = 4;
+  constexpr std::size_t k_min_chunk = 32;
+  const std::size_t chunks = k_chunks_per_party * (pool_->size() + 1);
+  return std::clamp((n + chunks - 1) / chunks,
+                    std::min(k_min_chunk, shard_size_), shard_size_);
+}
+
 std::vector<elgamal_ciphertext> batch_engine::encrypt_zero_batch(
     const group_element& pub, std::size_t count,
     const sha256_digest& seed) const {
-  return map_sharded<elgamal_ciphertext>(
-      count, [&](std::size_t shard, std::size_t begin, std::size_t end) {
-        stream_rng rng{shard_stream_key(seed, shard)};
+  return map_chunked<elgamal_ciphertext>(
+      count, shard_size_, [&](std::size_t begin, std::size_t end) {
+        stream_rng rng{shard_stream_key(seed, begin / shard_size_)};
         return scheme_.encrypt_zero_batch(pub, end - begin, rng);
       });
 }
@@ -73,9 +80,9 @@ std::vector<elgamal_ciphertext> batch_engine::encrypt_zero_batch(
 std::vector<elgamal_ciphertext> batch_engine::encrypt_bits_batch(
     const group_element& pub, std::span<const std::uint8_t> bits,
     const sha256_digest& seed) const {
-  return map_sharded<elgamal_ciphertext>(
-      bits.size(), [&](std::size_t shard, std::size_t begin, std::size_t end) {
-        stream_rng rng{shard_stream_key(seed, shard)};
+  return map_chunked<elgamal_ciphertext>(
+      bits.size(), shard_size_, [&](std::size_t begin, std::size_t end) {
+        stream_rng rng{shard_stream_key(seed, begin / shard_size_)};
         return scheme_.encrypt_bits_batch(pub, bits.subspan(begin, end - begin),
                                           rng);
       });
@@ -84,9 +91,9 @@ std::vector<elgamal_ciphertext> batch_engine::encrypt_bits_batch(
 std::vector<elgamal_ciphertext> batch_engine::rerandomize_batch(
     const group_element& pub, std::span<const elgamal_ciphertext> cts,
     const sha256_digest& seed) const {
-  return map_sharded<elgamal_ciphertext>(
-      cts.size(), [&](std::size_t shard, std::size_t begin, std::size_t end) {
-        stream_rng rng{shard_stream_key(seed, shard)};
+  return map_chunked<elgamal_ciphertext>(
+      cts.size(), shard_size_, [&](std::size_t begin, std::size_t end) {
+        stream_rng rng{shard_stream_key(seed, begin / shard_size_)};
         return scheme_.rerandomize_batch(pub, cts.subspan(begin, end - begin),
                                          rng);
       });
@@ -94,16 +101,18 @@ std::vector<elgamal_ciphertext> batch_engine::rerandomize_batch(
 
 std::vector<elgamal_ciphertext> batch_engine::strip_share_batch(
     std::span<const elgamal_ciphertext> cts, const scalar& share) const {
-  return map_sharded<elgamal_ciphertext>(
-      cts.size(), [&](std::size_t, std::size_t begin, std::size_t end) {
+  return map_chunked<elgamal_ciphertext>(
+      cts.size(), pure_grain(cts.size()),
+      [&](std::size_t begin, std::size_t end) {
         return scheme_.strip_share_batch(cts.subspan(begin, end - begin), share);
       });
 }
 
 std::vector<group_element> batch_engine::decrypt_batch(
     const scalar& secret, std::span<const elgamal_ciphertext> cts) const {
-  return map_sharded<group_element>(
-      cts.size(), [&](std::size_t, std::size_t begin, std::size_t end) {
+  return map_chunked<group_element>(
+      cts.size(), pure_grain(cts.size()),
+      [&](std::size_t begin, std::size_t end) {
         return scheme_.decrypt_batch(secret, cts.subspan(begin, end - begin));
       });
 }
@@ -112,8 +121,9 @@ std::vector<elgamal_ciphertext> batch_engine::add_batch(
     std::span<const elgamal_ciphertext> c1,
     std::span<const elgamal_ciphertext> c2) const {
   expects(c1.size() == c2.size(), "add_batch spans must have equal length");
-  return map_sharded<elgamal_ciphertext>(
-      c1.size(), [&](std::size_t, std::size_t begin, std::size_t end) {
+  return map_chunked<elgamal_ciphertext>(
+      c1.size(), pure_grain(c1.size()),
+      [&](std::size_t begin, std::size_t end) {
         return scheme_.add_batch(c1.subspan(begin, end - begin),
                                  c2.subspan(begin, end - begin));
       });
@@ -121,16 +131,18 @@ std::vector<elgamal_ciphertext> batch_engine::add_batch(
 
 std::vector<elgamal_ciphertext> batch_engine::decode_batch(
     std::span<const byte_buffer> data) const {
-  return map_sharded<elgamal_ciphertext>(
-      data.size(), [&](std::size_t, std::size_t begin, std::size_t end) {
+  return map_chunked<elgamal_ciphertext>(
+      data.size(), pure_grain(data.size()),
+      [&](std::size_t begin, std::size_t end) {
         return scheme_.decode_batch(data.subspan(begin, end - begin));
       });
 }
 
 std::vector<byte_buffer> batch_engine::encode_batch(
     std::span<const elgamal_ciphertext> cts) const {
-  return map_sharded<byte_buffer>(
-      cts.size(), [&](std::size_t, std::size_t begin, std::size_t end) {
+  return map_chunked<byte_buffer>(
+      cts.size(), pure_grain(cts.size()),
+      [&](std::size_t begin, std::size_t end) {
         return scheme_.encode_batch(cts.subspan(begin, end - begin));
       });
 }
@@ -138,8 +150,8 @@ std::vector<byte_buffer> batch_engine::encode_batch(
 std::uint64_t batch_engine::tally_decode_count(
     std::span<const byte_buffer> data) const {
   std::atomic<std::uint64_t> count{0};
-  run_sharded(data.size(),
-              [&](std::size_t, std::size_t begin, std::size_t end) {
+  run_chunked(data.size(), pure_grain(data.size()),
+              [&](std::size_t begin, std::size_t end) {
     count.fetch_add(scheme_.count_non_identity_plaintexts(
                         data.subspan(begin, end - begin)),
                     std::memory_order_relaxed);

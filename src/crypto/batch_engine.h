@@ -3,13 +3,16 @@
 // elgamal/group batch APIs on a shared thread pool, and derives every
 // slice's randomness from a caller-supplied 32-byte seed:
 //
-//     shard s's DRBG = HMAC-DRBG( SHA256("tormet.batch.shard.v1" ‖ seed ‖ s) )
+//     shard s's stream = ChaCha20( SHA256("tormet.batch.shard.v1" ‖ seed ‖ s) )
 //
 // Shard boundaries depend only on the configured shard size — never on the
 // worker count or scheduling — so a given (inputs, seed) pair yields
 // bit-identical ciphertexts whether the engine runs inline, on one worker,
-// or on sixteen. Operations that need no randomness (strip/decrypt) shard
-// the same way for parallelism alone.
+// or on sixteen. Operations that draw no randomness (decode, add, encode,
+// strip, decrypt, tally decode) are pure per-index functions, so they
+// chunk for parallelism alone: about four chunks per party (the pool's
+// workers plus the calling thread), no smaller than a few dozen elements
+// and no larger than a shard. Their bytes are the same at any chunking.
 #pragma once
 
 #include <cstddef>
@@ -25,9 +28,12 @@ namespace tormet::crypto {
 class batch_engine {
  public:
   /// `pool == nullptr` runs every shard inline (still batched, still
-  /// seeded-deterministic). `shard_size` fixes both the parallel grain and
-  /// the RNG stream boundaries; changing it changes outputs, so it is part
-  /// of a deployment's protocol configuration.
+  /// seeded-deterministic). `shard_size` fixes the RNG stream boundaries,
+  /// and with them the grain of the passes that draw randomness (encrypt
+  /// zero, encrypt bits, rerandomize); changing it changes outputs, so it is
+  /// part of a deployment's protocol configuration. The other passes run
+  /// one chunk per shard without a pool (or on a 0-worker one) and a finer,
+  /// pool-sized grain on a pool, which changes no output.
   explicit batch_engine(std::shared_ptr<const group> g,
                         std::shared_ptr<util::thread_pool> pool = nullptr,
                         std::size_t shard_size = 512);
@@ -82,16 +88,20 @@ class batch_engine {
       std::span<const byte_buffer> data) const;
 
  private:
-  /// Runs fn(shard_index, begin, end) over [0, n) in shard_size_ slices,
-  /// parallel when a pool is attached.
+  /// Runs fn(begin, end) over [0, n) in `grain`-sized chunks, parallel
+  /// when a pool is attached.
   template <typename Fn>
-  void run_sharded(std::size_t n, Fn&& fn) const;
+  void run_chunked(std::size_t n, std::size_t grain, Fn&& fn) const;
 
-  /// Stitches per-shard slices into one output vector of length n:
-  /// per_shard(shard_index, begin, end) returns the std::vector<T> for
-  /// [begin, end), moved into place. Every batch op above is one of these.
+  /// Stitches per-chunk slices into one output vector of length n:
+  /// per_chunk(begin, end) returns the std::vector<T> for [begin, end),
+  /// moved into place. Every batch op above is one of these.
   template <typename T, typename Fn>
-  [[nodiscard]] std::vector<T> map_sharded(std::size_t n, Fn&& per_shard) const;
+  [[nodiscard]] std::vector<T> map_chunked(std::size_t n, std::size_t grain,
+                                           Fn&& per_chunk) const;
+
+  /// Chunk size of the passes that draw no randomness, for a batch of n.
+  [[nodiscard]] std::size_t pure_grain(std::size_t n) const noexcept;
 
   /// ChaCha20 stream key for shard `shard_index` of a batch seeded by
   /// `seed` — the per-index RNG streams that make sharded output

@@ -29,7 +29,10 @@ elgamal_ciphertext elgamal::encrypt(const group_element& pub,
                                     const group_element& m,
                                     secure_rng& rng) const {
   const scalar r = group_->random_scalar(rng);
-  return {group_->mul_generator(r), group_->add(m, group_->mul(pub, r))};
+  // r·Y through the fixed-base entry point: once a bulk batch has given the
+  // key a table (p256 caches one per base), single encryptions use it too.
+  return {group_->mul_generator(r),
+          group_->add(m, group_->mul_batch(pub, std::span{&r, 1})[0])};
 }
 
 elgamal_ciphertext elgamal::encrypt_zero(const group_element& pub,

@@ -159,7 +159,12 @@ class group {
   // batch: the defaults loop over the scalar ops; p256 reuses one BN_CTX and
   // scratch BIGNUM arena per batch instead of allocating per call; the toy
   // backend uses fixed-base comb tables, a single-allocation element arena,
-  // and Montgomery batch inversion for sub_batch.
+  // and Montgomery batch inversion for sub_batch. For mul_batch(base, ks)
+  // both backends cache a precomputed table per base, built when a batch is
+  // big enough to be bulk work against that base (toy: 16 scalars, p256:
+  // 256). p256 then uses the table for every batch against that base,
+  // one-scalar batches included, which is why elgamal::encrypt computes r·Y
+  // through mul_batch; mul() stays the plain variable-base operation.
   //
   // Lifetime note: batch results may share one arena per batch — every
   // returned handle keeps the whole batch's storage alive. Retaining a few

@@ -3,6 +3,8 @@
 #include <bit>
 #include <cstring>
 
+#include "src/util/check.h"
+
 namespace tormet::net {
 
 void wire_writer::write_u8(std::uint8_t v) { buf_.push_back(v); }
@@ -90,6 +92,15 @@ std::uint64_t wire_reader::read_varint() {
     shift += 7;
     if (shift > 63) throw wire_error{"varint too long"};
   }
+}
+
+std::uint64_t wire_reader::read_count(std::size_t min_element_bytes) {
+  expects(min_element_bytes > 0, "read_count needs a positive element size");
+  const std::uint64_t n = read_varint();
+  if (n > remaining() / min_element_bytes) {
+    throw wire_error{"element count exceeds input"};
+  }
+  return n;
 }
 
 byte_buffer wire_reader::read_bytes() {

@@ -58,6 +58,11 @@ class wire_reader {
   [[nodiscard]] std::int64_t read_i64();
   [[nodiscard]] double read_f64();
   [[nodiscard]] std::uint64_t read_varint();
+  /// Reads a varint element count and checks it against the bytes left,
+  /// given the fewest bytes one element can encode to (at least 1); throws
+  /// wire_error when the input cannot hold that many. Read every count a
+  /// decoder reserves for through this.
+  [[nodiscard]] std::uint64_t read_count(std::size_t min_element_bytes);
   [[nodiscard]] byte_buffer read_bytes();
   [[nodiscard]] std::string read_string();
 

@@ -21,7 +21,7 @@ void write_u64_vector(net::wire_writer& w, const std::vector<std::uint64_t>& v) 
 }
 
 [[nodiscard]] std::vector<std::uint64_t> read_u64_vector(net::wire_reader& r) {
-  const std::uint64_t n = r.read_varint();
+  const std::uint64_t n = r.read_count(8);
   std::vector<std::uint64_t> v;
   v.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) v.push_back(r.read_u64());
@@ -47,14 +47,15 @@ configure_msg decode_configure(const net::message& msg) {
   net::wire_reader r{msg.payload};
   configure_msg m;
   m.round_id = r.read_u32();
-  const std::uint64_t n_names = r.read_varint();
+  // A name encodes to at least its varint length byte.
+  const std::uint64_t n_names = r.read_count(1);
   m.counter_names.reserve(n_names);
   for (std::uint64_t i = 0; i < n_names; ++i) m.counter_names.push_back(r.read_string());
-  const std::uint64_t n_sigmas = r.read_varint();
+  const std::uint64_t n_sigmas = r.read_count(8);
   m.sigmas.reserve(n_sigmas);
   for (std::uint64_t i = 0; i < n_sigmas; ++i) m.sigmas.push_back(r.read_f64());
   m.noise_weight = r.read_f64();
-  const std::uint64_t n_sk = r.read_varint();
+  const std::uint64_t n_sk = r.read_count(4);
   m.share_keepers.reserve(n_sk);
   for (std::uint64_t i = 0; i < n_sk; ++i) m.share_keepers.push_back(r.read_u32());
   r.expect_end();
@@ -126,7 +127,7 @@ sk_reveal_msg decode_sk_reveal(const net::message& msg) {
   net::wire_reader r{msg.payload};
   sk_reveal_msg m;
   m.round_id = r.read_u32();
-  const std::uint64_t n = r.read_varint();
+  const std::uint64_t n = r.read_count(4);
   m.reporting_dcs.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) m.reporting_dcs.push_back(r.read_u32());
   r.expect_end();

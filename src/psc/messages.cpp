@@ -35,7 +35,7 @@ cp_configure_msg decode_cp_configure(const net::message& msg) {
   m.bins = r.read_u64();
   m.noise_bits = r.read_u64();
   m.group = r.read_u8();
-  const std::uint64_t n = r.read_varint();
+  const std::uint64_t n = r.read_count(4);
   m.cp_chain.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) m.cp_chain.push_back(r.read_u32());
   r.expect_end();
@@ -100,7 +100,8 @@ vector_msg decode_vector(const net::message& msg) {
   net::wire_reader r{msg.payload};
   vector_msg m;
   m.round_id = r.read_u32();
-  const std::uint64_t n = r.read_varint();
+  // A ciphertext encodes to at least its varint length byte.
+  const std::uint64_t n = r.read_count(1);
   m.ciphertexts.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) m.ciphertexts.push_back(r.read_bytes());
   r.expect_end();

@@ -3,8 +3,10 @@
 // determinism of the seeded engine paths, and the encoded shuffle variant.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -366,6 +368,48 @@ TEST(BatchEngineTest, EmptyAndSingletonBatches) {
   EXPECT_TRUE(group->is_identity(scheme.decrypt(kp.secret, rerand[0])));
 }
 
+TEST(BatchEngineTest, PassesWithoutRandomnessGiveTheSameBytesAtEveryChunking) {
+  // Decode, add, encode, strip, decrypt and tally decode chunk by a grain
+  // sized from n and the pool; the unpooled engine runs one chunk per
+  // 512-element shard. Sizes fall below the 32-element floor, between it
+  // and the shard cap, and past the cap for the small pools.
+  const auto group = make_toy_group();
+  const batch_engine reference{group};
+  const elgamal& scheme = reference.scheme();
+  deterministic_rng rng{17};
+  const auto kp = scheme.generate_keypair(rng);
+  for (const std::size_t n : {1u, 31u, 100u, 1000u, 9000u}) {
+    std::vector<std::uint8_t> bits(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      bits[i] = static_cast<std::uint8_t>(i % 2);
+    }
+    const auto ones = reference.encrypt_bits_batch(
+        kp.pub, bits, batch_engine::derive_seed(rng));
+    const auto zeros =
+        reference.encrypt_zero_batch(kp.pub, n, batch_engine::derive_seed(rng));
+    const auto wire = reference.encode_batch(ones);
+    const auto want_sum = reference.add_batch(ones, zeros);
+    const auto want_strip = reference.strip_share_batch(ones, kp.secret);
+    const auto want_plain = reference.decrypt_batch(kp.secret, ones);
+    const auto stripped_wire = reference.encode_batch(want_strip);
+    ASSERT_EQ(reference.tally_decode_count(stripped_wire), n / 2);
+
+    for (const std::size_t workers : {0u, 1u, 3u, 8u}) {
+      SCOPED_TRACE(testing::Message() << "n " << n << " workers " << workers);
+      const batch_engine engine{group,
+                                std::make_shared<util::thread_pool>(workers)};
+      EXPECT_EQ(engine.encode_batch(ones), wire);
+      expect_same_cts(scheme, engine.decode_batch(wire), ones);
+      expect_same_cts(scheme, engine.add_batch(ones, zeros), want_sum);
+      expect_same_cts(scheme, engine.strip_share_batch(ones, kp.secret),
+                      want_strip);
+      expect_same_elements(*group, engine.decrypt_batch(kp.secret, ones),
+                           want_plain);
+      EXPECT_EQ(engine.tally_decode_count(stripped_wire), n / 2);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // encoded shuffle variant + oblivious set engine init
 // ---------------------------------------------------------------------------
@@ -439,6 +483,126 @@ TEST(ObliviousSetBatchTest, EngineInitMatchesSerialSemantics) {
     ones += !group->is_identity(scheme.decrypt(kp.secret, slot));
   }
   EXPECT_EQ(ones, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// p256 fixed-base tables: a batch of at least 256 scalars against one base
+// builds a cached precomputed table, and the table path must give every
+// product the variable-base path gives
+// ---------------------------------------------------------------------------
+
+[[nodiscard]] std::string digest_hex(const elgamal& scheme,
+                                     std::span<const elgamal_ciphertext> cts) {
+  const sha256_digest d = digest_ciphertexts(scheme, cts);
+  return to_hex(byte_view{d.data(), d.size()});
+}
+
+// The digests were recorded on the variable-base path, before p256 had
+// tables: every ciphertext must keep its bytes.
+TEST(P256FixedBaseTest, KnownAnswerDigestsOfTheBatchPaths) {
+  const batch_engine engine{make_group(group_backend::p256)};
+  const elgamal& scheme = engine.scheme();
+  deterministic_rng rng{1901};
+  const auto kp = scheme.generate_keypair(rng);
+  std::vector<std::uint8_t> bits(1024);
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    bits[i] = static_cast<std::uint8_t>(i % 3 == 0);
+  }
+  const auto zeros =
+      engine.encrypt_zero_batch(kp.pub, 1024, batch_engine::derive_seed(rng));
+  const auto noise =
+      engine.encrypt_bits_batch(kp.pub, bits, batch_engine::derive_seed(rng));
+  const auto rerand =
+      engine.rerandomize_batch(kp.pub, noise, batch_engine::derive_seed(rng));
+  // A DC table: bin init, then seeded inserts (single encryptions).
+  psc::oblivious_set table{engine, kp.pub, 1024, rng};
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    table.insert_seeded_bin((i * 37) % 1024, 0x5eed0000 + i);
+  }
+  EXPECT_EQ(digest_hex(scheme, zeros),
+            "d7e925502ef70b9426cda7aa5fab7050b39574d20f92f7e28e3721cc3b8193c5");
+  EXPECT_EQ(digest_hex(scheme, noise),
+            "d5633a58bc45cda3df7b7cd485442b20c4026009812eba6f69e1451b6a2bf881");
+  EXPECT_EQ(digest_hex(scheme, rerand),
+            "b7e52e01a1de74dcf426c6e664203473aa47a32687e3c5c86f31c4548c9fd6ab");
+  EXPECT_EQ(digest_hex(scheme, table.slots()),
+            "29311f4ba9be32d19d3453601be7585c33a9eb34dccac3b7a2935796638f3bb1");
+}
+
+/// Checks mul_batch(base, ks) — a table batch — and then each scalar alone
+/// (a one-scalar batch, which uses the cached table when there is one)
+/// against the variable-base mul(base, k).
+void expect_table_matches_variable_base(const group& g,
+                                        const group_element& base,
+                                        const std::vector<scalar>& ks) {
+  ASSERT_GE(ks.size(), 256u);
+  std::vector<group_element> want;
+  for (const auto& k : ks) want.push_back(g.mul(base, k));
+  expect_same_elements(g, g.mul_batch(base, ks), want);
+  for (std::size_t i = 0; i < ks.size(); i += 37) {
+    EXPECT_EQ(g.encode(g.mul_batch(base, std::span{&ks[i], 1})[0]),
+              g.encode(want[i]))
+        << "index " << i;
+  }
+}
+
+/// 300 scalars: the edge values 0, 1 and order - 1 first, then random ones.
+[[nodiscard]] std::vector<scalar> table_scalars(const group& g,
+                                                secure_rng& rng) {
+  std::vector<scalar> ks{
+      g.scalar_from_u64(0), g.scalar_from_u64(1),
+      g.decode_scalar(from_hex("ffffffff00000000ffffffffffffffff"
+                               "bce6faada7179e84f3b9cac2fc632550"))};
+  while (ks.size() < 300) ks.push_back(g.random_scalar(rng));
+  return ks;
+}
+
+TEST(P256FixedBaseTest, TablePathMatchesVariableBaseForEveryBase) {
+  const auto g = make_group(group_backend::p256);
+  deterministic_rng rng{1902};
+  const std::vector<scalar> ks = table_scalars(*g, rng);
+  // A random base, the generator, and the identity (which gets no table:
+  // every product is the identity on the variable-base loop).
+  expect_table_matches_variable_base(*g, g->random_element(rng), ks);
+  expect_table_matches_variable_base(*g, g->generator(), ks);
+  expect_table_matches_variable_base(*g, g->identity(), ks);
+  for (const auto& p : g->mul_batch(g->identity(), ks)) {
+    EXPECT_TRUE(g->is_identity(p));
+  }
+}
+
+TEST(P256FixedBaseTest, MoreBasesThanTheCacheHoldsStayExact) {
+  // The cache keeps 4 tables; 6 bases evict the first two, and coming back
+  // to the first rebuilds its table.
+  const auto g = make_group(group_backend::p256);
+  deterministic_rng rng{1903};
+  const std::vector<scalar> ks = table_scalars(*g, rng);
+  std::vector<group_element> bases;
+  for (int i = 0; i < 6; ++i) bases.push_back(g->random_element(rng));
+  for (const auto& base : bases) expect_table_matches_variable_base(*g, base, ks);
+  expect_table_matches_variable_base(*g, bases.front(), ks);
+}
+
+TEST(P256FixedBaseTest, ConcurrentFirstUseOfAFreshBaseIsExact) {
+  // Pool workers reach a base with no table at once, each with a batch big
+  // enough to build one.
+  const auto g = make_group(group_backend::p256);
+  deterministic_rng rng{1904};
+  const group_element base = g->random_element(rng);
+  std::vector<scalar> ks;
+  for (int i = 0; i < 4 * 256; ++i) ks.push_back(g->random_scalar(rng));
+  std::vector<group_element> want;
+  for (const auto& k : ks) want.push_back(g->mul(base, k));
+
+  std::vector<group_element> got(ks.size());
+  util::thread_pool pool{3};
+  pool.parallel_for(ks.size(), 256, [&](std::size_t begin, std::size_t end) {
+    const auto part =
+        g->mul_batch(base, std::span{ks}.subspan(begin, end - begin));
+    std::copy(part.begin(), part.end(),
+              got.begin() + static_cast<std::ptrdiff_t>(begin));
+  });
+  expect_same_elements(*g, got, want);
 }
 
 }  // namespace

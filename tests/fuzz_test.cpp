@@ -120,6 +120,86 @@ TEST(FuzzTest, PscVectorTruncationsAndCorruption) {
   }
 }
 
+// Element counts come off the wire. A decoder must check each against the
+// bytes that follow before it reserves anything: a short message claiming
+// 2^62 or 2^50 elements is a wire_error, not a length_error or bad_alloc.
+constexpr std::uint64_t k_huge_counts[] = {std::uint64_t{1} << 62,
+                                           std::uint64_t{1} << 50};
+
+[[nodiscard]] net::message with_payload(net::wire_writer& w) {
+  net::message msg;
+  msg.payload = w.take();
+  return msg;
+}
+
+TEST(FuzzTest, PscVectorRejectsCountsItsPayloadCannotHold) {
+  for (const std::uint64_t n : k_huge_counts) {
+    net::wire_writer w;
+    w.write_u32(2);
+    w.write_varint(n);
+    EXPECT_THROW((void)psc::decode_vector(with_payload(w)), net::wire_error)
+        << n;
+  }
+}
+
+TEST(FuzzTest, PscCpConfigureRejectsChainCountsItsPayloadCannotHold) {
+  for (const std::uint64_t n : k_huge_counts) {
+    net::wire_writer w;
+    w.write_u32(1);
+    w.write_u64(1024);
+    w.write_u64(7);
+    w.write_u8(0);
+    w.write_varint(n);
+    w.write_u32(1);
+    EXPECT_THROW((void)psc::decode_cp_configure(with_payload(w)),
+                 net::wire_error)
+        << n;
+  }
+}
+
+TEST(FuzzTest, PrivcountU64VectorsRejectCountsTheirPayloadCannotHold) {
+  for (const std::uint64_t n : k_huge_counts) {
+    net::wire_writer w;
+    w.write_u32(3);
+    w.write_varint(n);
+    w.write_u64(42);
+    const net::message msg = with_payload(w);
+    EXPECT_THROW((void)privcount::decode_blinding_share(msg), net::wire_error);
+    EXPECT_THROW((void)privcount::decode_dc_report(msg), net::wire_error);
+    EXPECT_THROW((void)privcount::decode_sk_report(msg), net::wire_error);
+  }
+}
+
+TEST(FuzzTest, PrivcountConfigureRejectsCountsItsPayloadCannotHold) {
+  // The huge count in each of the three counted fields in turn: names,
+  // sigmas, share keepers.
+  for (const std::uint64_t n : k_huge_counts) {
+    for (int field = 0; field < 3; ++field) {
+      net::wire_writer w;
+      w.write_u32(3);
+      w.write_varint(field == 0 ? n : 0);
+      w.write_varint(field == 1 ? n : 0);
+      w.write_f64(0.5);
+      w.write_varint(field == 2 ? n : 0);
+      EXPECT_THROW((void)privcount::decode_configure(with_payload(w)),
+                   net::wire_error)
+          << "field " << field << " count " << n;
+    }
+  }
+}
+
+TEST(FuzzTest, PrivcountSkRevealRejectsCountsItsPayloadCannotHold) {
+  for (const std::uint64_t n : k_huge_counts) {
+    net::wire_writer w;
+    w.write_u32(3);
+    w.write_varint(n);
+    w.write_u32(4);
+    EXPECT_THROW((void)privcount::decode_sk_reveal(with_payload(w)),
+                 net::wire_error)
+        << n;
+  }
+}
+
 TEST(FuzzTest, GroupElementDecodeRejectsGarbage) {
   rng r{77};
   for (const auto backend :
