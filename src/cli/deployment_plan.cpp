@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
 #include <limits>
 #include <set>
 #include <sstream>
 
 #include "src/core/instruments.h"
 #include "src/util/check.h"
+#include "src/util/file_io.h"
 #include "src/workload/scenario.h"
 #include "src/workload/trace_gen.h"
 
@@ -516,18 +516,13 @@ deployment_plan parse_plan(std::string_view text) {
 }
 
 deployment_plan load_plan(const std::string& path) {
-  std::ifstream in{path};
-  expects(in.good(), "cannot open plan file");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse_plan(buf.str());
+  const std::optional<std::string> text = util::read_file(path);
+  if (!text.has_value()) throw precondition_error{"cannot read plan " + path};
+  return parse_plan(*text);
 }
 
 void save_plan(const deployment_plan& plan, const std::string& path) {
-  std::ofstream out{path, std::ios::trunc};
-  expects(out.good(), "cannot write plan file");
-  out << serialize_plan(plan);
-  expects(out.good(), "short write on plan file");
+  util::write_file_atomic(path, as_bytes(serialize_plan(plan)));
 }
 
 std::vector<std::string> items_for_dc(const deployment_plan& plan,

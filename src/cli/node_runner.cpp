@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <memory>
@@ -29,6 +28,7 @@
 #include "src/psc/estimator.h"
 #include "src/psc/tally_server.h"
 #include "src/util/check.h"
+#include "src/util/file_io.h"
 #include "src/util/logging.h"
 #include "src/util/op_log.h"
 
@@ -291,8 +291,10 @@ void commit_round(ts_state& s, const deployment_plan& plan, round_record rec,
                   const std::string& protocol) {
   apply_round_record(s, rec);
   if (s.store != nullptr) s.store->append(as_bytes(encode_round_record(rec)));
-  write_file_atomic(plan.tally_path, serialize_multiround_tally(s.tallies));
-  write_file_atomic(plan.tally_path + ".summary", ts_summary(s, protocol, {}));
+  util::write_file_atomic(plan.tally_path,
+                          as_bytes(serialize_multiround_tally(s.tallies)));
+  util::write_file_atomic(plan.tally_path + ".summary",
+                          as_bytes(ts_summary(s, protocol, {})));
 }
 
 // -- transport helpers -------------------------------------------------------
@@ -351,8 +353,8 @@ class tolerant_transport final : public net::transport {
 /// process lifetime, and per round the TS may spend a full phase deadline
 /// plus up to two grace windows waiting out stragglers before this peer
 /// sees the next message — budget all of it (times the retry bound when
-/// the deployment is durable), plus one final deadline for the completion
-/// handshake.
+/// the deployment is durable), plus one deadline for the startup barrier
+/// and one for the completion handshake.
 [[nodiscard]] int serve_deadline_ms(const deployment_plan& plan) {
   const std::int64_t attempts = plan.durable() ? k_ts_max_attempts : 1;
   const std::int64_t per_round =
@@ -361,15 +363,36 @@ class tolerant_transport final : public net::transport {
                   k_retry_drain_ms + k_rejoin_wait_ms);
   const std::int64_t total =
       per_round * std::max<std::uint32_t>(1, plan.schedule_rounds) +
-      plan.round_deadline_ms;
+      2 * static_cast<std::int64_t>(plan.round_deadline_ms);
   return static_cast<int>(
       std::min<std::int64_t>(total, std::numeric_limits<int>::max()));
 }
 
+/// Waits at most `wait_ms` until every one of `ids` has announced that it
+/// serves (its REJOIN_REQUEST is in `announced`). With `query`, first asks
+/// each one not yet announced with a REJOIN_QUERY.
+void await_announced(net::transport& out, net::tcp_net& net,
+                     net::node_id self, const std::vector<net::node_id>& ids,
+                     bool query, const std::set<net::node_id>& announced,
+                     int wait_ms) {
+  for (const auto id : ids) {
+    if (!query || announced.contains(id)) continue;
+    out.send(net::message{
+        self, id, static_cast<std::uint16_t>(ctl_msg::rejoin_query), {}});
+  }
+  const auto all_in = [&] {
+    return std::all_of(ids.begin(), ids.end(), [&](net::node_id id) {
+      return announced.contains(id);
+    });
+  };
+  (void)run_with_grace(net, all_in, wait_ms);
+}
+
 /// Round-boundary rejoin admission (durable deployments only): queries
 /// every currently-dropped peer, waits briefly for answers, then re-admits
-/// every pending requester that was dropped. Restarted nodes announce
-/// themselves unsolicited at startup, so the common case pays no wait.
+/// every pending requester that was dropped. Every peer announces itself
+/// unsolicited once it serves, so a restart pays no wait in the common
+/// case.
 void admit_rejoiners(net::transport& out, net::tcp_net& net,
                      const deployment_plan& plan, net::node_id self,
                      const std::function<void(net::node_id)>& readmit,
@@ -378,19 +401,10 @@ void admit_rejoiners(net::transport& out, net::tcp_net& net,
                      std::set<net::node_id>& rejoined_now) {
   if (!plan.durable()) return;  // classic deployments: exclusion is final
   if (!dropped.empty()) {
-    for (const auto id : dropped) {
-      if (pending.contains(id)) continue;
-      out.send(net::message{
-          self, id, static_cast<std::uint16_t>(ctl_msg::rejoin_query), {}});
-    }
-    const auto all_answered = [&] {
-      return std::all_of(dropped.begin(), dropped.end(), [&](net::node_id id) {
-        return pending.contains(id);
-      });
-    };
     int wait_ms = k_rejoin_wait_ms;
     if (plan.dc_grace_ms > 0) wait_ms = std::min(wait_ms, plan.dc_grace_ms);
-    (void)run_with_grace(net, all_answered, wait_ms);
+    await_announced(out, net, self, {dropped.begin(), dropped.end()}, true,
+                    pending, wait_ms);
   }
   for (const auto id : pending) {
     if (dropped.erase(id) > 0) {
@@ -482,7 +496,6 @@ void serve_peer(
       done = true;
       return;
     }
-    if (m.type == static_cast<std::uint16_t>(ctl_msg::rejoin_ack)) return;
     if (m.type == static_cast<std::uint16_t>(ctl_msg::rejoin_query)) {
       // The TS probes dropped peers at round boundaries; answering
       // re-admits this node from the next round.
@@ -510,11 +523,10 @@ void serve_peer(
                   configured);
     }
   });
-  if (plan.durable()) {
-    // Announce presence: a restarted node re-admits itself; on a cold
-    // start the TS's re-admission of an existing member is a no-op.
-    tell_ts(ctl_msg::rejoin_request, {});
-  }
+  // Announce that this node serves: the TS starts no round before every
+  // peer has, and a restarted node re-admits itself this way (on a cold
+  // start the TS's re-admission of an existing member is a no-op).
+  tell_ts(ctl_msg::rejoin_request, {});
   net.run_until([&] { return done || quit; }, serve_deadline_ms(plan));
   net.flush_sends();
 }
@@ -880,7 +892,7 @@ void exclude_stragglers(const ts_adapter& proto,
                                           const ts_adapter& proto) {
   ts_state state = load_ts_state(plan, self);
   std::size_t acks = 0;
-  std::set<net::node_id> rejoin_pending;
+  std::set<net::node_id> rejoin_pending;  // peers that announced themselves
   std::map<net::node_id, std::string> dc_stats_payloads;
   net.register_node(self, [&](const net::message& m) {
     if (m.type == static_cast<std::uint16_t>(ctl_msg::round_ack)) {
@@ -894,8 +906,6 @@ void exclude_stragglers(const ts_adapter& proto,
     }
     if (m.type == static_cast<std::uint16_t>(ctl_msg::rejoin_request)) {
       rejoin_pending.insert(m.from);
-      out.send(net::message{
-          self, m.from, static_cast<std::uint16_t>(ctl_msg::rejoin_ack), {}});
       return;
     }
     proto.handle(m);
@@ -920,6 +930,20 @@ void exclude_stragglers(const ts_adapter& proto,
     for (const auto k : scheduled_dark_dcs(plan, state.next_round - 2)) {
       proto.exclude(dc_ids[k]);
     }
+  }
+  // The startup barrier: no phase timer of the first round this TS owes
+  // runs while a peer is still starting (a DC materializing its workload,
+  // say). Waits at most one round deadline for every peer it has not
+  // dropped. A durable TS also asks them: if it is a restarted
+  // incarnation, even one that committed nothing yet, their startup
+  // announcements went to its predecessor.
+  std::vector<net::node_id> peers;
+  for (const auto& n : plan.nodes) {
+    if (n.id != self && !state.dropped.contains(n.id)) peers.push_back(n.id);
+  }
+  if (state.next_round <= rounds) {
+    await_announced(out, net, self, peers, plan.durable(), rejoin_pending,
+                    plan.round_deadline_ms);
   }
   for (std::uint32_t r = state.next_round; r <= rounds; ++r) {
     const std::set<net::node_id> dropped_before = state.dropped;
@@ -980,8 +1004,9 @@ void exclude_stragglers(const ts_adapter& proto,
   finish_round_as_ts(out, net, plan, self, state.dropped, acks);
   // Each DC's DC_STATS message rides the same channel as its ROUND_ACK, so
   // once every surviving ack is in, every surviving DC's stats are too.
-  write_file_atomic(plan.tally_path + ".summary",
-                    ts_summary(state, proto.protocol, dc_stats_payloads));
+  util::write_file_atomic(
+      plan.tally_path + ".summary",
+      as_bytes(ts_summary(state, proto.protocol, dc_stats_payloads)));
   return result;
 }
 
@@ -1148,19 +1173,6 @@ std::string serialize_multiround_tally(
     out << "round " << (i + 1) << "\n" << round_tallies[i];
   }
   return out.str();
-}
-
-void write_file_atomic(const std::string& path, const std::string& content) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out{tmp, std::ios::trunc | std::ios::binary};
-    expects(out.good(), "cannot open tally temp file");
-    out << content;
-    out.flush();
-    expects(out.good(), "short write on tally temp file");
-  }
-  expects(std::rename(tmp.c_str(), path.c_str()) == 0,
-          "atomic rename of tally file failed");
 }
 
 }  // namespace tormet::cli

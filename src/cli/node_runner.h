@@ -38,9 +38,13 @@
 // per-round determinism makes the retry's bytes identical to the
 // interrupted attempt's, so recovery never perturbs the tally.
 //
-// Rejoin handshake: a restarted node announces itself with REJOIN_REQUEST;
-// the TS queries dropped peers with REJOIN_QUERY at round boundaries and
-// re-admits responders (readmit_dc) before the next begin_round.
+// Startup barrier and rejoin handshake: every peer announces itself with
+// REJOIN_REQUEST once it serves, and the TS starts its first round only
+// after every peer it has not dropped did (or one round deadline passed),
+// so a slow start spends no phase grace. A durable TS — it may be a
+// restarted one — asks with REJOIN_QUERY at startup, and at each round
+// boundary asks its dropped peers and re-admits the responders
+// (readmit_dc) before the next begin_round.
 //
 // Fault injection for tests: TORMET_FAULT="<node_id> exit_after_round <k>"
 // makes that peer process exit cleanly once it handled round k's last
@@ -71,9 +75,9 @@ namespace tormet::cli {
 enum class ctl_msg : std::uint16_t {
   round_done = 240,      // TS -> peer: round is over, acknowledge and exit
   round_ack = 241,       // peer -> TS: acknowledged; TS exits after all acks
-  rejoin_request = 242,  // restarted peer -> TS: re-admit me at a boundary
-  rejoin_ack = 243,      // TS -> peer: rejoin request noted
-  rejoin_query = 244,    // TS -> dropped peer: still there? answer to rejoin
+  rejoin_request = 242,  // peer -> TS: I serve (at startup, or answering a
+                         // query); re-admits a dropped peer at a boundary
+  rejoin_query = 244,    // TS -> peer: still there? answer to rejoin
   dc_stats = 245,        // DC -> TS: privacy-safe accounting lines for the
                          // .summary sidecar (sent before the final ack)
 };
@@ -107,9 +111,5 @@ struct node_result {
 /// unwrapped), so classic single-round deployments keep their tally bytes.
 [[nodiscard]] std::string serialize_multiround_tally(
     const std::vector<std::string>& round_tallies);
-
-/// Writes `content` to `path` atomically (temp file + rename), so a
-/// watcher never observes a half-written tally.
-void write_file_atomic(const std::string& path, const std::string& content);
 
 }  // namespace tormet::cli

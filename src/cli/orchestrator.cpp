@@ -12,8 +12,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
+#include <optional>
 #include <thread>
 
 #include "src/cli/node_runner.h"
@@ -24,6 +23,7 @@
 #include "src/psc/deployment.h"
 #include "src/relay/stats_agent.h"
 #include "src/util/check.h"
+#include "src/util/file_io.h"
 #include "src/util/logging.h"
 #include "src/workload/trace_gen.h"
 
@@ -48,14 +48,6 @@ void check_canonical_layout(const deployment_plan& plan, node_role mid,
   for (std::size_t i = 0; i < dcs.size(); ++i) {
     expects(dcs[i] == 1 + mids.size() + i, "DC node ids must follow the CPs/SKs");
   }
-}
-
-[[nodiscard]] std::string read_file(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  expects(in.good(), "cannot open file");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
 }
 
 }  // namespace
@@ -363,11 +355,12 @@ distributed_round_result run_distributed_round(const deployment_plan& plan,
   for (const auto& c : children) {
     out.nodes.push_back({c.id, c.exit_code, c.restarts});
   }
-  out.tally = read_file(plan.tally_path);
-  const std::string summary_path = plan.tally_path + ".summary";
-  if (::access(summary_path.c_str(), R_OK) == 0) {
-    out.summary = read_file(summary_path);
+  std::optional<std::string> tally = util::read_file(plan.tally_path);
+  if (!tally.has_value()) {
+    throw precondition_error{"cannot read tally " + plan.tally_path};
   }
+  out.tally = *std::move(tally);
+  out.summary = util::read_file(plan.tally_path + ".summary").value_or("");
   return out;
 }
 

@@ -118,7 +118,7 @@ workload_cursor::workload_cursor(
       // Bind/listen now, so a feeder's connect retry can land before the
       // first round opens; the feeder wait and per-recv stalls are bounded
       // by the round deadline.
-      socket_ = std::make_unique<tor::event_socket_source>(
+      reader_ = std::make_unique<tor::event_socket_source>(
           static_cast<std::uint16_t>(plan.workload.event_port_base + dc_index),
           plan.round_deadline_ms);
       return;
@@ -128,46 +128,28 @@ workload_cursor::workload_cursor(
 
 std::optional<tor::event> workload_cursor::fetch() {
   if (failed_ || eof_) return std::nullopt;
-  try {
-    switch (kind_) {
-      case workload_kind::trace: {
-        std::optional<tor::event> ev = reader_->next();
-        if (!ev.has_value()) eof_ = true;
-        return ev;
-      }
-      case workload_kind::generate:
-      case workload_kind::scenario:
-      case workload_kind::relays: {
-        const std::vector<tor::event>& slice = (*generated_)[dc_index_];
-        if (next_generated_ >= slice.size()) {
-          eof_ = true;
-          return std::nullopt;
-        }
-        return slice[next_generated_++];
-      }
-      case workload_kind::socket: {
-        std::optional<tor::event> ev = socket_->next();
-        if (!ev.has_value()) eof_ = true;
-        return ev;
-      }
-      case workload_kind::synthetic:
-        break;
-    }
-  } catch (const net::wire_error& e) {
-    if (kind_ == workload_kind::socket) {
-      // A live feeder died mid-stream (abrupt close, truncated record, or a
-      // stall past the deadline). The pipeline keeps running on whatever
-      // this DC already observed; a trace *file* in the same state is
-      // corrupt input and still throws below.
-      failed_ = true;
-      log_line{log_level::warn}
-          << "DC " << dc_index_ << " event stream failed mid-round ("
-          << e.what() << "); continuing without it";
-      return std::nullopt;
-    }
-    throw;
+  if (reader_ == nullptr) {  // a materialized slice
+    const std::vector<tor::event>& slice = (*generated_)[dc_index_];
+    if (next_generated_ < slice.size()) return slice[next_generated_++];
+    eof_ = true;
+    return std::nullopt;
   }
-  throw invariant_error{"unhandled workload kind"};
+  try {
+    std::optional<tor::event> ev = reader_->next();
+    if (!ev.has_value()) eof_ = true;
+    return ev;
+  } catch (const net::wire_error& e) {
+    // A trace *file* that breaks the stream contract is corrupt input.
+    if (kind_ != workload_kind::socket) throw;
+    // A live feeder died mid-stream (abrupt close, truncated record, a
+    // stall past the deadline, or time going backwards). The pipeline
+    // keeps running on whatever this DC already observed.
+    failed_ = true;
+    log_line{log_level::warn}
+        << "DC " << dc_index_ << " event stream failed mid-round ("
+        << e.what() << "); continuing without it";
+    return std::nullopt;
+  }
 }
 
 void workload_cursor::pace_to(sim_time t) {
@@ -222,9 +204,7 @@ std::size_t workload_cursor::stream_window(sim_time start, sim_time end,
       ++delivered;
     }
   }
-  if ((kind_ == workload_kind::generate || kind_ == workload_kind::scenario ||
-       kind_ == workload_kind::relays) &&
-      !failed_ && !eof_) {
+  if (reader_ == nullptr && !eof_) {
     // Fast path: generated slices are stably time-sorted (workload::
     // trace_gen), so the inter-round gap is a prefix, the window end is a
     // lower_bound, and the whole window is handed to the sink as one

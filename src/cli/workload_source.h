@@ -99,11 +99,16 @@ struct churn_transition {
 ///   drain()                    — consumes the rest of the stream, counting
 ///       everything as dropped (trailing gap / feeder shutdown).
 ///
-/// Live-stream fault tolerance: a socket feeder that dies mid-stream
-/// (abrupt close, truncated record, stall past the deadline) marks the
-/// cursor failed and reads as end-of-stream — later rounds still complete
-/// with whatever this DC observed. Corrupt *files* still throw: a trace
-/// file is authoritative input, not a flaky peer.
+/// Trace and socket sources read through the same tor::trace_reader, so a
+/// socket stream is held to the trace contract: intact records in
+/// non-decreasing sim time.
+///
+/// Live-stream fault tolerance: a socket stream that breaks that contract
+/// mid-stream (abrupt close, truncated or corrupt record, stall past the
+/// deadline, time going backwards) marks the cursor failed and reads as
+/// end-of-stream — later rounds still complete with whatever this DC
+/// observed. Corrupt *files* still throw: a trace file is authoritative
+/// input, not a flaky peer.
 class workload_cursor {
  public:
   /// Opens DC `dc_index`'s stream for `plan` (throws precondition_error for
@@ -157,8 +162,8 @@ class workload_cursor {
   std::optional<tor::event> pending_;  // lookahead held across windows
   std::optional<std::int64_t> last_paced_seconds_;
 
-  std::unique_ptr<tor::trace_reader> reader_;               // kind == trace
-  std::unique_ptr<tor::event_socket_source> socket_;        // kind == socket
+  // kind == trace or socket: a trace file, or an event_socket_source.
+  std::unique_ptr<tor::trace_reader> reader_;
   std::vector<tor::event> block_;  // reused batch buffer (trace/socket)
   std::shared_ptr<const std::vector<std::vector<tor::event>>> generated_;
   std::size_t dc_index_ = 0;

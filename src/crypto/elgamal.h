@@ -34,9 +34,6 @@ class elgamal {
   explicit elgamal(std::shared_ptr<const group> g);
 
   [[nodiscard]] const group& grp() const noexcept { return *group_; }
-  [[nodiscard]] std::shared_ptr<const group> group_ptr() const noexcept {
-    return group_;
-  }
 
   /// Generates a fresh keypair.
   [[nodiscard]] elgamal_keypair generate_keypair(secure_rng& rng) const;

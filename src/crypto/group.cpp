@@ -10,65 +10,6 @@ byte_buffer group::encode_scalar(const scalar& k) const {
   return {bytes.begin(), bytes.end()};
 }
 
-std::vector<group_element> group::mul_generator_batch(
-    std::span<const scalar> ks) const {
-  std::vector<group_element> out;
-  out.reserve(ks.size());
-  for (const auto& k : ks) out.push_back(mul_generator(k));
-  return out;
-}
-
-std::vector<group_element> group::mul_batch(const group_element& base,
-                                            std::span<const scalar> ks) const {
-  std::vector<group_element> out;
-  out.reserve(ks.size());
-  for (const auto& k : ks) out.push_back(mul(base, k));
-  return out;
-}
-
-std::vector<group_element> group::mul_batch(std::span<const group_element> pts,
-                                            const scalar& k) const {
-  std::vector<group_element> out;
-  out.reserve(pts.size());
-  for (const auto& p : pts) out.push_back(mul(p, k));
-  return out;
-}
-
-std::vector<group_element> group::add_batch(
-    std::span<const group_element> a, std::span<const group_element> b) const {
-  expects(a.size() == b.size(), "add_batch spans must have equal length");
-  std::vector<group_element> out;
-  out.reserve(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out.push_back(add(a[i], b[i]));
-  return out;
-}
-
-std::vector<group_element> group::sub_batch(
-    std::span<const group_element> a, std::span<const group_element> b) const {
-  expects(a.size() == b.size(), "sub_batch spans must have equal length");
-  std::vector<group_element> out;
-  out.reserve(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out.push_back(sub(a[i], b[i]));
-  return out;
-}
-
-std::vector<group_element> group::decode_batch(
-    std::span<const byte_view> data) const {
-  std::vector<group_element> out;
-  out.reserve(data.size());
-  for (const auto& d : data) out.push_back(decode(d));
-  return out;
-}
-
-std::size_t group::count_non_identity(
-    std::span<const byte_view> encodings) const {
-  std::size_t count = 0;
-  for (const auto& e : encodings) {
-    if (!is_identity(decode(e))) ++count;
-  }
-  return count;
-}
-
 group_element group::random_element(secure_rng& rng) const {
   return mul_generator(random_scalar(rng));
 }

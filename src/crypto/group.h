@@ -142,7 +142,7 @@ class group {
   // -- batch operations ----------------------------------------------------
   // Vector forms of the element operations, for the bulk homogeneous work
   // that dominates PSC rounds (bin init, rerandomize-and-mix, decrypt
-  // passes). Contract, binding on every override:
+  // passes). Contract, binding on every backend:
   //
   //  * out[i] is the same group element the scalar operation would return
   //    for index i — batch and serial paths are interchangeable and their
@@ -155,10 +155,10 @@ class group {
   //  * calls are safe concurrently on one (const) instance from multiple
   //    threads.
   //
-  // Implementations may amortize allocation and precomputation across the
-  // batch: the defaults loop over the scalar ops; p256 reuses one BN_CTX and
-  // scratch BIGNUM arena per batch instead of allocating per call; the toy
-  // backend uses fixed-base comb tables, a single-allocation element arena,
+  // Every backend implements all of them and may amortize allocation and
+  // precomputation across the batch: p256 reuses one BN_CTX and scratch
+  // BIGNUM arena per batch instead of allocating per call; the toy backend
+  // uses fixed-base comb tables, a single-allocation element arena,
   // and Montgomery batch inversion for sub_batch. For mul_batch(base, ks)
   // both backends cache a precomputed table per base, built when a batch is
   // big enough to be bulk work against that base (toy: 16 scalars, p256:
@@ -173,19 +173,21 @@ class group {
 
   /// generator * ks[i] for every i (fixed-base precomputation amortized).
   [[nodiscard]] virtual std::vector<group_element> mul_generator_batch(
-      std::span<const scalar> ks) const;
+      std::span<const scalar> ks) const = 0;
   /// base * ks[i] for every i (one base, many scalars — e.g. pk * nonce).
   [[nodiscard]] virtual std::vector<group_element> mul_batch(
-      const group_element& base, std::span<const scalar> ks) const;
+      const group_element& base, std::span<const scalar> ks) const = 0;
   /// pts[i] * k for every i (many points, one scalar — e.g. decrypt shares).
   [[nodiscard]] virtual std::vector<group_element> mul_batch(
-      std::span<const group_element> pts, const scalar& k) const;
+      std::span<const group_element> pts, const scalar& k) const = 0;
   /// a[i] + b[i] for every i.
   [[nodiscard]] virtual std::vector<group_element> add_batch(
-      std::span<const group_element> a, std::span<const group_element> b) const;
+      std::span<const group_element> a,
+      std::span<const group_element> b) const = 0;
   /// a[i] - b[i] for every i (toy backend: Montgomery batch inversion).
   [[nodiscard]] virtual std::vector<group_element> sub_batch(
-      std::span<const group_element> a, std::span<const group_element> b) const;
+      std::span<const group_element> a,
+      std::span<const group_element> b) const = 0;
 
   // -- serialization ------------------------------------------------------
   [[nodiscard]] virtual byte_buffer encode(const group_element& a) const = 0;
@@ -197,12 +199,12 @@ class group {
   /// batch (backends share one element arena instead of one heap node per
   /// element). Same validation and same per-index results as decode().
   [[nodiscard]] virtual std::vector<group_element> decode_batch(
-      std::span<const byte_view> data) const;
+      std::span<const byte_view> data) const = 0;
   /// Decodes every encoding and returns how many are NOT the identity — the
   /// tally server's occupied-bin check — without materializing element
   /// handles at all (zero allocations per element in both backends).
   [[nodiscard]] virtual std::size_t count_non_identity(
-      std::span<const byte_view> encodings) const;
+      std::span<const byte_view> encodings) const = 0;
 
   // -- derived helpers ----------------------------------------------------
   /// Uniform non-identity element (generator * random nonzero scalar).

@@ -35,7 +35,6 @@ std::size_t inproc_net::run_until_quiescent() {
       ++dropped_;  // unknown destination behaves like a dead node
       continue;
     }
-    ++delivered_;
     ++n;
     it->second(msg);
   }

@@ -32,7 +32,6 @@ class inproc_net final : public transport {
   void set_drop_probability(double p, std::uint64_t seed = 1);
 
   [[nodiscard]] std::size_t dropped_count() const noexcept { return dropped_; }
-  [[nodiscard]] std::size_t delivered_count() const noexcept { return delivered_; }
 
  private:
   [[nodiscard]] bool should_drop(const message& msg);
@@ -43,7 +42,6 @@ class inproc_net final : public transport {
   double drop_probability_ = 0.0;
   rng drop_rng_{1};
   std::size_t dropped_ = 0;
-  std::size_t delivered_ = 0;
   bool delivering_ = false;
 };
 

@@ -42,6 +42,15 @@ constexpr std::size_t k_max_chunk_wire = 16u << 20;
 /// otherwise loop reconnect-and-resend forever.
 constexpr int k_max_write_attempts = 8;
 
+/// Largest reassembled message body: refused at the sender, and a peer
+/// sending one is dropped as malformed.
+constexpr std::size_t k_max_message_bytes = 256u << 20;
+/// Step between outbound connect attempts, until the connect deadline.
+constexpr std::chrono::milliseconds k_connect_retry{25};
+/// run_until_quiescent()'s failure detector (see tcp.h): never causes an
+/// early *successful* return.
+constexpr std::chrono::milliseconds k_quiescence_deadline{120'000};
+
 void throw_errno(const char* what) {
   throw transport_error{std::string{what} + ": " + std::strerror(errno)};
 }
@@ -427,7 +436,7 @@ void tcp_net::io_read(io_entry& conn) {
       std::uint32_t chunk_len = 0;
       for (int i = 3; i >= 0; --i) chunk_len = (chunk_len << 8) | conn.header[1 + i];
       if (chunk_len > k_max_chunk_wire ||
-          conn.assembly.size() + chunk_len > opts_.max_message_bytes) {
+          conn.assembly.size() + chunk_len > k_max_message_bytes) {
         log_line{log_level::warn}
             << "tcp_net: oversized frame from peer (" << chunk_len
             << " B chunk); dropping connection";
@@ -503,7 +512,7 @@ void tcp_net::io_start_connect(const std::shared_ptr<channel>& chp) {
     ep = address_of(ch.dest);
   } catch (const std::exception&) {
     ch.backoff = true;
-    ch.retry_at = now + std::chrono::milliseconds{opts_.connect_retry_ms};
+    ch.retry_at = now + k_connect_retry;
     return;
   }
   addrinfo hints{};
@@ -515,7 +524,7 @@ void tcp_net::io_start_connect(const std::shared_ptr<channel>& chp) {
       res == nullptr) {
     if (res != nullptr) ::freeaddrinfo(res);
     ch.backoff = true;
-    ch.retry_at = now + std::chrono::milliseconds{opts_.connect_retry_ms};
+    ch.retry_at = now + k_connect_retry;
     return;
   }
   std::memcpy(&ch.addr, res->ai_addr, std::min(sizeof ch.addr,
@@ -525,7 +534,7 @@ void tcp_net::io_start_connect(const std::shared_ptr<channel>& chp) {
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (fd < 0) {
     ch.backoff = true;
-    ch.retry_at = now + std::chrono::milliseconds{opts_.connect_retry_ms};
+    ch.retry_at = now + k_connect_retry;
     return;
   }
   auto entry = std::make_unique<io_entry>();
@@ -561,7 +570,7 @@ void tcp_net::io_start_connect(const std::shared_ptr<channel>& chp) {
     ch.broken = true;  // flag checked by the caller via io_fail path
   } else {
     ch.backoff = true;
-    ch.retry_at = clock::now() + std::chrono::milliseconds{opts_.connect_retry_ms};
+    ch.retry_at = clock::now() + k_connect_retry;
   }
 }
 
@@ -602,7 +611,7 @@ void tcp_net::io_check_connect(channel& ch) {
     ch.broken = true;
   } else {
     ch.backoff = true;
-    ch.retry_at = clock::now() + std::chrono::milliseconds{opts_.connect_retry_ms};
+    ch.retry_at = clock::now() + k_connect_retry;
   }
 }
 
@@ -835,8 +844,8 @@ std::shared_ptr<tcp_net::channel> tcp_net::channel_to(node_id id) {
 void tcp_net::send(message msg) {
   // Fail oversized messages at the sender instead of letting the receiver
   // reject the frame as malformed (which would read as a link failure).
-  if (queue_cost(msg) > opts_.max_message_bytes) {
-    throw transport_error{"send: message exceeds max_message_bytes"};
+  if (queue_cost(msg) > k_max_message_bytes) {
+    throw transport_error{"send: message exceeds the message size bound"};
   }
   const std::shared_ptr<channel> ch = channel_to(msg.to);
 
@@ -881,8 +890,7 @@ void tcp_net::send(message msg) {
 }
 
 std::size_t tcp_net::run_until_quiescent() {
-  const auto deadline =
-      clock::now() + std::chrono::milliseconds{opts_.quiescence_deadline_ms};
+  const auto deadline = clock::now() + k_quiescence_deadline;
   std::size_t delivered = 0;
   std::unique_lock lock{mutex_};
   for (;;) {

@@ -74,9 +74,6 @@ struct tcp_options {
   /// Maximum bytes per framed chunk (a message splits into ceil(n/chunk)
   /// chunks).
   std::size_t max_chunk_bytes = 256 * 1024;
-  /// Maximum reassembled message body; larger peers are dropped as
-  /// malformed.
-  std::size_t max_message_bytes = 256u << 20;
   /// Bound on queued-but-unwritten bytes per destination; send() blocks
   /// when the queue is full (backpressure on a slow reader).
   std::size_t send_queue_limit_bytes = 8u << 20;
@@ -84,11 +81,6 @@ struct tcp_options {
   /// connection, retried on a timer — peers in a distributed round start in
   /// arbitrary order.
   int connect_deadline_ms = 15'000;
-  int connect_retry_ms = 25;
-  /// Failure-detector bound for run_until_quiescent(): if the fabric fails
-  /// to reach exact quiescence within this window something is wedged and a
-  /// transport_error is thrown. Never causes an early *successful* return.
-  int quiescence_deadline_ms = 120'000;
   /// When true, a send() to a channel that exhausted its connect deadline
   /// re-arms the channel instead of failing — the io loop retries from
   /// scratch. Durable deployments enable this so a peer that is down for a
@@ -138,7 +130,8 @@ class tcp_net final : public transport {
   /// and zero frames in flight anywhere in the fabric (counter-tracked; no
   /// idle-timeout heuristic). Distributed mode: flushes local sends and
   /// drains the inbox (global quiescence is per-process unknowable — use
-  /// run_until). Throws transport_error after quiescence_deadline_ms.
+  /// run_until). Throws transport_error when the fabric is still not
+  /// quiescent after 120 s (something is wedged).
   std::size_t run_until_quiescent() override;
 
   /// Delivers messages until `done()` holds; throws transport_error when

@@ -7,6 +7,14 @@
 
 namespace tormet::net {
 
+void append_varint(byte_buffer& out, std::uint64_t v) {
+  while (v >= 0x80) {
+    out.push_back(static_cast<std::uint8_t>(v) | 0x80);
+    v >>= 7;
+  }
+  out.push_back(static_cast<std::uint8_t>(v));
+}
+
 void wire_writer::write_u8(std::uint8_t v) { buf_.push_back(v); }
 
 void wire_writer::write_u16(std::uint16_t v) {
@@ -28,13 +36,7 @@ void wire_writer::write_i64(std::int64_t v) {
 
 void wire_writer::write_f64(double v) { write_u64(std::bit_cast<std::uint64_t>(v)); }
 
-void wire_writer::write_varint(std::uint64_t v) {
-  while (v >= 0x80) {
-    buf_.push_back(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  buf_.push_back(static_cast<std::uint8_t>(v));
-}
+void wire_writer::write_varint(std::uint64_t v) { append_varint(buf_, v); }
 
 void wire_writer::write_bytes(byte_view data) {
   write_varint(data.size());
@@ -104,11 +106,15 @@ std::uint64_t wire_reader::read_count(std::size_t min_element_bytes) {
 }
 
 byte_buffer wire_reader::read_bytes() {
+  const byte_view view = read_bytes_view();
+  return {view.begin(), view.end()};
+}
+
+byte_view wire_reader::read_bytes_view() {
   const std::uint64_t len = read_varint();
   if (len > remaining()) throw wire_error{"byte field longer than input"};
-  byte_buffer out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                  data_.begin() + static_cast<std::ptrdiff_t>(pos_ + len));
-  pos_ += len;
+  const byte_view out = data_.subspan(pos_, static_cast<std::size_t>(len));
+  pos_ += static_cast<std::size_t>(len);
   return out;
 }
 

@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/util/bytes.h"
@@ -21,9 +22,17 @@ class wire_error : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Appends `v` as an LEB128-style varint (wire_writer::write_varint's
+/// encoding) to `out`.
+void append_varint(byte_buffer& out, std::uint64_t v);
+
 /// Append-only encoder.
 class wire_writer {
  public:
+  wire_writer() = default;
+  /// Appends after the bytes `out` already holds; take() hands it back.
+  explicit wire_writer(byte_buffer out) noexcept : buf_{std::move(out)} {}
+
   void write_u8(std::uint8_t v);
   void write_u16(std::uint16_t v);
   void write_u32(std::uint32_t v);
@@ -64,6 +73,8 @@ class wire_reader {
   /// decoder reserves for through this.
   [[nodiscard]] std::uint64_t read_count(std::size_t min_element_bytes);
   [[nodiscard]] byte_buffer read_bytes();
+  /// read_bytes() without the copy: a view into the input.
+  [[nodiscard]] byte_view read_bytes_view();
   [[nodiscard]] std::string read_string();
 
   [[nodiscard]] std::size_t remaining() const noexcept {

@@ -21,7 +21,6 @@ void computation_party::on_configure(const cp_configure_msg& m) {
   group_ = crypto::make_group(static_cast<crypto::group_backend>(m.group));
   engine_ = std::make_unique<crypto::batch_engine>(group_, pool_);
   keypair_ = engine_->scheme().generate_keypair(rng_);
-  transcript_.reset();
   mixed_ = false;
   decrypted_ = false;
 
@@ -78,7 +77,6 @@ void computation_party::on_mix(const net::message& msg) {
   crypto::shuffle_transcript transcript;
   crypto::shuffle_result mixed = crypto::shuffle_and_rerandomize_encoded(
       *engine_, joint_pk_, cts, encoded, rng_, transcript);
-  transcript_ = transcript;
 
   vector_msg out;
   out.round_id = round_id_;

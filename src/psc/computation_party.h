@@ -11,7 +11,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 
 #include "src/crypto/batch_engine.h"
 #include "src/crypto/elgamal.h"
@@ -35,11 +34,6 @@ class computation_party {
   void handle_message(const net::message& msg);
 
   [[nodiscard]] net::node_id id() const noexcept { return self_; }
-  /// Transcript of this CP's last mix (verifiable-shuffle substitute).
-  [[nodiscard]] const std::optional<crypto::shuffle_transcript>& last_transcript()
-      const noexcept {
-    return transcript_;
-  }
 
  private:
   void on_configure(const cp_configure_msg& m);
@@ -65,7 +59,6 @@ class computation_party {
   // the session RNG again and change every downstream byte.
   bool mixed_ = false;
   bool decrypted_ = false;
-  std::optional<crypto::shuffle_transcript> transcript_;
 };
 
 }  // namespace tormet::psc

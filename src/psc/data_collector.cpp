@@ -63,7 +63,6 @@ void data_collector::handle_message(const net::message& msg) {
 void data_collector::insert_item(std::string_view item) {
   if (set_ == nullptr) return;  // not configured / already reported
   set_->insert(as_bytes(item), rng_);
-  ++items_inserted_;
 }
 
 void data_collector::observe(const tor::event& ev) { ingest(&ev, 1); }
@@ -84,7 +83,6 @@ void data_collector::ingest(const tor::event* evs, std::size_t n) {
     if (!item.has_value()) continue;
     const std::size_t bin = set_->bin_of(as_bytes(*item));
     const std::uint64_t seed = rng_.next_u64();
-    ++items_inserted_;
     buckets_[bin % shards_].emplace_back(bin, seed);
   }
   if (pool_ != nullptr) {

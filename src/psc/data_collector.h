@@ -69,9 +69,6 @@ class data_collector final : public core::event_sink {
   [[nodiscard]] std::uint64_t events_observed() const noexcept override {
     return events_observed_;
   }
-  [[nodiscard]] std::uint64_t items_inserted() const noexcept {
-    return items_inserted_;
-  }
 
  private:
   net::node_id self_;
@@ -83,7 +80,6 @@ class data_collector final : public core::event_sink {
   /// Ingest scratch: (bin, seed) pairs bucketed by owning shard.
   std::vector<std::vector<std::pair<std::size_t, std::uint64_t>>> buckets_;
   std::uint64_t events_observed_ = 0;
-  std::uint64_t items_inserted_ = 0;
 
   std::uint32_t round_id_ = 0;
   std::shared_ptr<util::thread_pool> pool_;

@@ -7,12 +7,6 @@
 
 namespace tormet::psc {
 
-double expected_occupancy(double n_items, std::uint64_t bins) {
-  expects(bins >= 2, "need at least two bins");
-  const double b = static_cast<double>(bins);
-  return b * (1.0 - std::pow(1.0 - 1.0 / b, n_items));
-}
-
 cardinality_estimate estimate_cardinality(std::uint64_t raw_count,
                                           std::uint64_t bins,
                                           std::uint64_t total_noise_bits) {

@@ -24,7 +24,4 @@ struct cardinality_estimate {
 [[nodiscard]] cardinality_estimate estimate_cardinality(
     std::uint64_t raw_count, std::uint64_t bins, std::uint64_t total_noise_bits);
 
-/// Forward model: expected occupied bins for n distinct items in b bins.
-[[nodiscard]] double expected_occupancy(double n_items, std::uint64_t bins);
-
 }  // namespace tormet::psc

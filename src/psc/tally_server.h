@@ -74,9 +74,6 @@ class tally_server {
   [[nodiscard]] std::uint64_t total_noise_bits() const noexcept {
     return noise_bits_per_cp_ * cps_.size();
   }
-  [[nodiscard]] std::uint64_t noise_bits_per_cp() const noexcept {
-    return noise_bits_per_cp_;
-  }
   [[nodiscard]] const round_params& params() const noexcept { return params_; }
   [[nodiscard]] std::uint32_t round_id() const noexcept { return round_id_; }
   /// DCs whose tables made it into the combination (dropout diagnostics).

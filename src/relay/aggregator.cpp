@@ -11,14 +11,13 @@ namespace tormet::relay {
 
 namespace fs = std::filesystem;
 
-aggregator::aggregator(std::string dir, std::uint64_t relays,
-                       std::uint64_t grace_epochs)
-    : dir_{std::move(dir)}, relays_{relays}, grace_epochs_{grace_epochs} {}
+aggregator::aggregator(std::string dir, std::uint64_t relays)
+    : dir_{std::move(dir)}, relays_{relays} {}
 
 std::size_t aggregator::collect_epoch(std::uint64_t epoch,
                                       core::event_sink& sink) {
   const std::uint64_t oldest_acceptable =
-      epoch >= grace_epochs_ ? epoch - grace_epochs_ : 0;
+      epoch >= k_grace_epochs ? epoch - k_grace_epochs : 0;
   std::vector<pub_window> accepted;
   std::set<std::uint64_t> present_now;  // relays with an epoch-`epoch` window
   std::error_code ec;

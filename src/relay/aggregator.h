@@ -17,9 +17,9 @@
 // Lifecycle of a directory entry at collect_epoch(e):
 //   * not a canonical pub name ............ ignored (left in place)
 //   * (relay, epoch) already consumed ..... duplicates++, deleted
-//   * epoch + grace < e ................... late_dropped++, deleted
+//   * epoch + 1 < e ....................... late_dropped++, deleted
 //   * undecodable (torn write, bad CRC) ... rejected++, deleted
-//   * epoch < e (within grace) ............ late++, accepted
+//   * epoch == e - 1 (the grace epoch) .... late++, accepted
 //   * epoch == e .......................... accepted
 //   * expected relay with no epoch-e file . missing++ (a rejected epoch-e
 //     file still counts as published: its fault is booked once, under
@@ -51,11 +51,12 @@ struct aggregate_stats {
 
 class aggregator {
  public:
-  /// Aggregates `relays` publishers out of `dir`. `grace_epochs` is how
-  /// many epochs behind the current one a late window may trail and still
-  /// be ingested (0 = only the current epoch is acceptable).
-  aggregator(std::string dir, std::uint64_t relays,
-             std::uint64_t grace_epochs = 1);
+  /// How many epochs behind the current one a late window may trail and
+  /// still be ingested.
+  static constexpr std::uint64_t k_grace_epochs = 1;
+
+  /// Aggregates `relays` publishers out of `dir`.
+  aggregator(std::string dir, std::uint64_t relays);
 
   /// Collects epoch `epoch`: scans the directory, classifies every entry
   /// per the lifecycle above, merges the accepted windows into DC arrival
@@ -71,7 +72,6 @@ class aggregator {
  private:
   std::string dir_;
   std::uint64_t relays_;
-  std::uint64_t grace_epochs_;
   aggregate_stats totals_;
   /// (relay, epoch) pairs already ingested, pruned once past the grace.
   std::set<std::pair<std::uint64_t, std::uint64_t>> consumed_;

@@ -1,13 +1,12 @@
 #include "src/relay/publish.h"
 
-#include <cstdio>
 #include <cstring>
-#include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "src/net/wire.h"
 #include "src/tor/event_codec.h"
-#include "src/util/op_log.h"
+#include "src/util/file_io.h"
 
 namespace tormet::relay {
 
@@ -20,42 +19,8 @@ constexpr std::string_view k_pub_magic = "tormet-relay-pub-v1\n";
 /// most ~1 MiB of frames (and the CRC catches the tear regardless).
 constexpr std::size_t k_record_soft_bytes = 1u << 20;
 
-void append_framed(byte_buffer& out, byte_view payload) {
-  const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
-  const std::uint32_t crc = util::crc32(payload);
-  const auto put_u32 = [&out](std::uint32_t v) {
-    out.push_back(static_cast<std::uint8_t>(v));
-    out.push_back(static_cast<std::uint8_t>(v >> 8));
-    out.push_back(static_cast<std::uint8_t>(v >> 16));
-    out.push_back(static_cast<std::uint8_t>(v >> 24));
-  };
-  put_u32(len);
-  put_u32(crc);
-  out.insert(out.end(), payload.begin(), payload.end());
-}
-
 [[noreturn]] void pub_fail(const std::string& what) {
   throw publish_error{"relay publish: " + what};
-}
-
-/// Reads the next [len][crc][payload] frame starting at `pos`; advances
-/// `pos` past it. Throws publish_error on truncation or CRC mismatch.
-[[nodiscard]] byte_view next_frame(byte_view data, std::size_t& pos) {
-  const auto get_u32 = [&](std::size_t at) {
-    return static_cast<std::uint32_t>(data[at]) |
-           (static_cast<std::uint32_t>(data[at + 1]) << 8) |
-           (static_cast<std::uint32_t>(data[at + 2]) << 16) |
-           (static_cast<std::uint32_t>(data[at + 3]) << 24);
-  };
-  if (data.size() - pos < 8) pub_fail("truncated record frame");
-  const std::uint32_t len = get_u32(pos);
-  const std::uint32_t crc = get_u32(pos + 4);
-  if (len > (64u << 20)) pub_fail("oversized record");
-  if (data.size() - pos - 8 < len) pub_fail("truncated record payload");
-  const byte_view payload = data.subspan(pos + 8, len);
-  if (util::crc32(payload) != crc) pub_fail("record CRC mismatch");
-  pos += 8 + len;
-  return payload;
 }
 
 }  // namespace
@@ -95,53 +60,43 @@ bool parse_pub_file_name(const std::string& name, std::uint64_t& relay,
 }
 
 byte_buffer encode_pub_window(const pub_window& w) {
-  byte_buffer out;
-  out.insert(out.end(), k_pub_magic.begin(), k_pub_magic.end());
+  byte_buffer out{k_pub_magic.begin(), k_pub_magic.end()};
   {
     net::wire_writer header;
     header.write_u64(w.header.relay);
     header.write_u64(w.header.epoch);
     header.write_u64(w.header.observed);
     header.write_u64(w.header.sampled);
-    append_framed(out, header.data());
+    util::append_record(out, header.data());
   }
-  net::wire_writer batch;
+  // A batch record: the varint entry count, then per entry the varint
+  // sequence number and the event's length-prefixed record.
+  byte_buffer batch;
   std::size_t batch_count = 0;
   const auto flush_batch = [&] {
     if (batch_count == 0) return;
-    net::wire_writer record;
-    record.write_varint(batch_count);
-    // Raw append (no length prefix): the varint count delimits the batch
-    // and each entry is self-delimiting.
-    const byte_buffer body = batch.take();
-    byte_buffer payload = record.take();
-    payload.insert(payload.end(), body.begin(), body.end());
-    append_framed(out, payload);
-    batch = net::wire_writer{};
+    byte_buffer payload;
+    net::append_varint(payload, batch_count);
+    payload.insert(payload.end(), batch.begin(), batch.end());
+    util::append_record(out, payload);
+    batch.clear();
     batch_count = 0;
   };
   for (const auto& [seq, ev] : w.events) {
-    batch.write_varint(seq);
-    net::wire_writer body;
-    tor::encode_event(body, ev);
-    batch.write_bytes(body.data());
+    net::append_varint(batch, seq);
+    tor::append_event_record(batch, ev);
     ++batch_count;
-    if (batch.data().size() >= k_record_soft_bytes) flush_batch();
+    if (batch.size() >= k_record_soft_bytes) flush_batch();
   }
   flush_batch();
   return out;
 }
 
 pub_window decode_pub_window(byte_view data) {
-  if (data.size() < k_pub_magic.size() ||
-      std::memcmp(data.data(), k_pub_magic.data(), k_pub_magic.size()) != 0) {
-    pub_fail("bad magic");
-  }
-  std::size_t pos = k_pub_magic.size();
+  util::record_reader records{data, k_pub_magic, "relay publish"};
   pub_window w;
   {
-    const byte_view payload = next_frame(data, pos);
-    net::wire_reader in{payload};
+    net::wire_reader in{records.next()};
     try {
       w.header.relay = in.read_u64();
       w.header.epoch = in.read_u64();
@@ -152,17 +107,14 @@ pub_window decode_pub_window(byte_view data) {
       pub_fail(std::string{"malformed header: "} + e.what());
     }
   }
-  while (pos < data.size()) {
-    const byte_view payload = next_frame(data, pos);
-    net::wire_reader in{payload};
+  while (!records.done()) {
+    net::wire_reader in{records.next()};
     try {
       const std::uint64_t count = in.read_varint();
       if (count > w.header.sampled) pub_fail("batch count exceeds header");
       for (std::uint64_t i = 0; i < count; ++i) {
         const std::uint64_t seq = in.read_varint();
-        const byte_buffer body = in.read_bytes();
-        net::wire_reader ev_in{body};
-        w.events.emplace_back(seq, tor::decode_event(ev_in));
+        w.events.emplace_back(seq, tor::read_event_record(in));
       }
       in.expect_end();
     } catch (const net::wire_error& e) {
@@ -179,28 +131,14 @@ std::string write_pub_file_atomic(const pub_window& w,
                                   const std::string& dir) {
   const std::string path = dir + "/" + pub_file_name(w.header.relay,
                                                      w.header.epoch);
-  const std::string tmp = path + ".tmp";
-  const byte_buffer bytes = encode_pub_window(w);
-  {
-    std::ofstream out{tmp, std::ios::trunc | std::ios::binary};
-    if (!out.good()) pub_fail("cannot open publish temp file " + tmp);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out.good()) pub_fail("short write on publish temp file " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    pub_fail("atomic rename of publish file failed: " + path);
-  }
+  util::write_file_atomic(path, encode_pub_window(w));
   return path;
 }
 
 pub_window load_pub_file(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in.good()) pub_fail("cannot open publish file " + path);
-  byte_buffer bytes{std::istreambuf_iterator<char>{in},
-                    std::istreambuf_iterator<char>{}};
-  return decode_pub_window(bytes);
+  const std::optional<std::string> bytes = util::read_file(path);
+  if (!bytes.has_value()) pub_fail("cannot read publish file " + path);
+  return decode_pub_window(as_bytes(*bytes));
 }
 
 }  // namespace tormet::relay

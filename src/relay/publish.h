@@ -1,14 +1,16 @@
 // On-disk publish format for relay stats windows. A relay-embedded stats
 // agent accumulates one collection window in RAM and publishes it as a
-// single `relay-<relay>-window-<epoch>.pub` file: a versioned magic line
-// followed by CRC-framed records, the same `[u32 len][u32 crc][payload]`
-// framing the durable op-log uses (src/util/op_log.h), so torn or
-// corrupted publishes are rejected loudly instead of silently skewing a
-// tally. Record 0 is the window header (relay id, epoch, observed/sampled
-// accounting); every later record carries a batch of sampled events, each
-// tagged with the relay-local ingest sequence number so the aggregation
-// service can merge many relays' windows back into the DC's original
-// event order (PSC ingest is order-dependent; see src/relay/aggregator.h).
+// single `relay-<relay>-window-<epoch>.pub` file: a CRC record file
+// (src/util/file_io.h, the codec the durable op-log uses too) under its own
+// magic line, written atomically (tmp + rename), so torn or corrupted
+// publishes are rejected loudly instead of silently skewing a tally.
+// Record 0 is the window header (relay id, epoch, observed/sampled
+// accounting); every later record carries a batch of sampled events: a
+// varint count, then per event its relay-local ingest sequence number and
+// its length-prefixed tor::event record (tor::append_event_record), so the
+// aggregation service can merge many relays' windows back into the DC's
+// original event order (PSC ingest is order-dependent; see
+// src/relay/aggregator.h).
 //
 // The per-relay observed/sampled counters ride the header, OUTSIDE the
 // event payload: like the TS `.summary` sidecar they are privacy-safe
@@ -17,23 +19,20 @@
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/tor/events.h"
 #include "src/util/bytes.h"
+#include "src/util/file_io.h"
 
 namespace tormet::relay {
 
 /// Structured publish-file failure: bad magic, truncated record, CRC
 /// mismatch, or malformed payload. The aggregator catches this to count a
 /// publisher that died mid-write as rejected (never partially ingested).
-class publish_error : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
+using publish_error = util::record_error;
 
 /// Per-window accounting carried in record 0, outside the event bytes.
 struct pub_header {
@@ -74,8 +73,8 @@ struct pub_window {
 /// retry simply overwrites with identical bytes. Returns the final path.
 std::string write_pub_file_atomic(const pub_window& w, const std::string& dir);
 
-/// Reads and decodes one publish file. Throws publish_error on any
-/// malformed content and std::runtime_error if the file cannot be read.
+/// Reads and decodes one publish file. Throws publish_error when the file
+/// cannot be read or holds malformed content.
 [[nodiscard]] pub_window load_pub_file(const std::string& path);
 
 }  // namespace tormet::relay

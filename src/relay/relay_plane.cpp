@@ -9,9 +9,8 @@ namespace tormet::relay {
 
 relay_plane::relay_plane(std::uint64_t relays, double sample_prob,
                          std::uint64_t sampling_seed,
-                         const std::string& publish_dir,
-                         std::uint64_t grace_epochs)
-    : dir_{publish_dir}, aggregator_{publish_dir, relays, grace_epochs} {
+                         const std::string& publish_dir)
+    : dir_{publish_dir}, aggregator_{publish_dir, relays} {
   expects(relays >= 1, "relay_plane needs at least one relay");
   std::filesystem::create_directories(dir_);
   agents_.reserve(relays);

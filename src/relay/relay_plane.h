@@ -32,11 +32,9 @@ namespace tormet::relay {
 class relay_plane {
  public:
   /// A fleet of `relays` agents publishing into `publish_dir` (created if
-  /// absent). `sampling_seed` comes from sampling_seed_of(plan.rng_seed);
-  /// `grace_epochs` is forwarded to the aggregator.
+  /// absent). `sampling_seed` comes from sampling_seed_of(plan.rng_seed).
   relay_plane(std::uint64_t relays, double sample_prob,
-              std::uint64_t sampling_seed, const std::string& publish_dir,
-              std::uint64_t grace_epochs = 1);
+              std::uint64_t sampling_seed, const std::string& publish_dir);
 
   /// Routes a span of observed events onto the fleet: each event goes to
   /// agent shard_of(shard_key_of(ev), relays) carrying the next DC-local

@@ -177,12 +177,22 @@ event decode_event(net::wire_reader& in) {
 }
 
 void append_event_record(byte_buffer& out, const event& ev) {
-  net::wire_writer payload;
+  // Encode the payload in place, append its varint length, then rotate the
+  // length in front of it: no buffer per record.
+  const std::size_t start = out.size();
+  net::wire_writer payload{std::move(out)};
   encode_event(payload, ev);
-  net::wire_writer prefix;
-  prefix.write_varint(payload.data().size());
-  out.insert(out.end(), prefix.data().begin(), prefix.data().end());
-  out.insert(out.end(), payload.data().begin(), payload.data().end());
+  out = payload.take();
+  const std::size_t len = out.size() - start;
+  net::append_varint(out, len);
+  std::rotate(out.begin() + static_cast<std::ptrdiff_t>(start),
+              out.begin() + static_cast<std::ptrdiff_t>(start + len),
+              out.end());
+}
+
+event read_event_record(net::wire_reader& in) {
+  net::wire_reader payload{in.read_bytes_view()};
+  return decode_event(payload);
 }
 
 void event_decoder::feed(byte_view chunk) {
@@ -212,38 +222,25 @@ std::optional<event> event_decoder::next() {
     saw_header_ = true;
   }
 
-  // Peek the varint length prefix without committing the position.
+  // A record is complete once its varint length prefix ended (a byte
+  // without the continuation bit, within a varint's 10 bytes) and its
+  // payload arrived. The cap is checked first, so a corrupt length is
+  // rejected before anything is buffered for it.
   const byte_view avail{buf_.data() + pos_, buf_.size() - pos_};
-  std::uint64_t len = 0;
-  std::size_t prefix_bytes = 0;
-  {
-    // Mirrors wire_reader::read_varint, but returns "need more bytes"
-    // instead of throwing on truncation.
-    int shift = 0;
-    for (;;) {
-      if (prefix_bytes >= avail.size()) return std::nullopt;  // need more
-      const std::uint8_t byte = avail[prefix_bytes++];
-      if (shift >= 63 && (byte & 0x7f) > 1) {
-        throw net::wire_error{"trace stream: varint length overflow"};
-      }
-      len |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-      if ((byte & 0x80) == 0) break;
-      shift += 7;
-      if (shift > 63) {
-        throw net::wire_error{"trace stream: varint length too long"};
-      }
-    }
-  }
+  const byte_view prefix = avail.first(std::min<std::size_t>(avail.size(), 10));
+  const bool prefix_open = std::none_of(
+      prefix.begin(), prefix.end(), [](std::uint8_t b) { return b < 0x80; });
+  if (prefix_open && prefix.size() < 10) return std::nullopt;  // need more
+  net::wire_reader in{avail};
+  const std::uint64_t len = in.read_varint();
   if (len > k_max_event_record_bytes) {
     throw net::wire_error{"trace stream: record length " + std::to_string(len) +
                           " exceeds cap"};
   }
-  if (avail.size() - prefix_bytes < len) return std::nullopt;  // need more
-
-  net::wire_reader payload{
-      byte_view{avail.data() + prefix_bytes, static_cast<std::size_t>(len)}};
-  event ev = decode_event(payload);
-  pos_ += prefix_bytes + static_cast<std::size_t>(len);
+  if (in.remaining() < len) return std::nullopt;  // need more
+  net::wire_reader record{avail};
+  event ev = read_event_record(record);
+  pos_ += avail.size() - record.remaining();
   return ev;
 }
 

@@ -47,6 +47,11 @@ void encode_event(net::wire_writer& out, const event& ev);
 /// Appends one length-prefixed record (varint payload length + payload).
 void append_event_record(byte_buffer& out, const event& ev);
 
+/// Reads one length-prefixed record from `in`, the inverse of
+/// append_event_record. Throws net::wire_error on truncation or a corrupt
+/// payload.
+[[nodiscard]] event read_event_record(net::wire_reader& in);
+
 /// Incremental record decoder: feed() arbitrary byte chunks (file blocks,
 /// socket reads), pop events with next(). The buffer is compacted as
 /// records complete, so memory stays bounded by the chunk size plus one
@@ -65,8 +70,6 @@ class event_decoder {
   [[nodiscard]] bool at_record_boundary() const noexcept {
     return pos_ == buf_.size() && saw_header_;
   }
-  /// True once the stream header has been consumed and validated.
-  [[nodiscard]] bool saw_header() const noexcept { return saw_header_; }
 
  private:
   byte_buffer buf_;

@@ -100,9 +100,6 @@ class network {
 
   /// Declares which relays are instrumented; only their events are emitted.
   void set_observed_relays(std::set<relay_id> observed);
-  [[nodiscard]] const std::set<relay_id>& observed_relays() const noexcept {
-    return observed_;
-  }
   void set_event_sink(event_sink sink);
 
   // -- clients --------------------------------------------------------------
@@ -154,9 +151,6 @@ class network {
   /// failures emit one circuit with the failing outcome and no payload.
   void rendezvous_attempt(client_id c, rend_outcome outcome,
                           std::uint64_t payload_bytes, sim_time t);
-
-  /// The model's internal rng (workloads may fork it for decorrelated use).
-  [[nodiscard]] rng& model_rng() noexcept { return rng_; }
 
  private:
   struct client_state {

@@ -1,14 +1,18 @@
-// Event-trace files: streaming reader/writer over the event_codec record
-// format. A trace file is one trace stream (header + records) whose events
-// are non-decreasing in sim time — the writer enforces the ordering and
-// the reader validates it. Reading is incremental with a bounded
-// buffer (fixed-size file chunks feeding an event_decoder), so multi-GB
-// traces never need to fit in memory.
+// Trace streams: the one reader and the one writer of the event_codec
+// stream format (header + records), whatever carries the bytes — a trace
+// file on disk or a TCP event socket (src/tor/trace_socket.h). A stream's
+// events are non-decreasing in sim time: the writer enforces the order and
+// the reader validates it, on files and sockets alike. Reading is
+// incremental with a bounded buffer (64 KiB chunks feeding an
+// event_decoder), so multi-GB streams never need to fit in memory; writing
+// buffers 256 KiB between writes.
 #pragma once
 
-#include <cstdio>
+#include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "src/tor/event_codec.h"
 
@@ -18,11 +22,19 @@ namespace tormet::tor {
 /// orchestration layer maps DC index k to "<dir>/dc-<k>.trace".
 [[nodiscard]] std::string trace_file_name(std::size_t dc_index);
 
+/// Writes each DC's events, `per_dc[k]`, as `<dir>/dc-<k>.trace` (the
+/// directory must exist). Returns the per-DC event counts.
+std::vector<std::size_t> write_trace_files(
+    const std::vector<std::vector<event>>& per_dc, const std::string& dir);
+
 class trace_writer {
  public:
-  /// Opens `path` (truncating) and writes the stream header. Throws
-  /// precondition_error when the file cannot be created.
+  /// Creates (truncating) the trace file at `path` and writes the stream
+  /// header. Throws precondition_error when the file cannot be created.
   explicit trace_writer(const std::string& path);
+  /// Streams to the connected socket `socket_fd`, which the writer owns
+  /// from here on; `label` names the stream in errors.
+  trace_writer(int socket_fd, std::string label);
   ~trace_writer();
   trace_writer(const trace_writer&) = delete;
   trace_writer& operator=(const trace_writer&) = delete;
@@ -39,10 +51,13 @@ class trace_writer {
   [[nodiscard]] std::size_t events_written() const noexcept { return count_; }
 
  private:
+  static constexpr std::size_t k_buffer_bytes = 256 << 10;
+
   void flush_buffer();
 
-  std::FILE* file_ = nullptr;
-  std::string path_;
+  int fd_ = -1;
+  bool socket_ = false;  // send() without SIGPIPE instead of write()
+  std::string label_;
   byte_buffer buf_;
   std::size_t count_ = 0;
   std::int64_t last_seconds_ = 0;
@@ -50,27 +65,33 @@ class trace_writer {
 
 class trace_reader {
  public:
-  /// Opens `path`. Throws precondition_error when the file cannot be read.
+  /// Reads up to `n` bytes into `buf`; returns 0 at end of stream. Throws
+  /// when the carrier fails.
+  using byte_source =
+      std::function<std::size_t(std::uint8_t* buf, std::size_t n)>;
+
+  /// Opens the trace file at `path`. Throws precondition_error when it
+  /// cannot be opened.
   explicit trace_reader(const std::string& path);
-  ~trace_reader();
+  /// Reads the stream `source` delivers; `label` names it in errors.
+  trace_reader(byte_source source, std::string label);
+  virtual ~trace_reader() = default;
   trace_reader(const trace_reader&) = delete;
   trace_reader& operator=(const trace_reader&) = delete;
 
   /// Next event, or nullopt at clean end of stream. Throws net::wire_error
-  /// on corrupt records, a timestamp regression, or a file that ends inside
-  /// a record (truncation).
+  /// on corrupt records, a timestamp regression, or a stream that ends
+  /// inside a record (truncation).
   [[nodiscard]] std::optional<event> next();
-
-  [[nodiscard]] std::size_t events_read() const noexcept { return count_; }
 
  private:
   static constexpr std::size_t k_chunk_bytes = 64 << 10;
 
-  std::FILE* file_ = nullptr;
+  byte_source source_;
+  std::string label_;
   event_decoder decoder_;
   bool eof_ = false;
   std::size_t count_ = 0;
-  bool saw_event_ = false;
   std::int64_t last_seconds_ = 0;
 };
 

@@ -1,9 +1,9 @@
-// Write-ahead op-log for crash-recoverable rounds: an append-only file of
-// CRC-framed records. A process appends one record per durable state
-// transition; on restart it replays the records in order to its
-// pre-crash state and resumes the schedule. Payloads are opaque bytes —
-// the protocol layer owns their encoding; this module owns framing,
-// integrity, and durability.
+// Write-ahead op-log for crash-recoverable rounds: an append-only CRC
+// record file (src/util/file_io.h). A process appends one record per
+// durable state transition; on restart it replays the records in order to
+// its pre-crash state and resumes the schedule. Payloads are opaque bytes —
+// the protocol layer owns their encoding; the record codec owns framing
+// and integrity, and this module owns durability.
 //
 // On-disk layout under the store directory:
 //
@@ -14,25 +14,17 @@
 // silently misrecover.
 #pragma once
 
-#include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "src/util/bytes.h"
+#include "src/util/file_io.h"
 
 namespace tormet::util {
 
 /// Structured recovery failure: the op-log on disk is truncated,
 /// corrupted, or otherwise unreadable.
-class op_log_error : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320) over `data`. Exposed so tests
-/// can frame valid records and fuzzers can target the checksum.
-[[nodiscard]] std::uint32_t crc32(byte_view data);
+using op_log_error = record_error;
 
 class durable_store {
  public:

@@ -56,7 +56,6 @@ std::string browsing_driver::sample_destination() {
   }
   // Non-Alexa long tail.
   const std::uint64_t k = tail_ranks_.sample(rng_);
-  visited_tail_ids_.insert(k);
   static constexpr const char* tail_tlds[] = {"com", "net", "org", "ru", "de",
                                               "info", "io", "cn", "br", "xyz"};
   const auto tld = tail_tlds[k % std::size(tail_tlds)];

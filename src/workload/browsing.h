@@ -73,13 +73,10 @@ class browsing_driver {
   /// arbitrary client — building block of run_day.
   void visit_site(tor::client_id c, sim_time t);
 
-  /// Ground truth for Table 2 validation: distinct Alexa ranks / long-tail
-  /// ids visited network-wide so far.
+  /// Ground truth for Table 2 validation: distinct Alexa ranks visited
+  /// network-wide so far.
   [[nodiscard]] std::size_t unique_alexa_sites_visited() const noexcept {
     return visited_alexa_ranks_.size();
-  }
-  [[nodiscard]] std::size_t unique_tail_sites_visited() const noexcept {
-    return visited_tail_ids_.size();
   }
 
  private:
@@ -91,7 +88,6 @@ class browsing_driver {
   rng rng_;
   std::vector<std::string> amazon_siblings_;  // cached: building it scans the list
   std::unordered_set<std::uint64_t> visited_alexa_ranks_;
-  std::unordered_set<std::uint64_t> visited_tail_ids_;
 };
 
 }  // namespace tormet::workload

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <set>
@@ -11,6 +10,7 @@
 #include "src/core/instruments.h"
 #include "src/tor/trace_file.h"
 #include "src/util/check.h"
+#include "src/util/file_io.h"
 #include "src/util/rng.h"
 #include "src/util/sim_time.h"
 #include "src/workload/zipf.h"
@@ -405,31 +405,22 @@ scenario_truth parse_ground_truth(std::string_view text) {
 }
 
 scenario_truth load_ground_truth(const std::string& path) {
-  std::ifstream in{path};
-  expects(in.good(), "cannot open ground-truth file");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse_ground_truth(buf.str());
+  const std::optional<std::string> text = util::read_file(path);
+  if (!text.has_value()) {
+    throw precondition_error{"cannot read ground truth " + path};
+  }
+  return parse_ground_truth(*text);
 }
 
 void save_ground_truth(const scenario_truth& truth, const std::string& path) {
-  std::ofstream out{path, std::ios::trunc};
-  expects(out.good(), "cannot write ground-truth file");
-  out << serialize_ground_truth(truth);
-  expects(out.good(), "short write on ground-truth file");
+  util::write_file_atomic(path, as_bytes(serialize_ground_truth(truth)));
 }
 
 std::vector<std::size_t> write_scenario_dir(const scenario_params& params,
                                             const std::string& dir) {
   const std::vector<std::vector<tor::event>> per_dc =
       generate_scenario_events(params);
-  std::vector<std::size_t> counts;
-  for (std::size_t k = 0; k < per_dc.size(); ++k) {
-    tor::trace_writer writer{dir + "/" + tor::trace_file_name(k)};
-    for (const tor::event& ev : per_dc[k]) writer.write(ev);
-    writer.close();
-    counts.push_back(writer.events_written());
-  }
+  std::vector<std::size_t> counts = tor::write_trace_files(per_dc, dir);
   const scenario_measurements m = measurements_for_scenario(params.name);
   const scenario_truth truth = compute_scenario_truth(
       params, per_dc, m.instruments, {m.psc_extractor},

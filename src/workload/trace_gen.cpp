@@ -186,16 +186,7 @@ std::vector<std::vector<tor::event>> generate_trace_events(
 
 std::vector<std::size_t> write_trace_dir(const trace_gen_params& params,
                                          const std::string& dir) {
-  const std::vector<std::vector<tor::event>> per_dc =
-      generate_trace_events(params);
-  std::vector<std::size_t> counts;
-  for (std::size_t k = 0; k < per_dc.size(); ++k) {
-    tor::trace_writer writer{dir + "/" + tor::trace_file_name(k)};
-    for (const tor::event& ev : per_dc[k]) writer.write(ev);
-    writer.close();
-    counts.push_back(writer.events_written());
-  }
-  return counts;
+  return tor::write_trace_files(generate_trace_events(params), dir);
 }
 
 }  // namespace tormet::workload

@@ -19,30 +19,13 @@
 #include "src/tor/trace_file.h"
 #include "src/tor/trace_socket.h"
 #include "src/workload/trace_gen.h"
+#include "tests/node_process.h"
 
 namespace tormet::cli {
 namespace {
 
 /// tormet_node binary: ctest exports TORMET_NODE_BIN; fall back to the
 /// binary next to this test executable (both live in the build dir).
-[[nodiscard]] std::string node_binary() {
-  if (const char* env = std::getenv("TORMET_NODE_BIN")) return env;
-  return sibling_node_binary();
-}
-
-class workdir_guard {
- public:
-  workdir_guard() : path_{make_round_workdir()} {}
-  ~workdir_guard() {
-    std::error_code ec;
-    std::filesystem::remove_all(path_, ec);
-  }
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
-
- private:
-  std::string path_;
-};
-
 TEST(DeploymentPlanTest, RoundTripsThroughSerialization) {
   deployment_plan plan = make_psc_plan(4, 3, 2048);
   plan.rng_seed = 99;
@@ -377,11 +360,7 @@ TEST(DistributedRoundTest, SocketFedRoundMatchesFileFedReference) {
   plan.instruments = {"stream_taxonomy"};
   plan.tally_path = workdir.path() + "/tally.out";
   assign_free_ports(plan);
-  // Reuse the free-port prober for the event sockets: put the bases after
-  // the highest fabric port to avoid collisions.
-  std::uint16_t base = 0;
-  for (const auto& n : plan.nodes) base = std::max(base, n.port);
-  plan.workload.event_port_base = static_cast<std::uint16_t>(base + 1);
+  assign_free_event_ports(plan, gen.dcs);
 
   // Feeder failures are captured (never thrown out of a std::thread) and
   // the threads are joined on every path, so a failing round reports the

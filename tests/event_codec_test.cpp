@@ -10,6 +10,7 @@
 #include <memory>
 #include <thread>
 
+#include "src/crypto/sha256.h"
 #include "src/tor/event_codec.h"
 #include "src/tor/trace_file.h"
 #include "src/tor/trace_socket.h"
@@ -238,6 +239,24 @@ TEST(TraceFileTest, WritesAndReadsBack) {
   for (std::size_t i = 0; i < events.size(); ++i) {
     expect_equal(decoded[i], events[i]);
   }
+}
+
+/// Known-answer bytes: the trace file of sample_events().
+TEST(TraceFileTest, FileBytesMatchKnownDigest) {
+  const temp_dir dir;
+  {
+    trace_writer writer{dir.file("t.trace")};
+    for (const event& ev : sample_events()) writer.write(ev);
+    writer.close();
+  }
+  std::FILE* f = std::fopen(dir.file("t.trace").c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  byte_buffer bytes(4096);
+  bytes.resize(std::fread(bytes.data(), 1, bytes.size(), f));
+  std::fclose(f);
+  EXPECT_EQ(bytes, encode_stream(sample_events()));
+  EXPECT_EQ(to_hex(crypto::sha256(bytes)),
+            "017f7ac76dd1d639ea4ad31d0201e8cd6172834fcbca45c40b0a8feefb0ec941");
 }
 
 TEST(TraceFileTest, WriterEnforcesTimeOrder) {

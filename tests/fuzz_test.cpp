@@ -19,7 +19,6 @@
 #include "src/privcount/messages.h"
 #include "src/psc/messages.h"
 #include "src/psc/oblivious_set.h"
-#include "src/tor/consensus_doc.h"
 #include "src/tor/event_shard.h"
 #include "src/util/check.h"
 #include "src/util/op_log.h"
@@ -212,26 +211,6 @@ TEST(FuzzTest, GroupElementDecodeRejectsGarbage) {
       expect_graceful([&] { (void)group->decode(junk); });
       expect_graceful([&] { (void)group->decode_scalar(junk); });
     }
-  }
-}
-
-TEST(FuzzTest, ConsensusDocCorruption) {
-  tor::consensus_params params;
-  params.num_relays = 30;
-  const std::string good =
-      tor::serialize_consensus(tor::make_synthetic_consensus(params));
-  EXPECT_NO_THROW((void)tor::parse_consensus(good));
-
-  rng r{88};
-  for (int trial = 0; trial < 200; ++trial) {
-    std::string corrupt = good;
-    const std::size_t pos = static_cast<std::size_t>(r.below(corrupt.size()));
-    corrupt[pos] = static_cast<char>('!' + r.below(90));
-    expect_graceful([&] { (void)tor::parse_consensus(corrupt); });
-  }
-  // Truncations at line granularity.
-  for (std::size_t cut = 0; cut < good.size(); cut += 37) {
-    expect_graceful([&] { (void)tor::parse_consensus(good.substr(0, cut)); });
   }
 }
 

@@ -29,27 +29,10 @@
 #include "src/tor/trace_socket.h"
 #include "src/util/op_log.h"
 #include "src/workload/trace_gen.h"
+#include "tests/node_process.h"
 
 namespace tormet::cli {
 namespace {
-
-[[nodiscard]] std::string node_binary() {
-  if (const char* env = std::getenv("TORMET_NODE_BIN")) return env;
-  return sibling_node_binary();
-}
-
-class workdir_guard {
- public:
-  workdir_guard() : path_{make_round_workdir()} {}
-  ~workdir_guard() {
-    std::error_code ec;
-    std::filesystem::remove_all(path_, ec);
-  }
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
-
- private:
-  std::string path_;
-};
 
 /// Scoped TORMET_FAULT injection for the spawned node processes (the
 /// orchestrator's fork/exec children inherit this test's environment).
@@ -414,6 +397,42 @@ void feed_raw_bytes(std::uint16_t port, const byte_buffer& bytes) {
   ::close(fd);  // abrupt close: no trailing record boundary
 }
 
+/// A live stream is held to the trace contract: time goes backwards at the
+/// t=3 event, so the socket stream fails there, like a truncated one, and
+/// neither that event nor the t=6 one after it lands in a window or in the
+/// gap count.
+TEST(WorkloadCursorTest, SocketStreamWhoseTimeGoesBackwardsFails) {
+  deployment_plan plan = make_psc_plan(1, 1, 64);
+  plan.workload.kind = workload_kind::socket;
+  plan.schedule_rounds = 2;
+  plan.round_duration_s = 4;  // windows [0,4) and [4,8)
+  plan.round_deadline_ms = 30'000;
+  assign_free_ports(plan);
+  assign_free_event_ports(plan, 1);
+  workload_cursor cursor{plan, 0};
+
+  byte_buffer bytes;
+  tor::append_trace_header(bytes);
+  for (const std::int64_t t : {5, 3, 6}) {
+    tor::append_event_record(bytes, stream_event_at(t, 0));
+  }
+  std::thread feeder{
+      [&] { feed_raw_bytes(plan.workload.event_port_base, bytes); }};
+  std::vector<std::int64_t> seen;
+  const auto sink = [&](const tor::event* evs, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) seen.push_back(evs[i].at.seconds);
+  };
+  const core::measurement_schedule sched = round_schedule_of(plan);
+  for (std::size_t r = 0; r < 2; ++r) {
+    const round_window w = round_window_for(plan, sched, r);
+    (void)cursor.stream_window(w.start, w.end, sink);
+  }
+  feeder.join();
+  EXPECT_TRUE(cursor.stream_failed());
+  EXPECT_EQ(seen, (std::vector<std::int64_t>{5}));
+  EXPECT_EQ(cursor.dropped_outside_windows(), 0u);
+}
+
 /// A killed feeder socket mid-round and a cleanly-closing feeder mid-stream:
 /// both DCs stay alive, later rounds complete, and every counter is exactly
 /// the number of events that made it onto the wire inside each window.
@@ -443,9 +462,7 @@ TEST(MultiRoundFaultTest, FeederSocketKilledMidRoundKeepsPipelineExact) {
   plan.round_deadline_ms = 30'000;
   plan.tally_path = workdir.path() + "/tally.out";
   assign_free_ports(plan);
-  std::uint16_t base = 0;
-  for (const auto& n : plan.nodes) base = std::max(base, n.port);
-  plan.workload.event_port_base = static_cast<std::uint16_t>(base + 1);
+  assign_free_event_ports(plan, 3);
 
   // DC 0: healthy feeder, full 3-day stream. DC 1: feeder killed mid-round
   // (day-0 records plus a truncated day-1 record, then an abrupt close).
@@ -562,9 +579,7 @@ TEST(MultiRoundFaultTest, ShardedDcSurvivesFeederDeathMatchingTruncatedTrace) {
   plan.dc_shards = 3;  // the regression under test
   plan.tally_path = workdir.path() + "/tally.out";
   assign_free_ports(plan);
-  std::uint16_t base = 0;
-  for (const auto& n : plan.nodes) base = std::max(base, n.port);
-  plan.workload.event_port_base = static_cast<std::uint16_t>(base + 1);
+  assign_free_event_ports(plan, 2);
 
   // DC 0: healthy feeder, full 3-day stream. DC 1: day-0 records, then half
   // of the first day-1 record and an abrupt close — killed mid-round 1.
@@ -819,6 +834,53 @@ TEST(MultiRoundFaultTest, DelayedDcStreamIsExcludedAfterGrace) {
     EXPECT_EQ(rounds[r].at("streams/total"),
               static_cast<std::int64_t>(expected[r]))
         << "round " << r;
+  }
+}
+
+/// DC startup outlasting the grace: each DC materializes an onion workload
+/// for several graces before it serves, while every protocol phase takes a
+/// small fraction of one. The TS starts round 1 only once every peer
+/// announced itself, so neither a plain grace plan nor a durable one
+/// retries or excludes anything, and the tally matches the reference.
+TEST(MultiRoundFaultTest, SlowDcStartupSpendsNoGrace) {
+  const std::string bin = node_binary();
+  if (bin.empty()) GTEST_SKIP() << "tormet_node binary not found";
+
+  const trace_round_defaults defaults = defaults_for_model("onion");
+  deployment_plan plan = make_privcount_plan(2, 2, defaults.counters);
+  plan.instruments = defaults.instruments;
+  plan.workload.kind = workload_kind::generate;
+  plan.workload.model = "onion";
+  plan.workload.scale = 0.002;  // ~1.5 s to materialize on a 4-vCPU host
+  plan.workload.gen_seed = 5;
+  plan.rng_seed = 5;
+  plan.dc_grace_ms = 300;
+  plan.round_deadline_ms = 120'000;
+  const std::string reference = run_reference_round(plan);
+  const std::vector<net::node_id> dc_ids =
+      plan.ids_with(node_role::privcount_dc);
+  for (const bool durable : {false, true}) {
+    SCOPED_TRACE(durable ? "durable" : "grace only");
+    workdir_guard workdir;
+    deployment_plan run = plan;
+    if (durable) run.durable_dir = workdir.path() + "/durable";
+    run.tally_path = workdir.path() + "/tally.out";
+    assign_free_ports(run);
+    const distributed_round_result result =
+        run_distributed_round(run, bin, workdir.path(), 300'000);
+    for (const auto& n : result.nodes) {
+      EXPECT_EQ(n.exit_code, 0) << "node " << n.id << " failed";
+    }
+    EXPECT_EQ(result.tally, reference);
+    EXPECT_EQ(summary_line(result.summary, "round_retries "),
+              "round_retries 0")
+        << result.summary;
+    for (const auto id : dc_ids) {
+      EXPECT_EQ(summary_line(result.summary, "dc " + std::to_string(id) + " "),
+                "dc " + std::to_string(id) +
+                    " reported 1 missed 0 excluded 0 rejoined 0")
+          << result.summary;
+    }
   }
 }
 

@@ -9,6 +9,7 @@
 #include <memory>
 #include <string>
 
+#include "src/crypto/sha256.h"
 #include "src/util/bytes.h"
 #include "src/util/op_log.h"
 
@@ -72,6 +73,17 @@ TEST_F(oplog_fixture, AppendedRecordsReplayInOrderAcrossReopen) {
   EXPECT_EQ(back.recovered()[0], bytes_of("round 1"));
   EXPECT_EQ(back.recovered()[1], bytes_of("round 2"));
   EXPECT_EQ(back.recovered()[2].size(), 100'000u);
+}
+
+/// Known-answer bytes: the log file after two fixed appends.
+TEST_F(oplog_fixture, LogBytesMatchKnownDigest) {
+  {
+    durable_store store{dir()};
+    store.append(bytes_of("tormet-ts-round-v1\nround 1\n"));
+    store.append(bytes_of(std::string(1'000, 'q')));
+  }
+  EXPECT_EQ(to_hex(crypto::sha256(read_raw(log_path()))),
+            "a417507a2738119281ab1b269144d1089c9b711228a3c9b490b78131a91436e2");
 }
 
 TEST_F(oplog_fixture, EmptyRecordsRoundTrip) {

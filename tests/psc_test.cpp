@@ -9,6 +9,7 @@
 #include "src/net/inproc.h"
 #include "src/psc/deployment.h"
 #include "src/psc/estimator.h"
+#include "src/stats/occupancy.h"
 #include "src/tor/network.h"
 #include "src/util/check.h"
 
@@ -246,15 +247,16 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(PscEstimatorTest, ForwardModelAndInversion) {
-  EXPECT_DOUBLE_EQ(expected_occupancy(0, 128), 0.0);
-  EXPECT_NEAR(expected_occupancy(128, 128), 128 * (1 - std::pow(1 - 1.0 / 128, 128)),
-              1e-9);
+  EXPECT_DOUBLE_EQ(stats::occupancy_mean(0, 128), 0.0);
+  EXPECT_NEAR(stats::occupancy_mean(128, 128),
+              128 * (1 - std::pow(1 - 1.0 / 128, 128)), 1e-9);
   // Inversion is the exact inverse of the forward model.
-  for (const double n : {5.0, 50.0, 200.0}) {
-    const double occ = expected_occupancy(n, 512);
+  for (const std::uint64_t n : {5, 50, 200}) {
+    const double occ = stats::occupancy_mean(n, 512);
     const cardinality_estimate est =
         estimate_cardinality(static_cast<std::uint64_t>(occ + 0.5), 512, 0);
-    EXPECT_NEAR(est.cardinality, n, n * 0.05 + 1.5);
+    const double want = static_cast<double>(n);
+    EXPECT_NEAR(est.cardinality, want, want * 0.05 + 1.5);
   }
 }
 

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "src/cli/deployment_plan.h"
+#include "src/crypto/sha256.h"
 #include "src/net/wire.h"
 #include "src/relay/aggregator.h"
 #include "src/relay/publish.h"
@@ -29,6 +30,7 @@
 #include "src/tor/event_codec.h"
 #include "src/tor/event_shard.h"
 #include "src/util/check.h"
+#include "src/util/rng.h"
 
 namespace tormet::relay {
 namespace {
@@ -117,6 +119,50 @@ TEST(RelayPublishTest, WindowRoundTripsThroughCodec) {
   }
   // Deterministic bytes: re-encoding the decoded window is the identity.
   EXPECT_EQ(encode_pub_window(back), bytes);
+}
+
+/// Known-answer bytes of a fixed window: a few hundred seeded events of
+/// every variant with scattered sequence numbers, and every 12th event
+/// carrying a 56 KiB target, so the window spans two event batches (the
+/// 1 MiB soft cap). The digest pins the publish format byte for byte.
+TEST(RelayPublishTest, EncodedWindowMatchesKnownDigest) {
+  rng r{2018};
+  pub_window w;
+  w.header = {3, 9, 1'000, 300};
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    tor::event ev;
+    ev.observer = static_cast<tor::relay_id>(r.below(64));
+    ev.at = sim_time{static_cast<std::int64_t>(1'000 + i * 7)};
+    const auto ip = static_cast<std::uint32_t>(r.next());
+    switch (i % 4) {
+      case 0:
+        ev.body = tor::entry_connection_event{ip};
+        break;
+      case 1:
+        ev.body = tor::entry_circuit_event{ip, tor::circuit_kind::general};
+        break;
+      case 2:
+        ev.body = tor::entry_data_event{ip, r.below(1u << 20)};
+        break;
+      default:
+        ev.body = tor::exit_stream_event{
+            tor::address_kind::hostname, r.bernoulli(0.5), 443,
+            i % 12 == 3 ? std::string(56 << 10, 'a' + static_cast<char>(i % 26))
+                        : "s" + std::to_string(r.below(1'000)) + ".example"};
+        break;
+    }
+    w.events.emplace_back(i * 3 + r.below(3), ev);
+  }
+  const byte_buffer bytes = encode_pub_window(w);
+  EXPECT_EQ(to_hex(crypto::sha256(bytes)),
+            "46e4fabf49c393eb85c2454db283ad3fb814527a435817f9bc2e569e3336869f");
+  tmpdir_guard dir;
+  const std::string path = write_pub_file_atomic(w, dir.path());
+  std::ifstream in{path, std::ios::binary};
+  const byte_buffer on_disk{std::istreambuf_iterator<char>{in},
+                            std::istreambuf_iterator<char>{}};
+  EXPECT_EQ(on_disk, bytes);
+  EXPECT_EQ(encode_pub_window(decode_pub_window(bytes)), bytes);
 }
 
 TEST(RelayPublishTest, EmptyWindowRoundTrips) {
@@ -222,7 +268,7 @@ TEST(RelayAggregatorTest, LateWindowWithinGraceIsIngested) {
   now.events.emplace_back(0, entry_event(8, 100));
   (void)write_pub_file_atomic(now, dir.path());
 
-  aggregator agg{dir.path(), 1, /*grace_epochs=*/1};
+  aggregator agg{dir.path(), 1};
   collecting_sink sink;
   EXPECT_EQ(agg.collect_epoch(1, sink), 2u);
   // The late window replays whole, BEFORE the current one: epoch-major
@@ -240,7 +286,7 @@ TEST(RelayAggregatorTest, LateWindowPastGraceIsCountedAndDropped) {
   w.events.emplace_back(0, entry_event(7, 1));
   (void)write_pub_file_atomic(w, dir.path());
 
-  aggregator agg{dir.path(), 1, /*grace_epochs=*/1};
+  aggregator agg{dir.path(), 1};
   collecting_sink sink;
   EXPECT_EQ(agg.collect_epoch(2, sink), 0u);
   EXPECT_TRUE(sink.events.empty());

@@ -21,27 +21,10 @@
 #include "src/cli/orchestrator.h"
 #include "src/core/instruments.h"
 #include "src/workload/trace_gen.h"
+#include "tests/node_process.h"
 
 namespace tormet::cli {
 namespace {
-
-[[nodiscard]] std::string node_binary() {
-  if (const char* env = std::getenv("TORMET_NODE_BIN")) return env;
-  return sibling_node_binary();
-}
-
-class workdir_guard {
- public:
-  workdir_guard() : path_{make_round_workdir()} {}
-  ~workdir_guard() {
-    std::error_code ec;
-    std::filesystem::remove_all(path_, ec);
-  }
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
-
- private:
-  std::string path_;
-};
 
 TEST(ScaleE2eTest, SixteenDcPopulationRoundAtTwoMillionDailyClients) {
   const std::string bin = node_binary();

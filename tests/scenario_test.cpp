@@ -36,27 +36,10 @@
 #include "src/dp/allocation.h"
 #include "src/stats/psc_ci.h"
 #include "src/workload/scenario.h"
+#include "tests/node_process.h"
 
 namespace tormet::cli {
 namespace {
-
-[[nodiscard]] std::string node_binary() {
-  if (const char* env = std::getenv("TORMET_NODE_BIN")) return env;
-  return sibling_node_binary();
-}
-
-class workdir_guard {
- public:
-  workdir_guard() : path_{make_round_workdir()} {}
-  ~workdir_guard() {
-    std::error_code ec;
-    std::filesystem::remove_all(path_, ec);
-  }
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
-
- private:
-  std::string path_;
-};
 
 constexpr std::uint64_t k_seeds[] = {3, 11, 29};
 

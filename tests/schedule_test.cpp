@@ -1,9 +1,7 @@
-// Tests for the §3.1 measurement-scheduling discipline and the consensus
-// document codec.
+// Tests for the §3.1 measurement-scheduling discipline.
 #include <gtest/gtest.h>
 
 #include "src/core/schedule.h"
-#include "src/tor/consensus_doc.h"
 #include "src/util/check.h"
 
 namespace tormet {
@@ -125,57 +123,6 @@ TEST(ScheduleTest, UniformScheduleMatchesPlanShape) {
                precondition_error);
   EXPECT_THROW((void)core::make_uniform_schedule("x", 2, 60, -1),
                precondition_error);
-}
-
-TEST(ConsensusDocTest, RoundTrip) {
-  tor::consensus_params params;
-  params.num_relays = 200;
-  params.seed = 77;
-  const tor::consensus original = tor::make_synthetic_consensus(params);
-  const std::string text = tor::serialize_consensus(original);
-  const tor::consensus parsed = tor::parse_consensus(text);
-
-  ASSERT_EQ(parsed.size(), original.size());
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    const tor::relay& a = original.relays()[i];
-    const tor::relay& b = parsed.relays()[i];
-    EXPECT_EQ(a.nickname, b.nickname);
-    EXPECT_NEAR(a.weight, b.weight, 1e-5);
-    EXPECT_EQ(a.flags.guard, b.flags.guard);
-    EXPECT_EQ(a.flags.exit, b.flags.exit);
-    EXPECT_EQ(a.flags.hsdir, b.flags.hsdir);
-  }
-  // Selection probabilities survive the round trip.
-  EXPECT_NEAR(parsed.total_weight(tor::position::guard),
-              original.total_weight(tor::position::guard), 1e-2);
-}
-
-TEST(ConsensusDocTest, RejectsMalformedInput) {
-  EXPECT_THROW((void)tor::parse_consensus(""), precondition_error);
-  EXPECT_THROW((void)tor::parse_consensus("not-a-consensus\n"),
-               precondition_error);
-  const std::string bad_keyword = "tormet-consensus 1\nnode 0 r0 1.0 G\n";
-  EXPECT_THROW((void)tor::parse_consensus(bad_keyword), precondition_error);
-  const std::string bad_flags = "tormet-consensus 1\nrelay 0 r0 1.0 GXZ\n";
-  EXPECT_THROW((void)tor::parse_consensus(bad_flags), precondition_error);
-  const std::string sparse_ids =
-      "tormet-consensus 1\nrelay 0 r0 1.0 G\nrelay 5 r5 1.0 E\n";
-  EXPECT_THROW((void)tor::parse_consensus(sparse_ids), precondition_error);
-}
-
-TEST(ConsensusDocTest, FlagSubsets) {
-  const std::string text =
-      "tormet-consensus 1\n"
-      "relay 0 alpha 2.500000 GEH\n"
-      "relay 1 beta 1.000000 -\n"
-      "relay 2 gamma 3.000000 E\n";
-  const tor::consensus net = tor::parse_consensus(text);
-  EXPECT_TRUE(net.relays()[0].flags.guard);
-  EXPECT_TRUE(net.relays()[0].flags.exit);
-  EXPECT_TRUE(net.relays()[0].flags.hsdir);
-  EXPECT_FALSE(net.relays()[1].flags.guard);
-  EXPECT_TRUE(net.relays()[2].flags.exit);
-  EXPECT_FALSE(net.relays()[2].flags.hsdir);
 }
 
 }  // namespace
