@@ -52,16 +52,17 @@ struct node_spec {
 /// the original plan-derived item workload (PSC only); the other kinds feed
 /// tor::event streams through the DC's observe() pipeline:
 ///   trace     — DC k replays `<trace_dir>/dc-<k>.trace` (tor::trace_reader)
-///   generate  — every process materializes workload::generate_trace_events
-///               ({model, dcs, scale, events, seed, days}) and DC k replays
-///               slice k; declared as `workload generate <model> <scale>
-///               <events> <seed> [<days>]`
+///   generate  — DC k renders slice k of workload::generate_trace_events
+///               ({model, dcs, scale, events, seed, days}) and replays it
+///               (the reference round renders every slice); declared as
+///               `workload generate <model> <scale> <events> <seed>
+///               [<days>]`
 ///   socket    — DC k listens on 127.0.0.1:(event_port_base + k) and ingests
 ///               a trace stream a feeder pushes (tormet_tracegen --feed)
-///   scenario  — every process materializes workload::generate_scenario_events
+///   scenario  — DC k renders slice k of workload::generate_scenario_events
 ///               (a named time-varying scenario: flash_crowd, diurnal,
-///               botnet_surge, relay_churn, country_block) and DC k replays
-///               slice k; declared as `workload scenario
+///               botnet_surge, relay_churn, country_block) and replays it;
+///               declared as `workload scenario
 ///               <name>,<scale>,<events>,<seed>[,<days>]`
 ///   relays    — the generate workload fed through a simulated relay fleet
 ///               (src/relay/): DC k's slice is routed onto relay_count/dcs

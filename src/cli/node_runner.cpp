@@ -101,13 +101,15 @@ struct fault_spec {
 
 /// Fires the injected crash `action` via _Exit(42) when `rounds` (a
 /// crash clause's round set) names protocol round `round_id` (1-based, as
-/// the messages carry it): no flushes, no destructors — the op-log
-/// write()s already issued are all that survive, exactly like a real kill.
+/// the messages carry it): no destructors — the op-log write()s already
+/// issued are all that survive, exactly like a real kill. When `flush` is
+/// set, the sends it has queued reach the kernel first: a peer crashing
+/// after a round has finished that round, reply included.
 /// In a durable deployment the crash fires at most once per
 /// (action, round): a marker file under durable_dir outlives the restart.
 void maybe_crash(const deployment_plan& plan, net::node_id self,
                  const std::set<std::size_t>& rounds, const char* action,
-                 std::uint32_t round_id) {
+                 std::uint32_t round_id, net::tcp_net* flush = nullptr) {
   if (round_id < 1 || !rounds.contains(round_id - 1)) return;
   const std::size_t round_index = round_id - 1;
   if (plan.durable()) {
@@ -121,6 +123,7 @@ void maybe_crash(const deployment_plan& plan, net::node_id self,
   }
   log_line{log_level::warn} << "node " << self << ": injected crash (" << action
                             << " " << round_index << ")";
+  if (flush != nullptr) flush->flush_sends();
   std::_Exit(k_crash_exit_code);
 }
 
@@ -520,7 +523,7 @@ void serve_peer(
         quit = true;  // injected dropout: exit cleanly between rounds
       }
       maybe_crash(plan, self, fault.crash_after_rounds, "crash_after_round",
-                  configured);
+                  configured, &net);
     }
   });
   // Announce that this node serves: the TS starts no round before every

@@ -32,17 +32,18 @@ workload::scenario_params scenario_params_of(const deployment_plan& plan) {
 }
 
 std::shared_ptr<const std::vector<std::vector<tor::event>>>
-materialize_plan_events(const deployment_plan& plan) {
+materialize_plan_events(const deployment_plan& plan,
+                        std::optional<std::size_t> dc) {
   switch (plan.workload.kind) {
     case workload_kind::generate:
     case workload_kind::relays:
       // relays shares generate's event table: the fleet detour changes HOW
       // a DC ingests its slice, never WHAT the slice contains.
       return std::make_shared<const std::vector<std::vector<tor::event>>>(
-          workload::generate_trace_events(trace_gen_params_of(plan)));
+          workload::generate_trace_events(trace_gen_params_of(plan), dc));
     case workload_kind::scenario:
       return std::make_shared<const std::vector<std::vector<tor::event>>>(
-          workload::generate_scenario_events(scenario_params_of(plan)));
+          workload::generate_scenario_events(scenario_params_of(plan), dc));
     case workload_kind::synthetic:
     case workload_kind::trace:
     case workload_kind::socket:
@@ -107,11 +108,12 @@ workload_cursor::workload_cursor(
     case workload_kind::generate:
     case workload_kind::scenario:
     case workload_kind::relays:
-      // Every process materializes the same generation (pure function of
-      // the plan) unless the caller shares one; either way the cursor only
-      // walks its own slice.
-      generated_ = generated != nullptr ? std::move(generated)
-                                        : materialize_plan_events(plan);
+      // A DC process renders only its own slice of the generation (a pure
+      // function of the plan); the reference round shares one full table.
+      // Either way the cursor only walks its own slice.
+      generated_ = generated != nullptr
+                       ? std::move(generated)
+                       : materialize_plan_events(plan, dc_index);
       expects(dc_index_ < generated_->size(), "DC index out of generated range");
       return;
     case workload_kind::socket:

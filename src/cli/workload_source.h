@@ -6,11 +6,12 @@
 // both sides ingest byte-identical event sequences:
 //
 //   trace     — streams <trace_dir>/dc-<k>.trace with a bounded buffer
-//   generate  — materializes workload::generate_trace_events (a pure
-//               function of the plan) and replays slice k
-//   scenario  — materializes workload::generate_scenario_events (named
-//               time-varying scenarios with ground-truth sidecars) and
-//               replays slice k
+//   generate  — renders slice k of workload::generate_trace_events (a
+//               pure function of the plan; a DC process renders only its
+//               own slice) and replays it
+//   scenario  — renders slice k of workload::generate_scenario_events
+//               (named time-varying scenarios with ground-truth sidecars)
+//               and replays it
 //   relays    — materializes like generate; the DC routes the slice through
 //               its simulated relay fleet (src/relay/relay_plane.h) before
 //               ingesting, instead of feeding the sink directly
@@ -52,11 +53,14 @@ namespace tormet::cli {
     const deployment_plan& plan);
 
 /// Materializes a plan's in-memory workload (`generate` or `scenario`) as
-/// the shared per-DC event table every cursor slices; nullptr for kinds
-/// that stream from files or sockets. Pure function of the plan — node
-/// processes and the reference round materialize identical streams.
+/// the per-DC event table cursors slice; nullptr for kinds that stream
+/// from files or sockets. Pure function of the plan. Given `dc`, only
+/// slice `dc` is filled (a table of the same shape, every other slice
+/// empty): a DC process renders just what it replays, and that slice is
+/// the one the reference round's full table holds.
 [[nodiscard]] std::shared_ptr<const std::vector<std::vector<tor::event>>>
-materialize_plan_events(const deployment_plan& plan);
+materialize_plan_events(const deployment_plan& plan,
+                        std::optional<std::size_t> dc = std::nullopt);
 
 /// True when the plan's collection phase feeds tor::events (anything but
 /// the synthetic item workload).
@@ -112,11 +116,12 @@ struct churn_transition {
 class workload_cursor {
  public:
   /// Opens DC `dc_index`'s stream for `plan` (throws precondition_error for
-  /// synthetic plans). Socket sources bind their listen port here, so a
-  /// feeder's connect retry can land before the first round opens.
+  /// synthetic plans). A generated workload renders only slice `dc_index`.
+  /// Socket sources bind their listen port here, so a feeder's connect
+  /// retry can land before the first round opens.
   workload_cursor(const deployment_plan& plan, std::size_t dc_index);
   /// Reference-round variant: share one materialized `generate` workload
-  /// across every DC's cursor instead of generating once per DC.
+  /// across every DC's cursor instead of rendering a slice per DC.
   workload_cursor(
       const deployment_plan& plan, std::size_t dc_index,
       std::shared_ptr<const std::vector<std::vector<tor::event>>> generated);

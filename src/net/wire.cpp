@@ -119,8 +119,8 @@ byte_view wire_reader::read_bytes_view() {
 }
 
 std::string wire_reader::read_string() {
-  const byte_buffer b = read_bytes();
-  return {b.begin(), b.end()};
+  const byte_view view = read_bytes_view();
+  return {view.begin(), view.end()};
 }
 
 void wire_reader::expect_end() const {

@@ -80,25 +80,27 @@ std::size_t aggregator::collect_epoch(std::uint64_t epoch,
   // were assigned once per event at observation time and reset per window,
   // so ordering by (window epoch, seq) reconstructs the original
   // sampled-subset order — late windows replay whole, before the current
-  // one. This is the property PSC's order-dependent ingest relies on.
-  struct merged_event {
+  // one. This is the property PSC's order-dependent ingest relies on. Only
+  // small keys are sorted; each event then moves into the span once.
+  struct merge_key {
     std::uint64_t epoch;
     std::uint64_t seq;
-    tor::event ev;
+    tor::event* ev;
   };
-  std::vector<merged_event> merged;
+  std::size_t total = 0;
+  for (const auto& w : accepted) total += w.events.size();
+  std::vector<merge_key> keys;
+  keys.reserve(total);
   for (auto& w : accepted) {
-    for (auto& [seq, ev] : w.events) {
-      merged.push_back({w.header.epoch, seq, std::move(ev)});
-    }
+    for (auto& [seq, ev] : w.events) keys.push_back({w.header.epoch, seq, &ev});
   }
-  std::sort(merged.begin(), merged.end(),
-            [](const merged_event& a, const merged_event& b) {
+  std::sort(keys.begin(), keys.end(),
+            [](const merge_key& a, const merge_key& b) {
               return a.epoch != b.epoch ? a.epoch < b.epoch : a.seq < b.seq;
             });
   std::vector<tor::event> span;
-  span.reserve(merged.size());
-  for (auto& m : merged) span.push_back(m.ev);
+  span.reserve(keys.size());
+  for (const merge_key& k : keys) span.push_back(std::move(*k.ev));
   if (!span.empty()) sink.ingest(span.data(), span.size());
   totals_.events_ingested += span.size();
 

@@ -7,12 +7,14 @@
 // arriving late, duplicate publishes, and torn/corrupt files.
 //
 // Ordering: PSC ingest is order-dependent (per-event seed pre-draws), so
-// the aggregator merge-sorts the accepted windows by the per-event
-// sequence numbers the relay_plane stamped at observation time. The merged
-// stream is exactly the DC-local arrival order restricted to the sampled
-// subset — which is why the aggregated path is byte-identical to feeding
-// the sampled subsequence straight into the sink, and at sample_prob 1.0
-// byte-identical to the plain cursor feed.
+// the aggregator orders the accepted windows' events by (epoch, sequence
+// number), the numbers the relay_plane stamped at observation time. It
+// sorts small (epoch, seq, pointer) keys and moves each event into the
+// ingest span once. The merged stream is exactly the DC-local arrival
+// order restricted to the sampled subset — which is why the aggregated
+// path is byte-identical to feeding the sampled subsequence straight into
+// the sink, and at sample_prob 1.0 byte-identical to the plain cursor
+// feed.
 //
 // Lifecycle of a directory entry at collect_epoch(e):
 //   * not a canonical pub name ............ ignored (left in place)

@@ -1,5 +1,6 @@
 #include "src/relay/publish.h"
 
+#include <algorithm>
 #include <cstring>
 #include <optional>
 #include <sstream>
@@ -18,6 +19,11 @@ constexpr std::string_view k_pub_magic = "tormet-relay-pub-v1\n";
 /// current one crosses this, so a torn write near the file tail loses at
 /// most ~1 MiB of frames (and the CRC catches the tear regardless).
 constexpr std::size_t k_record_soft_bytes = 1u << 20;
+
+/// Fewest bytes one batch entry can take: the sequence and record-length
+/// varints plus an event's observer varint, i64 time and body tag. Bounds
+/// the events a header may make the decoder reserve room for.
+constexpr std::size_t k_min_entry_bytes = 12;
 
 [[noreturn]] void pub_fail(const std::string& what) {
   throw publish_error{"relay publish: " + what};
@@ -107,6 +113,8 @@ pub_window decode_pub_window(byte_view data) {
       pub_fail(std::string{"malformed header: "} + e.what());
     }
   }
+  w.events.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
+      w.header.sampled, records.remaining() / k_min_entry_bytes)));
   while (!records.done()) {
     net::wire_reader in{records.next()};
     try {

@@ -50,8 +50,17 @@ void trace_writer::write(const event& ev) {
   expects(fd_ >= 0, "trace writer is closed");
   expects(count_ == 0 || ev.at.seconds >= last_seconds_,
           "trace events must be non-decreasing in sim time");
-  last_seconds_ = ev.at.seconds;
+  const std::size_t start = buf_.size();
   append_event_record(buf_, ev);
+  // Every reader rejects a record over the cap, so none is written.
+  net::wire_reader record{byte_view{buf_}.subspan(start)};
+  if (record.read_varint() > k_max_event_record_bytes) {
+    buf_.resize(start);
+    throw precondition_error{"trace event record exceeds " +
+                             std::to_string(k_max_event_record_bytes) +
+                             " bytes"};
+  }
+  last_seconds_ = ev.at.seconds;
   ++count_;
   if (buf_.size() >= k_buffer_bytes) flush_buffer();
 }

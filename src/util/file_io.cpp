@@ -10,16 +10,27 @@
 namespace tormet::util {
 namespace {
 
-[[nodiscard]] constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables for the reflected IEEE polynomial: t[0] is the
+/// classic byte-at-a-time table, and t[k][b] is the CRC register after byte
+/// b is followed by k zero bytes, so eight input bytes fold in with eight
+/// independent lookups.
+using crc_tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+[[nodiscard]] constexpr crc_tables make_crc_tables() {
+  crc_tables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
 
 void put_u32(byte_buffer& out, std::uint32_t v) {
@@ -28,18 +39,29 @@ void put_u32(byte_buffer& out, std::uint32_t v) {
   }
 }
 
+/// Little-endian u32, spelled so the compiler folds it into one load.
 [[nodiscard]] std::uint32_t get_u32(const std::uint8_t* at) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | at[i];
-  return v;
+  return static_cast<std::uint32_t>(at[0]) |
+         static_cast<std::uint32_t>(at[1]) << 8 |
+         static_cast<std::uint32_t>(at[2]) << 16 |
+         static_cast<std::uint32_t>(at[3]) << 24;
 }
 
 }  // namespace
 
 std::uint32_t crc32(byte_view data) {
-  static constexpr std::array<std::uint32_t, 256> table = make_crc_table();
+  static constexpr crc_tables t = make_crc_tables();
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
   std::uint32_t c = 0xFFFFFFFFu;
-  for (const std::uint8_t b : data) c = table[(c ^ b) & 0xFFu] ^ (c >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = c ^ get_u32(p);
+    const std::uint32_t hi = get_u32(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+        t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

@@ -51,6 +51,10 @@ class record_reader {
 
   /// True once every record has been read.
   [[nodiscard]] bool done() const noexcept { return pos_ == file_.size(); }
+  /// Bytes not yet read, frames included.
+  [[nodiscard]] std::size_t remaining() const noexcept {
+    return file_.size() - pos_;
+  }
 
   /// The next record's payload, a view into the file. Throws record_error
   /// on a truncated frame, an oversized length or a CRC mismatch.

@@ -151,8 +151,10 @@ scenario_shape shape_of(const scenario_params& params) {
 }
 
 std::vector<std::vector<tor::event>> generate_scenario_events(
-    const scenario_params& params) {
+    const scenario_params& params, std::optional<std::size_t> only_dc) {
   expects(params.dcs >= 1, "scenario generation needs at least one DC");
+  expects(!only_dc.has_value() || *only_dc < params.dcs,
+          "DC index out of the generated range");
   if (!is_known_scenario(params.name)) {
     throw precondition_error{"unknown scenario: " + params.name};
   }
@@ -218,8 +220,11 @@ std::vector<std::vector<tor::event>> generate_scenario_events(
 
       const auto observer = static_cast<tor::relay_id>(dc);
       const sim_time at{t};
+      // Other DCs' events still draw their values above and below; they
+      // are dropped here.
+      const bool keep = !only_dc.has_value() || dc == *only_dc;
       const auto emit = [&](tor::event_body body) {
-        out[dc].push_back(tor::event{observer, at, std::move(body)});
+        if (keep) out[dc].push_back(tor::event{observer, at, std::move(body)});
       };
       emit(tor::entry_connection_event{ip});
       emit(tor::entry_circuit_event{ip, tor::circuit_kind::general});

@@ -21,11 +21,13 @@
 // Determinism contract: generate_scenario_events() is a pure function of
 // its params — same params, same per-DC sequences, on every host. Plans
 // declare scenarios as `workload scenario <name>,<scale>,<events>,<seed>
-// [,<days>]` (cli::deployment_plan) and every process materializes the
-// identical stream. See docs/SCENARIOS.md for the envelope math.
+// [,<days>]` (cli::deployment_plan); each DC process renders only its own
+// slice of the identical stream, the reference round every slice. See
+// docs/SCENARIOS.md for the envelope math.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -94,9 +96,12 @@ struct scenario_shape {
 [[nodiscard]] scenario_shape shape_of(const scenario_params& params);
 
 /// Renders the scenario into per-DC event sequences (index = DC, each
-/// stably time-ordered). Pure function of `params`.
+/// stably time-ordered). Pure function of `params`. Given `only_dc`, every
+/// other slice comes back empty and slice `only_dc` equals the full
+/// generation's (the same values are drawn in the same order).
 [[nodiscard]] std::vector<std::vector<tor::event>> generate_scenario_events(
-    const scenario_params& params);
+    const scenario_params& params,
+    std::optional<std::size_t> only_dc = std::nullopt);
 
 /// Writes the per-DC traces as `<dir>/dc-<k>.trace` plus the ground-truth
 /// sidecar `<dir>/ground_truth.cfg` for `rounds` daily windows (rounds = 0

@@ -1,8 +1,10 @@
 #include "src/workload/trace_gen.h"
 
 #include <algorithm>
+#include <charconv>
 #include <map>
 #include <optional>
+#include <string_view>
 
 #include "src/core/measurement_study.h"
 #include "src/tor/trace_file.h"
@@ -22,9 +24,10 @@ namespace {
 /// whose hostnames follow a Zipf rank distribution over a synthetic domain
 /// universe ("zipf<rank>.com" — distinct SLD per rank, so both counter and
 /// unique-SLD measurements have signal). Observers are the DC indices
-/// themselves.
+/// themselves. Events of DCs outside `only` still draw their values, so
+/// the kept slice is exactly the full generation's.
 [[nodiscard]] std::vector<std::vector<tor::event>> generate_zipf(
-    const trace_gen_params& params) {
+    const trace_gen_params& params, std::optional<std::size_t> only) {
   std::vector<std::vector<tor::event>> out{params.dcs};
   rng r{params.seed};
   const zipf_sampler ranks{1'000'000, 1.0};
@@ -32,31 +35,52 @@ namespace {
   // remainder); day d's events get sim times inside day d's window. With
   // days == 1 this is exactly the original single-day generation.
   const std::uint64_t days = std::max<std::uint64_t>(1, params.days);
+  const auto quota_of = [&](std::uint64_t d) {
+    return params.events / days + (d < params.events % days ? 1 : 0);
+  };
+  for (std::size_t k = 0; k < params.dcs; ++k) {
+    if (only.has_value() && k != *only) continue;
+    std::uint64_t n = 0;  // event i of each day goes to DC i % dcs
+    for (std::uint64_t d = 0; d < days; ++d) {
+      const std::uint64_t quota = quota_of(d);
+      n += quota / params.dcs + (k < quota % params.dcs ? 1 : 0);
+    }
+    out[k].reserve(n);
+  }
   for (std::uint64_t d = 0; d < days; ++d) {
-    const std::uint64_t quota =
-        params.events / days + (d < params.events % days ? 1 : 0);
+    const std::uint64_t quota = quota_of(d);
     const std::int64_t day_start =
         static_cast<std::int64_t>(d) * k_seconds_per_day;
     for (std::uint64_t i = 0; i < quota; ++i) {
-      tor::exit_stream_event body;
-      body.is_initial = r.bernoulli(0.25);
-      body.kind = r.bernoulli(0.002) ? tor::address_kind::ipv4
-                                     : tor::address_kind::hostname;
-      body.port = r.bernoulli(0.75) ? 443 : 80;
-      body.target = body.kind == tor::address_kind::hostname
-                        ? "zipf" + std::to_string(ranks.sample(r)) + ".com"
-                        : "192.0.2." + std::to_string(r.below(256));
-      tor::event ev;
-      ev.observer = static_cast<tor::relay_id>(i % params.dcs);
+      const bool is_initial = r.bernoulli(0.25);
+      const auto kind = r.bernoulli(0.002) ? tor::address_kind::ipv4
+                                           : tor::address_kind::hostname;
+      const std::uint16_t port = r.bernoulli(0.75) ? 443 : 80;
+      const std::uint64_t number = kind == tor::address_kind::hostname
+                                       ? ranks.sample(r)
+                                       : r.below(256);
+      const std::size_t k = i % params.dcs;
+      if (only.has_value() && k != *only) continue;
+      // "zipf<rank>.com" or "192.0.2.<n>", at most 15 characters: written
+      // straight into the string's inline buffer.
+      char text[16];
+      const std::string_view prefix =
+          kind == tor::address_kind::hostname ? "zipf" : "192.0.2.";
+      const std::string_view suffix =
+          kind == tor::address_kind::hostname ? ".com" : "";
+      char* at = std::copy(prefix.begin(), prefix.end(), text);
+      at = std::to_chars(at, text + sizeof text, number).ptr;
+      at = std::copy(suffix.begin(), suffix.end(), at);
       // One event per DC per simulated second, clamped to the day window so
       // an oversized budget piles up at the day's end instead of leaking
       // into the next day's round (the header's [d·86400, (d+1)·86400)
       // contract, which multi-round partitioning relies on).
       const std::int64_t offset = std::min<std::int64_t>(
           static_cast<std::int64_t>(i / params.dcs), k_seconds_per_day - 1);
-      ev.at = sim_time{day_start + offset};
-      ev.body = std::move(body);
-      out[i % params.dcs].push_back(std::move(ev));
+      out[k].emplace_back(
+          static_cast<tor::relay_id>(k), sim_time{day_start + offset},
+          tor::exit_stream_event{kind, is_initial, port,
+                                 std::string(text, at)});
     }
   }
   return out;
@@ -64,9 +88,10 @@ namespace {
 
 /// Simulation models: run the workload drivers against a canonical
 /// measurement study and capture events at its 16 measured relays,
-/// partitioned onto DCs by sorted relay index.
+/// partitioned onto DCs by sorted relay index. The simulation always runs
+/// in full; events of DCs outside `only` are dropped at the sink.
 [[nodiscard]] std::vector<std::vector<tor::event>> generate_simulated(
-    const trace_gen_params& params) {
+    const trace_gen_params& params, std::optional<std::size_t> only) {
   core::study_config study_cfg;
   study_cfg.seed = params.seed;
   core::measurement_study study{study_cfg};
@@ -85,7 +110,8 @@ namespace {
 
   std::vector<std::vector<tor::event>> out{params.dcs};
   net.set_event_sink([&](const tor::event& ev) {
-    out[dc_of.at(ev.observer)].push_back(ev);
+    const std::size_t dc = dc_of.at(ev.observer);
+    if (!only.has_value() || dc == *only) out[dc].push_back(ev);
   });
 
   const bool mixed = params.model == "mixed";
@@ -175,13 +201,15 @@ bool is_known_trace_model(std::string_view model) {
 }
 
 std::vector<std::vector<tor::event>> generate_trace_events(
-    const trace_gen_params& params) {
+    const trace_gen_params& params, std::optional<std::size_t> only_dc) {
   expects(params.dcs >= 1, "trace generation needs at least one DC");
+  expects(!only_dc.has_value() || *only_dc < params.dcs,
+          "DC index out of the generated range");
   if (!is_known_trace_model(params.model)) {
     throw precondition_error{"unknown trace model: " + params.model};
   }
-  if (params.model == "zipf") return generate_zipf(params);
-  return generate_simulated(params);
+  if (params.model == "zipf") return generate_zipf(params, only_dc);
+  return generate_simulated(params, only_dc);
 }
 
 std::vector<std::size_t> write_trace_dir(const trace_gen_params& params,

@@ -6,9 +6,10 @@
 //
 // Determinism contract: generate_trace_events() is a pure function of its
 // params — same params, same per-DC event sequences, on every host and in
-// every process. The distributed byte-identity checks depend on this (a
-// node process and the in-process reference round both materialize the
-// `generate` workload independently).
+// every process. The distributed byte-identity checks depend on this: each
+// DC process renders only its own slice of the `generate` workload, the
+// in-process reference round renders every slice, and a slice rendered
+// alone is the same slice the full generation holds.
 //
 // Partitioning: simulation events materialize at the observed (measured)
 // relays of a canonical measurement_study; relay r maps to DC
@@ -19,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -55,9 +57,13 @@ struct trace_gen_params {
 [[nodiscard]] bool is_known_trace_model(std::string_view model);
 
 /// Renders the model into per-DC event sequences (index = DC index, each
-/// time-ordered). Pure function of `params`.
+/// time-ordered). Pure function of `params`. Given `only_dc`, every other
+/// slice comes back empty and slice `only_dc` equals the full generation's:
+/// the same values are drawn in the same order, but only that DC's events
+/// are built, kept and sorted.
 [[nodiscard]] std::vector<std::vector<tor::event>> generate_trace_events(
-    const trace_gen_params& params);
+    const trace_gen_params& params,
+    std::optional<std::size_t> only_dc = std::nullopt);
 
 /// Writes the per-DC traces as `<dir>/dc-<k>.trace` (the directory must
 /// exist). Returns per-DC event counts.

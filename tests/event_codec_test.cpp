@@ -267,6 +267,31 @@ TEST(TraceFileTest, WriterEnforcesTimeOrder) {
                precondition_error);
 }
 
+TEST(TraceFileTest, WriterRefusesRecordOverReaderCap) {
+  const temp_dir dir;
+  const std::vector<event> events = sample_events();
+  {
+    trace_writer writer{dir.file("t.trace")};
+    for (const event& ev : events) writer.write(ev);
+    // Every reader rejects a record over the cap, so the writer must not
+    // leave one behind: it throws and keeps none of the record's bytes.
+    const event oversized{
+        9, sim_time{9},
+        exit_stream_event{address_kind::hostname, false, 443,
+                          std::string(70'000, 'a')}};
+    EXPECT_THROW(writer.write(oversized), precondition_error);
+    EXPECT_EQ(writer.events_written(), events.size());
+    writer.close();
+  }
+  trace_reader reader{dir.file("t.trace")};
+  std::vector<event> decoded;
+  while (const std::optional<event> ev = reader.next()) decoded.push_back(*ev);
+  ASSERT_EQ(decoded.size(), events.size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    expect_equal(decoded[i], events[i]);
+  }
+}
+
 TEST(TraceFileTest, ReaderRejectsTruncatedFile) {
   const temp_dir dir;
   {

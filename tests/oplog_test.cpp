@@ -154,6 +154,30 @@ TEST_F(oplog_fixture, Crc32MatchesKnownVectors) {
   const byte_buffer v = bytes_of("123456789");
   EXPECT_EQ(crc32(v), 0xCBF43926u);
   EXPECT_EQ(crc32(byte_view{}), 0u);
+
+  // Every length and alignment a word-at-a-time loop and its byte tail can
+  // meet, against the polynomial applied one bit at a time.
+  const auto bitwise = [](byte_view data) {
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (const std::uint8_t b : data) {
+      c ^= b;
+      for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+    }
+    return c ^ 0xFFFFFFFFu;
+  };
+  byte_buffer buf(8 + 67);
+  std::uint32_t x = 2018;
+  for (auto& b : buf) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 67; ++len) {
+      const byte_view data{buf.data() + offset, len};
+      EXPECT_EQ(crc32(data), bitwise(data))
+          << "offset " << offset << " length " << len;
+    }
+  }
 }
 
 }  // namespace

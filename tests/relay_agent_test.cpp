@@ -208,6 +208,15 @@ TEST(RelayPublishTest, CorruptBytesThrowPublishError) {
                publish_error);
 }
 
+TEST(RelayPublishTest, HugeHeaderCountThrowsPublishError) {
+  // A header claiming 2^62 sampled events, then one one-event batch: the
+  // decoder may size nothing from the claim, only reject it.
+  pub_window w;
+  w.header = {1, 0, std::uint64_t{1} << 62, std::uint64_t{1} << 62};
+  w.events.emplace_back(0, entry_event(9, 1));
+  EXPECT_THROW((void)decode_pub_window(encode_pub_window(w)), publish_error);
+}
+
 // -- aggregator fault matrix -------------------------------------------------
 
 TEST(RelayAggregatorTest, TruncatedPublishIsRejectedWithoutPoisoningOthers) {

@@ -12,6 +12,7 @@
 #include <sstream>
 #include <unordered_set>
 
+#include "src/tor/event_codec.h"
 #include "src/tor/network.h"
 #include "src/util/check.h"
 #include "src/workload/ahmia.h"
@@ -475,6 +476,70 @@ TEST(TraceGenTest, SingleDayIsTheDaysEqualsOneSpecialCase) {
     for (std::size_t i = 0; i < a[k].size(); ++i) {
       EXPECT_EQ(a[k][i].at.seconds, b[k][i].at.seconds);
       EXPECT_EQ(a[k][i].body.index(), b[k][i].body.index());
+    }
+  }
+}
+
+/// Each event's tor::append_event_record bytes, one entry per event.
+[[nodiscard]] std::vector<byte_buffer> record_bytes(
+    const std::vector<tor::event>& events) {
+  std::vector<byte_buffer> out;
+  for (const tor::event& ev : events) {
+    out.emplace_back();
+    tor::append_event_record(out.back(), ev);
+  }
+  return out;
+}
+
+/// A DC process renders only its own slice: generating with a DC index
+/// must give exactly that slice of the full generation, record for record,
+/// and leave every other slice empty.
+void expect_slices_match_full(
+    const std::vector<std::vector<tor::event>>& full, std::size_t k,
+    const std::vector<std::vector<tor::event>>& only, const std::string& what) {
+  ASSERT_EQ(only.size(), full.size()) << what;
+  for (std::size_t j = 0; j < full.size(); ++j) {
+    if (j != k) {
+      EXPECT_TRUE(only[j].empty()) << what << ": slice " << j;
+      continue;
+    }
+    EXPECT_FALSE(full[k].empty()) << what << ": slice " << k;
+    EXPECT_EQ(record_bytes(only[k]), record_bytes(full[k]))
+        << what << ": slice " << k;
+  }
+}
+
+TEST(TraceGenTest, OneDcSliceEqualsThatSliceOfTheFullGeneration) {
+  for (const std::string& model : trace_models()) {
+    trace_gen_params params;
+    params.model = model;
+    params.dcs = 3;
+    params.scale = 2e-5;
+    params.events = 300;
+    params.days = 2;
+    params.seed = 17;
+    const auto full = generate_trace_events(params);
+    for (std::size_t k = 0; k < params.dcs; ++k) {
+      expect_slices_match_full(full, k, generate_trace_events(params, k),
+                               model);
+    }
+  }
+  EXPECT_THROW((void)generate_trace_events({.dcs = 2}, 2), precondition_error);
+}
+
+TEST(ScenarioGenTest, OneDcSliceEqualsThatSliceOfTheFullGeneration) {
+  for (const std::string& name : scenario_names()) {
+    scenario_params params;
+    params.name = name;
+    params.dcs = 3;
+    params.scale = 0.25;
+    params.events = 200;
+    params.days = 2;
+    params.seed = 17;
+    const auto full = generate_scenario_events(params);
+    for (std::size_t k = 0; k < params.dcs; ++k) {
+      expect_slices_match_full(full, k, generate_scenario_events(params, k),
+                               name);
     }
   }
 }
