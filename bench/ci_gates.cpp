@@ -150,6 +150,7 @@ gate tally_decode(std::uint64_t seed) {
           engine.encrypt_bits_batch(kp.pub, bits,
                                     crypto::batch_engine::derive_seed(rng)),
           kp.secret));
+  const std::vector<byte_view> views = views_of(wire);
 
   std::uint64_t serial_count = 0;
   g.baseline_per_s = warm_items_per_sec(k_bins, [&] {
@@ -162,7 +163,7 @@ gate tally_decode(std::uint64_t seed) {
   });
   std::uint64_t batched_count = 0;
   g.optimized_per_s = warm_items_per_sec(
-      k_bins, [&] { batched_count = engine.tally_decode_count(wire); });
+      k_bins, [&] { batched_count = engine.tally_decode_count(views); });
   if (serial_count != batched_count) {
     self_check_failed(g.check, "serial counts " + std::to_string(serial_count) +
                                    ", batched " +

@@ -130,7 +130,7 @@ std::vector<elgamal_ciphertext> batch_engine::add_batch(
 }
 
 std::vector<elgamal_ciphertext> batch_engine::decode_batch(
-    std::span<const byte_buffer> data) const {
+    std::span<const byte_view> data) const {
   return map_chunked<elgamal_ciphertext>(
       data.size(), pure_grain(data.size()),
       [&](std::size_t begin, std::size_t end) {
@@ -148,7 +148,7 @@ std::vector<byte_buffer> batch_engine::encode_batch(
 }
 
 std::uint64_t batch_engine::tally_decode_count(
-    std::span<const byte_buffer> data) const {
+    std::span<const byte_view> data) const {
   std::atomic<std::uint64_t> count{0};
   run_chunked(data.size(), pure_grain(data.size()),
               [&](std::size_t begin, std::size_t end) {

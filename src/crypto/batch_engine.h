@@ -75,9 +75,10 @@ class batch_engine {
       std::span<const elgamal_ciphertext> c2) const;
 
   /// Wire-format decode/encode of a ciphertext vector, sharded across the
-  /// pool (deterministic: pure per-index functions of the inputs).
+  /// pool (deterministic: pure per-index functions of the inputs). decode
+  /// reads views, so a vector decodes straight out of its message.
   [[nodiscard]] std::vector<elgamal_ciphertext> decode_batch(
-      std::span<const byte_buffer> data) const;
+      std::span<const byte_view> data) const;
   [[nodiscard]] std::vector<byte_buffer> encode_batch(
       std::span<const elgamal_ciphertext> cts) const;
 
@@ -85,7 +86,7 @@ class batch_engine {
   /// plaintext (b) component and counts non-identity bins, sharded across
   /// the pool with zero per-element allocations inside each shard.
   [[nodiscard]] std::uint64_t tally_decode_count(
-      std::span<const byte_buffer> data) const;
+      std::span<const byte_view> data) const;
 
  private:
   /// Runs fn(begin, end) over [0, n) in `grain`-sized chunks, parallel

@@ -206,7 +206,7 @@ std::vector<byte_buffer> elgamal::encode_batch(
 }
 
 std::vector<elgamal_ciphertext> elgamal::decode_batch(
-    std::span<const byte_buffer> data) const {
+    std::span<const byte_view> data) const {
   std::vector<byte_view> as, bs;
   as.reserve(data.size());
   bs.reserve(data.size());
@@ -219,7 +219,7 @@ std::vector<elgamal_ciphertext> elgamal::decode_batch(
 }
 
 std::size_t elgamal::count_non_identity_plaintexts(
-    std::span<const byte_buffer> data) const {
+    std::span<const byte_view> data) const {
   std::vector<byte_view> bs;
   bs.reserve(data.size());
   for (const auto& d : data) bs.push_back(split_encoding(d).b);

@@ -127,12 +127,13 @@ class elgamal {
   [[nodiscard]] static ciphertext_views split_encoding(byte_view data);
 
   /// Batch forms of encode/decode (one call site, one pass). decode_batch
-  /// runs through the group's arena decoder: one element arena per
-  /// component vector instead of a heap node per element.
+  /// reads views — into a received message, say — and runs through the
+  /// group's arena decoder: one element arena per component vector instead
+  /// of a heap node per element.
   [[nodiscard]] std::vector<byte_buffer> encode_batch(
       std::span<const elgamal_ciphertext> cts) const;
   [[nodiscard]] std::vector<elgamal_ciphertext> decode_batch(
-      std::span<const byte_buffer> data) const;
+      std::span<const byte_view> data) const;
 
   /// The tally decode: decodes only each ciphertext's b component (after
   /// every shareholder stripped, b IS the plaintext) and counts non-identity
@@ -141,7 +142,7 @@ class elgamal {
   /// stripping finished — is only length-checked, so a wire vector whose a
   /// bytes are corrupt still tallies (full decode() would throw on it).
   [[nodiscard]] std::size_t count_non_identity_plaintexts(
-      std::span<const byte_buffer> data) const;
+      std::span<const byte_view> data) const;
 
  private:
   std::shared_ptr<const group> group_;

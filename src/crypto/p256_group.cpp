@@ -18,6 +18,20 @@
 // 4-vCPU x86-64 host under OpenSSL 3.5 that makes k·Y ~14 µs instead of
 // ~80 µs, for a ~37 ms build per base. mul(p, k), which strip and decrypt
 // call on a different point each time, stays the variable-base operation.
+//
+// Points cross the wire in SEC1's uncompressed form, 0x04 ‖ X ‖ Y (65
+// bytes); the identity is the single byte 0x00. Decoding takes X and Y as
+// they are and checks the curve equation, ~1.5 µs, where the 33-byte
+// compressed form must recover Y with a square root: 20–28 µs per point on
+// a 4-vCPU x86-64 host under OpenSSL 3.5. The 32 extra bytes cost less
+// than that square root on any link faster than ~13 Mbit/s per decoding
+// core. A wire ciphertext is 134 bytes with its length prefix, so the
+// largest PSC vector the fabric's 256 MiB message bound carries fell from
+// ~3.9M ciphertexts (compressed) to ~2.0M; no plan or test comes near
+// that, and psc_slow_test's largest round has 2^16 bins. decode accepts
+// exactly the two encodings encode writes and throws on any other, the
+// compressed and hybrid forms OpenSSL would take included, so every point
+// has one wire form.
 #include <openssl/bn.h>
 #include <openssl/ec.h>
 #include <openssl/obj_mac.h>
@@ -34,9 +48,18 @@ namespace tormet::crypto {
 namespace {
 
 constexpr std::size_t k_scalar_bytes = 32;
-// Compressed point is 33 bytes; the point at infinity serializes to the
-// single byte 0x00.
-constexpr std::size_t k_point_bytes = 33;
+// Uncompressed point: the tag, then X and Y. The point at infinity
+// serializes to the single byte 0x00.
+constexpr std::size_t k_point_bytes = 65;
+constexpr std::uint8_t k_uncompressed_tag = 0x04;
+constexpr std::uint8_t k_infinity_tag = 0x00;
+
+/// Throws unless `data` is one of the two encodings encode() writes.
+void expect_canonical_point(byte_view data) {
+  expects((data.size() == k_point_bytes && data[0] == k_uncompressed_tag) ||
+              (data.size() == 1 && data[0] == k_infinity_tag),
+          "p256 point must be 0x04 ‖ X ‖ Y or the identity's 0x00");
+}
 
 void ossl_check(int rc, const char* what) {
   if (rc != 1) throw std::runtime_error{std::string{"openssl failure in "} + what};
@@ -265,7 +288,7 @@ class p256_group final : public group {
   [[nodiscard]] byte_buffer encode(const group_element& a) const override {
     byte_buffer out(k_point_bytes);
     const std::size_t written =
-        EC_POINT_point2oct(curve_, unwrap(a), POINT_CONVERSION_COMPRESSED,
+        EC_POINT_point2oct(curve_, unwrap(a), POINT_CONVERSION_UNCOMPRESSED,
                            out.data(), out.size(), tls_bn_ctx());
     if (written == 0) throw std::runtime_error{"EC_POINT_point2oct failed"};
     out.resize(written);  // infinity serializes to 1 byte
@@ -273,7 +296,7 @@ class p256_group final : public group {
   }
 
   [[nodiscard]] group_element decode(byte_view data) const override {
-    expects(!data.empty(), "encoded point must be non-empty");
+    expect_canonical_point(data);
     point_ptr p = new_point();
     ossl_check(EC_POINT_oct2point(curve_, p.get(), data.data(), data.size(),
                                   tls_bn_ctx()),
@@ -370,7 +393,7 @@ class p256_group final : public group {
     BN_CTX* ctx = tls_bn_ctx();
     auto arena = new_arena(data.size());
     for (std::size_t i = 0; i < data.size(); ++i) {
-      expects(!data[i].empty(), "encoded point must be non-empty");
+      expect_canonical_point(data[i]);
       ossl_check(EC_POINT_oct2point(curve_, arena->pts[i], data[i].data(),
                                     data[i].size(), ctx),
                  "EC_POINT_oct2point");
@@ -384,7 +407,7 @@ class p256_group final : public group {
     batch_scratch& scratch = tls_scratch(curve_);
     std::size_t count = 0;
     for (const auto& e : encodings) {
-      expects(!e.empty(), "encoded point must be non-empty");
+      expect_canonical_point(e);
       ossl_check(EC_POINT_oct2point(curve_, scratch.tmp, e.data(), e.size(), ctx),
                  "EC_POINT_oct2point");
       if (EC_POINT_is_at_infinity(curve_, scratch.tmp) != 1) ++count;

@@ -65,6 +65,26 @@ namespace {
 
 }  // namespace
 
+std::vector<elgamal_ciphertext> shuffle_and_rerandomize(
+    const batch_engine& engine, const group_element& joint_pub,
+    std::vector<elgamal_ciphertext> input, secure_rng& rng,
+    shuffle_opening* opening) {
+  std::vector<std::uint32_t> perm = random_permutation(input.size(), rng);
+  byte_buffer seed(32);
+  rng.fill(seed);
+  std::vector<elgamal_ciphertext> permuted;
+  permuted.reserve(input.size());
+  for (const auto idx : perm) permuted.push_back(std::move(input[idx]));
+  input = {};
+  std::vector<elgamal_ciphertext> output = engine.rerandomize_batch(
+      joint_pub, permuted, batch_engine::derive_seed(rng));
+  if (opening != nullptr) {
+    opening->permutation = std::move(perm);
+    opening->seed = std::move(seed);
+  }
+  return output;
+}
+
 shuffle_result shuffle_and_rerandomize_encoded(
     const batch_engine& engine, const group_element& joint_pub,
     std::span<const elgamal_ciphertext> input,
@@ -72,25 +92,18 @@ shuffle_result shuffle_and_rerandomize_encoded(
     shuffle_transcript& transcript, shuffle_opening* opening) {
   expects(input.size() == input_encoded.size(),
           "input and encoded input must have equal length");
-  const std::vector<std::uint32_t> perm = random_permutation(input.size(), rng);
-
-  byte_buffer seed(32);
-  rng.fill(seed);
-
-  const std::vector<elgamal_ciphertext> permuted = apply_permutation(input, perm);
+  shuffle_opening drawn;
   shuffle_result result;
-  result.output = engine.rerandomize_batch(joint_pub, permuted,
-                                           batch_engine::derive_seed(rng));
+  result.output = shuffle_and_rerandomize(
+      engine, joint_pub,
+      std::vector<elgamal_ciphertext>(input.begin(), input.end()), rng, &drawn);
   result.output_encoded = engine.encode_batch(result.output);
 
   transcript.input_digest = digest_encoded_ciphertexts(input_encoded);
   transcript.output_digest = digest_encoded_ciphertexts(result.output_encoded);
-  transcript.commitment = permutation_commitment(seed, perm);
+  transcript.commitment = permutation_commitment(drawn.seed, drawn.permutation);
 
-  if (opening != nullptr) {
-    opening->permutation = perm;
-    opening->seed = std::move(seed);
-  }
+  if (opening != nullptr) *opening = std::move(drawn);
   return result;
 }
 

@@ -55,6 +55,17 @@ struct shuffle_opening {
 [[nodiscard]] sha256_digest permutation_commitment(
     byte_view seed, std::span<const std::uint32_t> perm);
 
+/// The mix pass: applies a uniform permutation to `input` and
+/// rerandomizes every ciphertext under `joint_pub` via `engine` (group
+/// math runs on the engine's pool). It draws from `rng`, in this order,
+/// the permutation, a 32-byte seed for the permutation commitment and the
+/// rerandomization batch seed; `opening`, when given, receives the first
+/// two. `input` is consumed, so the pass holds one input vector.
+[[nodiscard]] std::vector<elgamal_ciphertext> shuffle_and_rerandomize(
+    const batch_engine& engine, const group_element& joint_pub,
+    std::vector<elgamal_ciphertext> input, secure_rng& rng,
+    shuffle_opening* opening = nullptr);
+
 /// Mix output with its serialized form: mixers sit between two wire
 /// messages, so producing the encodings once here lets the caller reuse
 /// them for both the transcript digest and the outgoing message.
@@ -63,11 +74,9 @@ struct shuffle_result {
   std::vector<byte_buffer> output_encoded;  // output_encoded[i] = encode(output[i])
 };
 
-/// The mix pass: applies a uniform permutation, rerandomizes every
-/// ciphertext under `joint_pub` via `engine` (the permutation, batch seed,
-/// and commitment seed come from `rng`; group math runs on the engine's
-/// pool), and fills `transcript` from `input_encoded`
-/// and the freshly encoded output without re-serializing either vector.
+/// shuffle_and_rerandomize with a transcript: the same draws and so the
+/// same output, encoded, with `transcript` filled from `input_encoded` and
+/// the output encodings without re-serializing either vector.
 /// `input_encoded[i]` must equal scheme.encode(input[i]) (digest-checked
 /// protocols would reject a mismatch downstream, not here).
 [[nodiscard]] shuffle_result shuffle_and_rerandomize_encoded(

@@ -13,8 +13,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <random>
 #include <stdexcept>
+#include <utility>
 
 #include "src/net/wire.h"
 #include "src/util/check.h"
@@ -60,9 +62,14 @@ void set_nonblocking(int fd) {
   ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
-/// Epoch and sequence lead the body so the dedup decision needs no payload
-/// parsing beyond the fixed-size head.
-[[nodiscard]] byte_buffer encode_body(const message& msg, std::uint64_t epoch,
+/// The message head: epoch and sequence number lead, so the dedup decision
+/// needs no payload parsing, then from, to, type and the payload's length.
+/// On the wire the body is head ‖ payload.
+constexpr std::size_t k_head_fixed_bytes = 8 + 8 + 4 + 4 + 2;
+/// The fixed fields and the longest varint.
+constexpr std::size_t k_max_head_bytes = k_head_fixed_bytes + 10;
+
+[[nodiscard]] byte_buffer encode_head(const message& msg, std::uint64_t epoch,
                                       std::uint64_t seq) {
   wire_writer w;
   w.write_u64(epoch);
@@ -70,51 +77,69 @@ void set_nonblocking(int fd) {
   w.write_u32(msg.from);
   w.write_u32(msg.to);
   w.write_u16(msg.type);
-  w.write_bytes(msg.payload);
+  w.write_varint(msg.payload.size());
   return w.take();
 }
 
-struct decoded_frame {
-  message msg;
+struct decoded_head {
+  message msg;  // without its payload
   std::uint64_t epoch = 0;
   std::uint64_t seq = 0;
+  std::uint64_t payload_len = 0;
 };
 
-[[nodiscard]] decoded_frame decode_body(byte_view body) {
-  wire_reader r{body};
-  decoded_frame f;
-  f.epoch = r.read_u64();
-  f.seq = r.read_u64();
-  f.msg.from = r.read_u32();
-  f.msg.to = r.read_u32();
-  f.msg.type = r.read_u16();
-  f.msg.payload = r.read_bytes();
+[[nodiscard]] decoded_head decode_head(byte_view head) {
+  wire_reader r{head};
+  decoded_head h;
+  h.epoch = r.read_u64();
+  h.seq = r.read_u64();
+  h.msg.from = r.read_u32();
+  h.msg.to = r.read_u32();
+  h.msg.type = r.read_u16();
+  h.payload_len = r.read_varint();
   r.expect_end();
-  return f;
+  return h;
 }
 
-/// Frames `body` into the chunked wire format with every 5-byte chunk
-/// header interleaved in ONE flat buffer, so a partially written message
-/// resumes from a plain byte offset after EAGAIN — never from a chunk
-/// boundary.
-[[nodiscard]] byte_buffer frame_body(byte_view body, std::size_t max_chunk,
-                                     std::size_t& chunks_out) {
-  const std::size_t n_chunks =
-      body.empty() ? 1 : (body.size() + max_chunk - 1) / max_chunk;
+/// Bytes of a message head still to read when `got` of them are in: the
+/// fixed fields, then the payload length one varint byte at a time, so no
+/// read runs past the head into the payload. 0 once the head is whole.
+[[nodiscard]] std::size_t head_bytes_needed(const std::uint8_t* head,
+                                            std::size_t got) noexcept {
+  if (got < k_head_fixed_bytes) return k_head_fixed_bytes - got;
+  if (got > k_head_fixed_bytes && (head[got - 1] & 0x80) == 0) return 0;
+  return 1;
+}
+
+/// Frames head ‖ payload into the chunked wire format with every 5-byte
+/// chunk header interleaved in ONE flat buffer, so a partially written
+/// message resumes from a plain byte offset after EAGAIN — never from a
+/// chunk boundary. The payload is copied once, straight into place.
+[[nodiscard]] byte_buffer frame_message(byte_view head, byte_view payload,
+                                        std::size_t max_chunk,
+                                        std::size_t& chunks_out) {
+  std::size_t left = head.size() + payload.size();  // > 0: a head is never empty
+  const std::size_t n_chunks = (left + max_chunk - 1) / max_chunk;
   byte_buffer wire;
-  wire.reserve(body.size() + n_chunks * k_frame_header_bytes);
-  std::size_t off = 0;
-  do {
-    const std::size_t chunk = std::min(max_chunk, body.size() - off);
-    const bool final_chunk = off + chunk == body.size();
-    wire.push_back(final_chunk ? k_flag_final : 0);
-    for (int i = 0; i < 4; ++i) {
-      wire.push_back(static_cast<std::uint8_t>(chunk >> (8 * i)));
+  wire.reserve(left + n_chunks * k_frame_header_bytes);
+  std::size_t room = 0;  // bytes the current chunk still takes
+  for (const byte_view part : {head, payload}) {
+    for (std::size_t at = 0; at < part.size();) {
+      if (room == 0) {
+        room = std::min(max_chunk, left);
+        left -= room;
+        wire.push_back(left == 0 ? k_flag_final : 0);
+        for (int i = 0; i < 4; ++i) {
+          wire.push_back(static_cast<std::uint8_t>(room >> (8 * i)));
+        }
+      }
+      const std::size_t take = std::min(room, part.size() - at);
+      wire.insert(wire.end(), part.begin() + static_cast<std::ptrdiff_t>(at),
+                  part.begin() + static_cast<std::ptrdiff_t>(at + take));
+      at += take;
+      room -= take;
     }
-    wire.insert(wire.end(), body.begin() + static_cast<std::ptrdiff_t>(off),
-                body.begin() + static_cast<std::ptrdiff_t>(off + chunk));
-    off += chunk;
-  } while (off < body.size());
+  }
   chunks_out = n_chunks;
   return wire;
 }
@@ -199,14 +224,19 @@ struct tcp_net::io_entry {
   enum class kind : std::uint8_t { wake, listen, inbound, outbound };
   kind k = kind::inbound;
   int fd = -1;
-  // Inbound reassembly: 5-byte header, then chunk bytes appended straight
-  // onto the growing message assembly.
+  // Inbound reassembly: a 5-byte chunk header, then the chunk's bytes. The
+  // message head goes to `head`; the payload goes straight into `payload`,
+  // reserved at its declared length, which the delivered message takes
+  // over.
   std::uint8_t header[k_frame_header_bytes] = {};
   std::size_t header_got = 0;
   bool in_chunk = false;
   std::uint8_t flags = 0;
   std::size_t chunk_remaining = 0;
-  byte_buffer assembly;
+  std::uint8_t head[k_max_head_bytes] = {};
+  std::size_t head_got = 0;
+  std::optional<decoded_head> decoded;  // set once the head is whole
+  byte_buffer payload;
   // Outbound back-pointer.
   std::shared_ptr<channel> ch;
 };
@@ -413,30 +443,53 @@ void tcp_net::io_drop_entry(int fd) {
 }
 
 /// Feeds readiness into the inbound chunk-reassembly state machine:
-/// header[5] -> chunk bytes appended to the assembly -> on a final-flagged
-/// chunk, decode and enqueue. A connection cut mid-frame discards the
-/// partial assembly — the sender re-sends the whole message after
-/// reconnecting.
+/// header[5] -> chunk bytes, the message head's into `head` and the rest
+/// into the payload -> on a final-flagged chunk, enqueue. A connection cut
+/// mid-frame discards the partial message — the sender re-sends the whole
+/// message after reconnecting.
 void tcp_net::io_read(io_entry& conn) {
+  // recv(2) of up to `len` (> 0) bytes: the count read, or 0 when the
+  // socket is drained (EAGAIN) or the connection is gone — then it is
+  // dropped, `conn` with it, and the caller must return at once.
+  const auto receive = [&conn, this](std::uint8_t* buf,
+                                     std::size_t len) -> std::size_t {
+    for (;;) {
+      const ssize_t n = ::recv(conn.fd, buf, len, 0);
+      if (n > 0) return static_cast<std::size_t>(n);
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return 0;
+      io_drop_entry(conn.fd);
+      return 0;
+    }
+  };
+  const auto malformed = [&conn, this] {
+    log_line{log_level::warn}
+        << "tcp_net: malformed message; dropping connection";
+    io_drop_entry(conn.fd);
+  };
+  // Sizes the payload for the rest of the current chunk: one resize per
+  // chunk, the fill position derived as size() - chunk_remaining (a cut
+  // connection discards the whole payload, so the unfilled tail never
+  // leaks). False when the chunk runs past the declared length.
+  const auto size_for_chunk = [&conn] {
+    const std::size_t size = conn.payload.size() + conn.chunk_remaining;
+    if (size > conn.decoded->payload_len) return false;
+    conn.payload.resize(size);
+    return true;
+  };
   for (;;) {
     if (!conn.in_chunk) {
-      const ssize_t n =
-          ::recv(conn.fd, conn.header + conn.header_got,
-                 k_frame_header_bytes - conn.header_got, 0);
-      if (n == 0) return io_drop_entry(conn.fd);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-        return io_drop_entry(conn.fd);
-      }
-      conn.header_got += static_cast<std::size_t>(n);
+      const std::size_t n = receive(conn.header + conn.header_got,
+                                    k_frame_header_bytes - conn.header_got);
+      if (n == 0) return;
+      conn.header_got += n;
       if (conn.header_got < k_frame_header_bytes) continue;
       conn.header_got = 0;
       conn.flags = conn.header[0];
       std::uint32_t chunk_len = 0;
       for (int i = 3; i >= 0; --i) chunk_len = (chunk_len << 8) | conn.header[1 + i];
       if (chunk_len > k_max_chunk_wire ||
-          conn.assembly.size() + chunk_len > k_max_message_bytes) {
+          conn.head_got + conn.payload.size() + chunk_len > k_max_message_bytes) {
         log_line{log_level::warn}
             << "tcp_net: oversized frame from peer (" << chunk_len
             << " B chunk); dropping connection";
@@ -444,35 +497,49 @@ void tcp_net::io_read(io_entry& conn) {
       }
       conn.in_chunk = true;
       conn.chunk_remaining = chunk_len;
-      // One resize per chunk; the fill position is derived as
-      // size() - chunk_remaining (a cut connection discards the whole
-      // assembly, so the uninitialized tail never leaks).
-      conn.assembly.resize(conn.assembly.size() + chunk_len);
+      if (conn.decoded.has_value() && !size_for_chunk()) return malformed();
     }
     while (conn.chunk_remaining > 0) {
-      const std::size_t fill = conn.assembly.size() - conn.chunk_remaining;
-      const ssize_t n =
-          ::recv(conn.fd, conn.assembly.data() + fill, conn.chunk_remaining, 0);
-      if (n == 0) return io_drop_entry(conn.fd);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-        return io_drop_entry(conn.fd);
+      if (conn.decoded.has_value()) {
+        const std::size_t fill = conn.payload.size() - conn.chunk_remaining;
+        const std::size_t n =
+            receive(conn.payload.data() + fill, conn.chunk_remaining);
+        if (n == 0) return;
+        conn.chunk_remaining -= n;
+        continue;
       }
-      conn.chunk_remaining -= static_cast<std::size_t>(n);
+      const std::size_t want = head_bytes_needed(conn.head, conn.head_got);
+      if (conn.head_got + want > k_max_head_bytes) return malformed();
+      const std::size_t n = receive(conn.head + conn.head_got,
+                                    std::min(want, conn.chunk_remaining));
+      if (n == 0) return;
+      conn.head_got += n;
+      conn.chunk_remaining -= n;
+      if (head_bytes_needed(conn.head, conn.head_got) > 0) continue;
+      try {
+        conn.decoded = decode_head(byte_view{conn.head, conn.head_got});
+      } catch (const wire_error&) {
+        return malformed();
+      }
+      // Bounded like the whole message; pages are committed only as the
+      // payload's bytes arrive.
+      if (conn.decoded->payload_len > k_max_message_bytes - conn.head_got) {
+        return malformed();
+      }
+      conn.payload.reserve(conn.decoded->payload_len);
+      if (!size_for_chunk()) return malformed();
     }
     conn.in_chunk = false;
     if ((conn.flags & k_flag_final) != 0) {
-      try {
-        decoded_frame f = decode_body(conn.assembly);
-        conn.assembly.clear();
-        messages_received_.fetch_add(1, std::memory_order_relaxed);
-        enqueue(std::move(f.msg), f.epoch, f.seq);
-      } catch (const wire_error&) {
-        log_line{log_level::warn}
-            << "tcp_net: malformed message; dropping connection";
-        return io_drop_entry(conn.fd);
+      if (!conn.decoded.has_value() ||
+          conn.payload.size() != conn.decoded->payload_len) {
+        return malformed();
       }
+      decoded_head h = *std::exchange(conn.decoded, std::nullopt);
+      h.msg.payload = std::exchange(conn.payload, {});
+      conn.head_got = 0;
+      messages_received_.fetch_add(1, std::memory_order_relaxed);
+      enqueue(std::move(h.msg), h.epoch, h.seq);
     }
   }
 }
@@ -666,11 +733,15 @@ void tcp_net::io_write_pending(channel& ch, bool& completed, bool& gave_up) {
         io_arm(ch, false);
         return;
       }
-      const channel::queued_msg& next = ch.queue.front();
-      const byte_buffer body = encode_body(next.msg, epoch_, next.seq);
-      ch.wire = frame_body(body, opts_.max_chunk_bytes, ch.wire_chunks);
-      ch.wire_off = 0;
+      channel::queued_msg& next = ch.queue.front();
       ch.cur_cost = queue_cost(next.msg);
+      ch.wire = frame_message(encode_head(next.msg, epoch_, next.seq),
+                              next.msg.payload, opts_.max_chunk_bytes,
+                              ch.wire_chunks);
+      ch.wire_off = 0;
+      // A resend after a cut writes ch.wire again from its start, so the
+      // payload is not read again: the wire holds the message's one copy.
+      next.msg.payload = {};
     }
     while (ch.wire_off < ch.wire.size()) {
       const ssize_t n =
@@ -689,7 +760,7 @@ void tcp_net::io_write_pending(channel& ch, bool& completed, bool& gave_up) {
     }
     // Message fully on the wire.
     chunks_sent_.fetch_add(ch.wire_chunks, std::memory_order_relaxed);
-    ch.wire.clear();
+    ch.wire = {};  // a multi-MB vector's buffer is not kept for the next one
     ch.wire_off = 0;
     ch.queue.pop_front();
     ch.queued_bytes -= ch.cur_cost;

@@ -24,7 +24,10 @@
 // [u8 flags][u32 chunk_len le]; flags bit0 marks the final chunk of a
 // message. Chunking bounds single write() sizes for multi-megabyte tally
 // vectors and lets a reader enforce both per-chunk and per-message size
-// limits while streaming.
+// limits while streaming. Each side holds a message's bytes once: the
+// writer frames the head and the payload straight into the wire buffer and
+// frees the queued payload, and the reader receives the payload straight
+// into the buffer the delivered message owns.
 //
 // Exactly-once across reconnects: a channel that loses its connection
 // mid-message resends the whole message on a fresh connection, which makes

@@ -26,6 +26,13 @@ class wire_error : public std::runtime_error {
 /// encoding) to `out`.
 void append_varint(byte_buffer& out, std::uint64_t v);
 
+/// The number of bytes append_varint writes for `v`.
+[[nodiscard]] constexpr std::size_t varint_size(std::uint64_t v) noexcept {
+  std::size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
 /// Append-only encoder.
 class wire_writer {
  public:

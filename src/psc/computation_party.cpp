@@ -1,5 +1,7 @@
 #include "src/psc/computation_party.h"
 
+#include <iterator>
+
 #include "src/util/check.h"
 #include "src/util/logging.h"
 
@@ -52,7 +54,10 @@ void computation_party::on_mix(const net::message& msg) {
   }
   expects(joint_pk_.valid(), "mix pass before joint key distribution");
   mixed_ = true;
+  // Each vector below is freed as soon as the next one is built, so the pass
+  // holds the round's vector about once beside the message it came in.
   std::vector<crypto::elgamal_ciphertext> cts = engine_->decode_batch(m.ciphertexts);
+  m = {};
 
   // Binomial noise: append noise_bits ciphertexts, each an encryption of a
   // fair coin (identity or random element). Expected added count is
@@ -64,28 +69,20 @@ void computation_party::on_mix(const net::message& msg) {
   }
   std::vector<crypto::elgamal_ciphertext> noise = engine_->encrypt_bits_batch(
       joint_pk_, coins, crypto::batch_engine::derive_seed(rng_));
-  // The wire message already carries every input encoding; only the fresh
-  // noise ciphertexts need serializing before the digest.
-  std::vector<byte_buffer> encoded = std::move(m.ciphertexts);
-  std::vector<byte_buffer> noise_encoded = engine_->encode_batch(noise);
-  encoded.reserve(encoded.size() + noise_encoded.size());
-  std::move(noise_encoded.begin(), noise_encoded.end(),
-            std::back_inserter(encoded));
-  cts.reserve(cts.size() + noise.size());
-  std::move(noise.begin(), noise.end(), std::back_inserter(cts));
+  cts.insert(cts.end(), std::make_move_iterator(noise.begin()),
+             std::make_move_iterator(noise.end()));
+  noise = {};
 
-  crypto::shuffle_transcript transcript;
-  crypto::shuffle_result mixed = crypto::shuffle_and_rerandomize_encoded(
-      *engine_, joint_pk_, cts, encoded, rng_, transcript);
-
-  vector_msg out;
-  out.round_id = round_id_;
-  out.ciphertexts = std::move(mixed.output_encoded);
-  transport_.send(encode_vector(self_, next_in_chain(), msg_type::mix_pass, out));
+  // Nothing reads a transcript of this pass, so none is computed.
+  const std::vector<byte_buffer> encoded =
+      engine_->encode_batch(crypto::shuffle_and_rerandomize(
+          *engine_, joint_pk_, std::move(cts), rng_));
+  transport_.send(encode_vector(self_, next_in_chain(), msg_type::mix_pass,
+                                {round_id_, views_of(encoded)}));
 }
 
 void computation_party::on_decrypt(const net::message& msg) {
-  const vector_msg m = decode_vector(msg);
+  vector_msg m = decode_vector(msg);
   if (m.round_id != round_id_) return;
   if (decrypted_) {
     log_line{log_level::warn} << "CP " << self_
@@ -94,17 +91,17 @@ void computation_party::on_decrypt(const net::message& msg) {
     return;
   }
   decrypted_ = true;
-  const std::vector<crypto::elgamal_ciphertext> cts =
-      engine_->decode_batch(m.ciphertexts);
-  const std::vector<crypto::elgamal_ciphertext> stripped =
+  std::vector<crypto::elgamal_ciphertext> cts = engine_->decode_batch(m.ciphertexts);
+  m = {};
+  std::vector<crypto::elgamal_ciphertext> stripped =
       engine_->strip_share_batch(cts, keypair_.secret);
-  vector_msg out;
-  out.round_id = round_id_;
-  out.ciphertexts = engine_->encode_batch(stripped);
+  cts = {};
+  const std::vector<byte_buffer> encoded = engine_->encode_batch(stripped);
+  stripped = {};
   const net::node_id next = next_in_chain();
   const msg_type type =
       next == tally_server_ ? msg_type::final_vector : msg_type::decrypt_pass;
-  transport_.send(encode_vector(self_, next, type, out));
+  transport_.send(encode_vector(self_, next, type, {round_id_, views_of(encoded)}));
 }
 
 void computation_party::handle_message(const net::message& msg) {

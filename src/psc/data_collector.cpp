@@ -46,11 +46,10 @@ void data_collector::handle_message(const net::message& msg) {
             << ": report requested before configuration; dropping";
         return;
       }
-      vector_msg report;
-      report.round_id = round_id_;
-      report.ciphertexts = engine_->encode_batch(set_->take_slots());
+      const std::vector<byte_buffer> encoded =
+          engine_->encode_batch(set_->take_slots());
       transport_.send(encode_vector(self_, tally_server_, msg_type::dc_vector,
-                                    report));
+                                    {round_id_, views_of(encoded)}));
       set_.reset();  // the table has been shipped; nothing remains to seize
       return;
     }

@@ -89,7 +89,13 @@ net::message encode_report_request(net::node_id from, net::node_id to,
 
 net::message encode_vector(net::node_id from, net::node_id to, msg_type type,
                            const vector_msg& m) {
-  net::wire_writer w;
+  // The payload is reserved at its exact size: a multi-MB vector is never
+  // copied by a growing buffer.
+  std::size_t size = 4 + net::varint_size(m.ciphertexts.size());
+  for (const auto& ct : m.ciphertexts) size += net::varint_size(ct.size()) + ct.size();
+  byte_buffer payload;
+  payload.reserve(size);
+  net::wire_writer w{std::move(payload)};
   w.write_u32(m.round_id);
   w.write_varint(m.ciphertexts.size());
   for (const auto& ct : m.ciphertexts) w.write_bytes(ct);
@@ -103,7 +109,7 @@ vector_msg decode_vector(const net::message& msg) {
   // A ciphertext encodes to at least its varint length byte.
   const std::uint64_t n = r.read_count(1);
   m.ciphertexts.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) m.ciphertexts.push_back(r.read_bytes());
+  for (std::uint64_t i = 0; i < n; ++i) m.ciphertexts.push_back(r.read_bytes_view());
   r.expect_end();
   return m;
 }

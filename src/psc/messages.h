@@ -55,10 +55,12 @@ struct dc_configure_msg {
 };
 
 /// A ciphertext vector in transit (dc_vector / mix_pass / decrypt_pass /
-/// final_vector all carry this shape).
+/// final_vector all carry this shape). The ciphertexts are views: into the
+/// sender's encodings for encode_vector, into the received payload after
+/// decode_vector. What they view must outlive them.
 struct vector_msg {
   std::uint32_t round_id = 0;
-  std::vector<byte_buffer> ciphertexts;
+  std::vector<byte_view> ciphertexts;
 };
 
 [[nodiscard]] net::message encode_cp_configure(net::node_id from, net::node_id to,
@@ -78,6 +80,8 @@ struct vector_msg {
 
 [[nodiscard]] net::message encode_vector(net::node_id from, net::node_id to,
                                          msg_type type, const vector_msg& m);
+/// Views into `msg.payload`: `msg` must outlive the result.
 [[nodiscard]] vector_msg decode_vector(const net::message& msg);
+vector_msg decode_vector(net::message&&) = delete;
 
 }  // namespace tormet::psc

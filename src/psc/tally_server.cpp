@@ -1,6 +1,7 @@
 #include "src/psc/tally_server.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/dp/noise.h"
 #include "src/util/check.h"
@@ -104,10 +105,11 @@ void tally_server::force_mixing() {
   if (mixing_started_) return;
   expects(!combined_.empty(), "no DC tables received");
   mixing_started_ = true;
-  vector_msg m;
-  m.round_id = round_id_;
-  m.ciphertexts = engine_->encode_batch(combined_);
-  transport_.send(encode_vector(self_, cps_.front(), msg_type::mix_pass, m));
+  // The combined table leaves as it is encoded; the TS keeps no copy.
+  const std::vector<byte_buffer> encoded =
+      engine_->encode_batch(std::exchange(combined_, {}));
+  transport_.send(encode_vector(self_, cps_.front(), msg_type::mix_pass,
+                                {round_id_, views_of(encoded)}));
 }
 
 void tally_server::handle_message(const net::message& msg) {
@@ -157,17 +159,19 @@ void tally_server::handle_message(const net::message& msg) {
       return;
     }
     case msg_type::mix_pass: {
-      // The mixed vector returned from the last CP: start the decrypt chain.
-      const vector_msg m = decode_vector(msg);
-      if (m.round_id != round_id_) return;
+      // The mixed vector returned from the last CP starts the decrypt chain
+      // as it arrived: the TS checks its framing and round, then forwards
+      // the payload without decoding a ciphertext.
+      if (decode_vector(msg).round_id != round_id_) return;
       if (decrypt_requested_) {
         // A stale duplicate from a retried round attempt (byte-identical by
         // per-round determinism): one decrypt chain is enough.
         return;
       }
       decrypt_requested_ = true;
-      transport_.send(encode_vector(self_, cps_.front(), msg_type::decrypt_pass,
-                                    vector_msg{m.round_id, m.ciphertexts}));
+      transport_.send(net::message{self_, cps_.front(),
+                                   static_cast<std::uint16_t>(msg_type::decrypt_pass),
+                                   msg.payload});
       return;
     }
     case msg_type::final_vector: {

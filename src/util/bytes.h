@@ -30,4 +30,10 @@ using byte_view = std::span<const std::uint8_t>;
   return {reinterpret_cast<const char*>(b.data()), b.size()};
 }
 
+/// A view of each buffer (no copy); `buffers` must outlive the views.
+[[nodiscard]] inline std::vector<byte_view> views_of(
+    std::span<const byte_buffer> buffers) {
+  return std::vector<byte_view>(buffers.begin(), buffers.end());
+}
+
 }  // namespace tormet

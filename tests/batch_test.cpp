@@ -392,20 +392,21 @@ TEST(BatchEngineTest, PassesWithoutRandomnessGiveTheSameBytesAtEveryChunking) {
     const auto want_strip = reference.strip_share_batch(ones, kp.secret);
     const auto want_plain = reference.decrypt_batch(kp.secret, ones);
     const auto stripped_wire = reference.encode_batch(want_strip);
-    ASSERT_EQ(reference.tally_decode_count(stripped_wire), n / 2);
+    const auto stripped_views = views_of(stripped_wire);
+    ASSERT_EQ(reference.tally_decode_count(stripped_views), n / 2);
 
     for (const std::size_t workers : {0u, 1u, 3u, 8u}) {
       SCOPED_TRACE(testing::Message() << "n " << n << " workers " << workers);
       const batch_engine engine{group,
                                 std::make_shared<util::thread_pool>(workers)};
       EXPECT_EQ(engine.encode_batch(ones), wire);
-      expect_same_cts(scheme, engine.decode_batch(wire), ones);
+      expect_same_cts(scheme, engine.decode_batch(views_of(wire)), ones);
       expect_same_cts(scheme, engine.add_batch(ones, zeros), want_sum);
       expect_same_cts(scheme, engine.strip_share_batch(ones, kp.secret),
                       want_strip);
       expect_same_elements(*group, engine.decrypt_batch(kp.secret, ones),
                            want_plain);
-      EXPECT_EQ(engine.tally_decode_count(stripped_wire), n / 2);
+      EXPECT_EQ(engine.tally_decode_count(stripped_views), n / 2);
     }
   }
 }
@@ -431,8 +432,14 @@ TEST(ShuffleEncodedTest, MatchesDigestsAndVerifies) {
 
   shuffle_transcript transcript;
   shuffle_opening opening;
+  deterministic_rng rng_copy = rng;
   const shuffle_result result = shuffle_and_rerandomize_encoded(
       engine, kp.pub, input, input_encoded, rng, transcript, &opening);
+  // The mix without a transcript (a CP's) draws the same values and gives
+  // the same bytes.
+  EXPECT_EQ(scheme.encode_batch(shuffle_and_rerandomize(engine, kp.pub, input,
+                                                        rng_copy)),
+            result.output_encoded);
 
   ASSERT_EQ(result.output.size(), input.size());
   ASSERT_EQ(result.output_encoded.size(), input.size());
@@ -497,8 +504,37 @@ TEST(ObliviousSetBatchTest, EngineInitMatchesSerialSemantics) {
   return to_hex(byte_view{d.data(), d.size()});
 }
 
-// The digests were recorded on the variable-base path, before p256 had
-// tables: every ciphertext must keep its bytes.
+/// A point's compressed SEC1 form, built from its wire encoding (0x04 ‖ X
+/// ‖ Y, or the identity's 0x00): 0x02 | the low bit of Y, then X.
+[[nodiscard]] byte_buffer compressed_point(byte_view encoding) {
+  if (encoding.size() == 1) return {encoding.begin(), encoding.end()};
+  byte_buffer out{static_cast<std::uint8_t>(0x02 | (encoding.back() & 1))};
+  out.insert(out.end(), encoding.begin() + 1, encoding.begin() + 33);
+  return out;
+}
+
+/// digest_hex over each ciphertext with both points compressed: the
+/// digest of the encoding p256 had before it sent uncompressed points.
+[[nodiscard]] std::string compressed_digest_hex(
+    const elgamal& scheme, std::span<const elgamal_ciphertext> cts) {
+  std::vector<byte_buffer> encoded;
+  for (const auto& ct : cts) {
+    byte_buffer enc;
+    for (const auto& point : {ct.a, ct.b}) {
+      const byte_buffer c = compressed_point(scheme.grp().encode(point));
+      enc.push_back(static_cast<std::uint8_t>(c.size()));
+      enc.insert(enc.end(), c.begin(), c.end());
+    }
+    encoded.push_back(std::move(enc));
+  }
+  const sha256_digest d = digest_encoded_ciphertexts(encoded);
+  return to_hex(byte_view{d.data(), d.size()});
+}
+
+// The four digests were recorded on the variable-base path, before p256 had
+// tables, and over compressed points, before p256 sent them uncompressed:
+// every ciphertext must keep its value. The last digest, of the wire bytes,
+// was recorded when points went uncompressed, and pins that format.
 TEST(P256FixedBaseTest, KnownAnswerDigestsOfTheBatchPaths) {
   const batch_engine engine{make_group(group_backend::p256)};
   const elgamal& scheme = engine.scheme();
@@ -519,14 +555,16 @@ TEST(P256FixedBaseTest, KnownAnswerDigestsOfTheBatchPaths) {
   for (std::uint64_t i = 0; i < 300; ++i) {
     table.insert_seeded_bin((i * 37) % 1024, 0x5eed0000 + i);
   }
-  EXPECT_EQ(digest_hex(scheme, zeros),
+  EXPECT_EQ(compressed_digest_hex(scheme, zeros),
             "d7e925502ef70b9426cda7aa5fab7050b39574d20f92f7e28e3721cc3b8193c5");
-  EXPECT_EQ(digest_hex(scheme, noise),
+  EXPECT_EQ(compressed_digest_hex(scheme, noise),
             "d5633a58bc45cda3df7b7cd485442b20c4026009812eba6f69e1451b6a2bf881");
-  EXPECT_EQ(digest_hex(scheme, rerand),
+  EXPECT_EQ(compressed_digest_hex(scheme, rerand),
             "b7e52e01a1de74dcf426c6e664203473aa47a32687e3c5c86f31c4548c9fd6ab");
-  EXPECT_EQ(digest_hex(scheme, table.slots()),
+  EXPECT_EQ(compressed_digest_hex(scheme, table.slots()),
             "29311f4ba9be32d19d3453601be7585c33a9eb34dccac3b7a2935796638f3bb1");
+  EXPECT_EQ(digest_hex(scheme, rerand),
+            "223a95a50f42e83b6959cbb6fa31063f565f9d464ced25d919be77c56d6f1c60");
 }
 
 /// Checks mul_batch(base, ks) — a table batch — and then each scalar alone

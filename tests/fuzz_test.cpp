@@ -3,7 +3,10 @@
 // out of bounds. Exercised over systematic truncations and random
 // corruptions of valid messages.
 #include <gtest/gtest.h>
-
+#include <openssl/bn.h>
+#include <openssl/ec.h>
+#include <openssl/err.h>
+#include <openssl/obj_mac.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -94,7 +97,8 @@ TEST(FuzzTest, PscVectorTruncationsAndCorruption) {
   m.round_id = 2;
   std::vector<crypto::elgamal_ciphertext> cts;
   for (int i = 0; i < 8; ++i) cts.push_back(scheme.encrypt_one(kp.pub, rng_c));
-  m.ciphertexts = scheme.encode_batch(cts);
+  const std::vector<byte_buffer> encoded = scheme.encode_batch(cts);
+  m.ciphertexts = views_of(encoded);
   const net::message full = psc::encode_vector(1, 2, psc::msg_type::mix_pass, m);
 
   for (std::size_t len = 0; len < full.payload.size(); len += 3) {
@@ -136,8 +140,8 @@ TEST(FuzzTest, PscVectorRejectsCountsItsPayloadCannotHold) {
     net::wire_writer w;
     w.write_u32(2);
     w.write_varint(n);
-    EXPECT_THROW((void)psc::decode_vector(with_payload(w)), net::wire_error)
-        << n;
+    const net::message msg = with_payload(w);
+    EXPECT_THROW((void)psc::decode_vector(msg), net::wire_error) << n;
   }
 }
 
@@ -205,12 +209,99 @@ TEST(FuzzTest, GroupElementDecodeRejectsGarbage) {
        {crypto::group_backend::toy, crypto::group_backend::p256}) {
     const auto group = crypto::make_group(backend);
     for (int trial = 0; trial < 200; ++trial) {
-      const std::size_t len = 1 + r.below(40);
+      const std::size_t len = 1 + r.below(70);
       byte_buffer junk(len);
       for (auto& b : junk) b = static_cast<std::uint8_t>(r.below(256));
       expect_graceful([&] { (void)group->decode(junk); });
       expect_graceful([&] { (void)group->decode_scalar(junk); });
     }
+  }
+}
+
+/// A P-256 point with a small X, encoded canonically and with X + p in
+/// place of X: the same point, its X not reduced modulo p.
+struct unreduced_point {
+  byte_buffer canonical;
+  byte_buffer unreduced;
+};
+
+[[nodiscard]] unreduced_point p256_point_with_unreduced_x() {
+  EC_GROUP* curve = EC_GROUP_new_by_curve_name(NID_X9_62_prime256v1);
+  BN_CTX* ctx = BN_CTX_new();
+  EC_POINT* pt = EC_POINT_new(curve);
+  BIGNUM* x = BN_new();
+  BIGNUM* y = BN_new();
+  BIGNUM* p = BN_new();
+  EXPECT_EQ(EC_GROUP_get_curve(curve, p, nullptr, nullptr, ctx), 1);
+  // Every other small X has a point; the first one is at most a few steps
+  // away, and X + p still fits 32 bytes.
+  for (BN_ULONG v = 1;; ++v) {
+    EXPECT_EQ(BN_set_word(x, v), 1);
+    if (EC_POINT_set_compressed_coordinates(curve, pt, x, 0, ctx) == 1) break;
+    ERR_clear_error();
+  }
+  EXPECT_EQ(EC_POINT_get_affine_coordinates(curve, pt, nullptr, y, ctx), 1);
+  unreduced_point out;
+  for (byte_buffer* enc : {&out.canonical, &out.unreduced}) {
+    enc->assign(65, 0);
+    (*enc)[0] = 0x04;
+    EXPECT_EQ(BN_bn2binpad(x, enc->data() + 1, 32), 32);
+    EXPECT_EQ(BN_bn2binpad(y, enc->data() + 33, 32), 32);
+    EXPECT_EQ(BN_add(x, x, p), 1);  // the second pass writes X + p
+  }
+  BN_free(p);
+  BN_free(y);
+  BN_free(x);
+  EC_POINT_free(pt);
+  BN_CTX_free(ctx);
+  EC_GROUP_free(curve);
+  return out;
+}
+
+TEST(FuzzTest, ElementEncodingRoundTripsCanonically) {
+  // bytes -> element -> bytes is the identity on every encoding a backend
+  // writes, for random elements and the identity, on both backends.
+  crypto::deterministic_rng crng{29};
+  for (const auto backend :
+       {crypto::group_backend::toy, crypto::group_backend::p256}) {
+    const auto group = crypto::make_group(backend);
+    std::vector<crypto::group_element> elements{group->identity()};
+    for (int i = 0; i < 50; ++i) elements.push_back(group->random_element(crng));
+    for (const auto& e : elements) {
+      const byte_buffer enc = group->encode(e);
+      const byte_view view{enc};
+      EXPECT_EQ(group->encode(group->decode(enc)), enc);
+      EXPECT_EQ(group->encode(group->decode_batch(std::span{&view, 1})[0]), enc);
+    }
+  }
+
+  // p256 writes 0x04 ‖ X ‖ Y, or 0x00 for the identity, and reads nothing
+  // else: each other form of a valid point throws in all three decoders.
+  const auto p256 = crypto::make_group(crypto::group_backend::p256);
+  EXPECT_EQ(p256->encode(p256->identity()), byte_buffer{0x00});
+  const byte_buffer wire = p256->encode(p256->random_element(crng));
+  ASSERT_EQ(wire.size(), 65u);
+  ASSERT_EQ(wire[0], 0x04);
+  const std::uint8_t y_bit = wire.back() & 1;
+  byte_buffer compressed{static_cast<std::uint8_t>(0x02 | y_bit)};
+  compressed.insert(compressed.end(), wire.begin() + 1, wire.begin() + 33);
+  byte_buffer hybrid = wire;
+  hybrid[0] = static_cast<std::uint8_t>(0x06 | y_bit);
+  byte_buffer flipped_y = wire;  // off the curve
+  flipped_y.back() ^= 1;
+  const unreduced_point x_above_p = p256_point_with_unreduced_x();
+  EXPECT_NO_THROW((void)p256->decode(x_above_p.canonical));
+  const byte_buffer len64(wire.begin(), wire.end() - 1);
+  byte_buffer len66 = wire;
+  len66.push_back(0);
+  for (const byte_buffer& bad : {compressed, hybrid, flipped_y,
+                                 x_above_p.unreduced, len64, len66}) {
+    const byte_view view{bad};
+    EXPECT_ANY_THROW((void)p256->decode(bad)) << to_hex(bad);
+    EXPECT_ANY_THROW((void)p256->decode_batch(std::span{&view, 1}))
+        << to_hex(bad);
+    EXPECT_ANY_THROW((void)p256->count_non_identity(std::span{&view, 1}))
+        << to_hex(bad);
   }
 }
 

@@ -281,10 +281,18 @@ TEST(PscMessagesTest, VectorRoundTrip) {
 
   vector_msg m;
   m.round_id = 11;
-  m.ciphertexts = scheme.encode_batch(cts);
+  const std::vector<byte_buffer> encoded = scheme.encode_batch(cts);
+  m.ciphertexts = views_of(encoded);
   const net::message wire = encode_vector(2, 3, msg_type::mix_pass, m);
+  // Reserved at its exact size, never regrown.
+  EXPECT_EQ(wire.payload.capacity(), wire.payload.size());
   const vector_msg back = decode_vector(wire);
   EXPECT_EQ(back.round_id, 11u);
+  // The decoded ciphertexts are views into the payload.
+  ASSERT_EQ(back.ciphertexts.size(), cts.size());
+  EXPECT_GE(back.ciphertexts.front().data(), wire.payload.data());
+  EXPECT_LE(back.ciphertexts.back().data() + back.ciphertexts.back().size(),
+            wire.payload.data() + wire.payload.size());
   const auto decoded = scheme.decode_batch(back.ciphertexts);
   ASSERT_EQ(decoded.size(), cts.size());
   for (std::size_t i = 0; i < cts.size(); ++i) {

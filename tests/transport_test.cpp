@@ -178,6 +178,37 @@ TEST(TcpTest, MultiMegabyteMessageIsChunkedAndReassembled) {
   EXPECT_EQ(bus.stats().messages_received, 1u);
 }
 
+TEST(TcpTest, ChunksShorterThanTheMessageHeadReassembleByteExact) {
+  // 7-byte chunks cut the 27- to 29-byte message head into pieces and start
+  // payloads mid-chunk; the receiver reads the head apart from the payload
+  // and the payload straight into the delivered buffer, so every boundary
+  // between them occurs here: an empty payload, 1 MiB, and a small message
+  // after both.
+  tcp_options opts;
+  opts.max_chunk_bytes = 7;
+  tcp_net bus{opts};
+  std::vector<message> got;
+  bus.register_node(1, [&](const message& m) { got.push_back(m); });
+  bus.register_node(2, [](const message&) {});
+
+  const byte_buffer big = patterned_payload(1u << 20);
+  const byte_buffer small{'t', 'a', 'i', 'l'};
+  bus.send(message{2, 1, 4, byte_buffer{}});
+  bus.send(message{2, 1, 5, big});
+  bus.send(message{2, 1, 6, small});
+  bus.run_until_quiescent();
+  ASSERT_EQ(got.size(), 3u);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].from, 2u);
+    EXPECT_EQ(got[i].to, 1u);
+    EXPECT_EQ(got[i].type, 4 + i);
+  }
+  EXPECT_TRUE(got[0].payload.empty());
+  EXPECT_EQ(got[1].payload, big);
+  EXPECT_EQ(got[2].payload, small);
+  EXPECT_GE(bus.stats().chunks_sent, (big.size() + 29) / 7);
+}
+
 TEST(TcpTest, ReconnectsAfterMidStreamDisconnect) {
   tcp_net bus;
   std::vector<std::string> got;

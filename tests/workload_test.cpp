@@ -10,6 +10,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <string_view>
 #include <unordered_set>
 
 #include "src/tor/event_codec.h"
@@ -431,7 +432,7 @@ TEST(TraceGenTest, EveryModelProducesTimeOrderedPartitionedEvents) {
 }
 
 TEST(TraceGenTest, MultiDayTracesSpanDailyWindows) {
-  for (const std::string& model : {"zipf", "population", "mixed"}) {
+  for (const std::string_view model : {"zipf", "population", "mixed"}) {
     trace_gen_params params;
     params.model = model;
     params.dcs = 3;
