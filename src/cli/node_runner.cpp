@@ -418,22 +418,32 @@ void admit_rejoiners(net::transport& out, net::tcp_net& net,
   pending.clear();
 }
 
-/// Sends ROUND_DONE to every peer and blocks until each *surviving* peer
-/// replied ROUND_ACK (peers in `dropped` were excluded mid-deployment; an
-/// ack from them anyway is harmless).
+void send_round_done(net::transport& out, net::node_id self, net::node_id to) {
+  out.send(net::message{self, to,
+                        static_cast<std::uint16_t>(ctl_msg::round_done), {}});
+}
+
+/// Sends ROUND_DONE to every peer and blocks until each *surviving* peer is
+/// in `acked` (peers in `dropped` were excluded mid-deployment; an ack from
+/// them anyway is harmless). A peer that crashed after its last round may
+/// have taken its ROUND_DONE down with it; the caller resends it when the
+/// restarted peer announces itself.
 void finish_round_as_ts(net::transport& out, net::tcp_net& net,
                         const deployment_plan& plan, net::node_id self,
                         const std::set<net::node_id>& dropped,
-                        std::size_t& acks) {
-  std::size_t expected = 0;
+                        const std::set<net::node_id>& acked) {
+  std::vector<net::node_id> expected;
   for (const auto& n : plan.nodes) {
     if (n.id == self) continue;
-    if (!dropped.contains(n.id)) ++expected;
-    out.send(net::message{self, n.id,
-                          static_cast<std::uint16_t>(ctl_msg::round_done),
-                          {}});
+    if (!dropped.contains(n.id)) expected.push_back(n.id);
+    send_round_done(out, self, n.id);
   }
-  net.run_until([&] { return acks >= expected; }, plan.round_deadline_ms);
+  net.run_until(
+      [&] {
+        return std::all_of(expected.begin(), expected.end(),
+                           [&](net::node_id id) { return acked.contains(id); });
+      },
+      plan.round_deadline_ms);
   net.flush_sends();
 }
 
@@ -894,12 +904,13 @@ void exclude_stragglers(const ts_adapter& proto,
                                           const fault_spec& fault,
                                           const ts_adapter& proto) {
   ts_state state = load_ts_state(plan, self);
-  std::size_t acks = 0;
+  std::set<net::node_id> acked;  // peers that acked ROUND_DONE
+  bool finishing = false;        // ROUND_DONE is out
   std::set<net::node_id> rejoin_pending;  // peers that announced themselves
   std::map<net::node_id, std::string> dc_stats_payloads;
   net.register_node(self, [&](const net::message& m) {
     if (m.type == static_cast<std::uint16_t>(ctl_msg::round_ack)) {
-      ++acks;
+      acked.insert(m.from);
       return;
     }
     if (m.type == static_cast<std::uint16_t>(ctl_msg::dc_stats)) {
@@ -908,6 +919,9 @@ void exclude_stragglers(const ts_adapter& proto,
       return;
     }
     if (m.type == static_cast<std::uint16_t>(ctl_msg::rejoin_request)) {
+      // A peer that announces itself after ROUND_DONE went out is a new
+      // incarnation, and its predecessor may have died holding it.
+      if (finishing) send_round_done(out, self, m.from);
       rejoin_pending.insert(m.from);
       return;
     }
@@ -1004,7 +1018,8 @@ void exclude_stragglers(const ts_adapter& proto,
 
   node_result result;
   result.tally = serialize_multiround_tally(state.tallies);
-  finish_round_as_ts(out, net, plan, self, state.dropped, acks);
+  finishing = true;
+  finish_round_as_ts(out, net, plan, self, state.dropped, acked);
   // Each DC's DC_STATS message rides the same channel as its ROUND_ACK, so
   // once every surviving ack is in, every surviving DC's stats are too.
   util::write_file_atomic(
@@ -1064,7 +1079,7 @@ node_result run_node(const deployment_plan& plan, net::node_id self) {
       serve_peer(net, plan, self, fault, rng,
                  peer_hooks{psc::msg_type::cp_configure,
                             psc::msg_type::cp_configure,
-                            psc::msg_type::decrypt_pass},
+                            psc::msg_type::mix_pass},
                  [&](const net::message& m, std::uint32_t) {
                    cp.handle_message(m);
                  });

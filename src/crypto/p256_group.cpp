@@ -11,11 +11,12 @@
 // Fixed-base multiplication runs on precomputed tables. k·G uses the table
 // the named curve already has (nistz256's constant-time windowed table on
 // x86-64). k·Y for any other base — in PSC, the round's joint key Y, which
-// every bin init, insert, noise bit and rerandomization multiplies — uses a
-// table built the first time a bulk batch multiplies against Y and cached
-// per base: a copy of the curve with Y as its generator, whose multiples
+// every bin init and insert multiplies, and each CP's onward key, which its
+// noise bits and rerandomizations multiply — uses a table built the first
+// time a bulk batch multiplies against Y and cached per base: a copy of
+// the curve with Y as its generator, whose multiples
 // EC_GROUP_precompute_mult lays out in that same table format. On a
-// 4-vCPU x86-64 host under OpenSSL 3.5 that makes k·Y ~14 µs instead of
+// 4-vCPU x86-64 host under OpenSSL 3.0.19 that makes k·Y ~14 µs instead of
 // ~80 µs, for a ~37 ms build per base. mul(p, k), which strip and decrypt
 // call on a different point each time, stays the variable-base operation.
 //
@@ -23,7 +24,7 @@
 // bytes); the identity is the single byte 0x00. Decoding takes X and Y as
 // they are and checks the curve equation, ~1.5 µs, where the 33-byte
 // compressed form must recover Y with a square root: 20–28 µs per point on
-// a 4-vCPU x86-64 host under OpenSSL 3.5. The 32 extra bytes cost less
+// a 4-vCPU x86-64 host under OpenSSL 3.0.19. The 32 extra bytes cost less
 // than that square root on any link faster than ~13 Mbit/s per decoding
 // core. A wire ciphertext is 134 bytes with its length prefix, so the
 // largest PSC vector the fabric's 256 MiB message bound carries fell from
@@ -326,12 +327,21 @@ class p256_group final : public group {
 
   [[nodiscard]] std::vector<group_element> mul_batch(
       const group_element& base, std::span<const scalar> ks) const override {
+    auto arena = new_arena(ks.size());
+    if (is_identity(base)) {
+      // k·∞ = ∞, which OpenSSL takes ~83 µs to find. A PSC chain's last CP
+      // encrypts and rerandomizes under the identity.
+      for (EC_POINT* p : arena->pts) {
+        ossl_check(EC_POINT_set_to_infinity(curve_, p),
+                   "EC_POINT_set_to_infinity");
+      }
+      return wrap_arena(std::move(arena));
+    }
     BN_CTX* ctx = tls_bn_ctx();
     batch_scratch& scratch = tls_scratch(curve_);
     const EC_POINT* b = unwrap(base);
     const std::shared_ptr<const fixed_base_table> t =
         cached_table(base, ks.size());
-    auto arena = new_arena(ks.size());
     for (std::size_t i = 0; i < ks.size(); ++i) {
       to_bn(ks[i], scratch.bn);
       ossl_check(t != nullptr ? EC_POINT_mul(t->table, arena->pts[i], scratch.bn,
@@ -427,15 +437,15 @@ class p256_group final : public group {
  private:
   /// The table for `base`: the cached one, else one built now when a batch
   /// of `batch` scalars is bulk work, else nullptr (variable-base loop).
-  /// The identity gets no table. The lock is held through a build, so
-  /// concurrent first batches against a fresh base build it once.
+  /// The lock is held through a build, so concurrent first batches against
+  /// a fresh base build it once.
   [[nodiscard]] std::shared_ptr<const fixed_base_table> cached_table(
       const group_element& base, std::size_t batch) const {
     std::lock_guard<std::mutex> lock{table_mutex_};
     for (const auto& t : table_cache_) {
       if (equal(t->base, base)) return t;
     }
-    if (batch < k_table_min_batch || is_identity(base)) return nullptr;
+    if (batch < k_table_min_batch) return nullptr;
     auto t = std::make_shared<fixed_base_table>();
     // A decoded copy is affine, so comparing it with a key decoded off the
     // wire is a coordinate compare.

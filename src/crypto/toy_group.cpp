@@ -205,7 +205,10 @@ class toy_group final : public group {
   [[nodiscard]] std::vector<group_element> mul_batch(
       const group_element& base, std::span<const scalar> ks) const override {
     const std::uint64_t b = unwrap(base);
-    std::vector<std::uint64_t> out(ks.size());
+    // 1^k = 1: the identity, which a PSC chain's last CP encrypts under,
+    // gets no comb table.
+    std::vector<std::uint64_t> out(ks.size(), 1);
+    if (b == 1) return wrap_batch(out);
     // Table build is windows * 2^width multiplies; only worth it when the
     // batch amortizes it below the ~91 multiplies of a plain square-and-
     // multiply exponentiation. Tables are cached per base, so repeated

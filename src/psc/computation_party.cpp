@@ -24,7 +24,6 @@ void computation_party::on_configure(const cp_configure_msg& m) {
   engine_ = std::make_unique<crypto::batch_engine>(group_, pool_);
   keypair_ = engine_->scheme().generate_keypair(rng_);
   mixed_ = false;
-  decrypted_ = false;
 
   pk_share_msg share;
   share.round_id = round_id_;
@@ -52,11 +51,13 @@ void computation_party::on_mix(const net::message& msg) {
                               << "; dropping";
     return;
   }
-  expects(joint_pk_.valid(), "mix pass before joint key distribution");
+  expects(onward_pk_.valid(), "mix pass before the onward key arrived");
   mixed_ = true;
-  // Each vector below is freed as soon as the next one is built, so the pass
+  // Stripping this CP's share moves the vector from K_i to K_{i+1}. Each
+  // vector below is freed as soon as the next one is built, so the pass
   // holds the round's vector about once beside the message it came in.
-  std::vector<crypto::elgamal_ciphertext> cts = engine_->decode_batch(m.ciphertexts);
+  std::vector<crypto::elgamal_ciphertext> cts = engine_->strip_share_batch(
+      engine_->decode_batch(m.ciphertexts), keypair_.secret);
   m = {};
 
   // Binomial noise: append noise_bits ciphertexts, each an encryption of a
@@ -68,39 +69,19 @@ void computation_party::on_mix(const net::message& msg) {
     coin = static_cast<std::uint8_t>(rng_.next_u64() & 1);
   }
   std::vector<crypto::elgamal_ciphertext> noise = engine_->encrypt_bits_batch(
-      joint_pk_, coins, crypto::batch_engine::derive_seed(rng_));
+      onward_pk_, coins, crypto::batch_engine::derive_seed(rng_));
   cts.insert(cts.end(), std::make_move_iterator(noise.begin()),
              std::make_move_iterator(noise.end()));
   noise = {};
 
-  // Nothing reads a transcript of this pass, so none is computed.
+  // Nothing reads a transcript of this pass, so none is computed. The last
+  // CP mixes under the identity, so its output holds plaintexts.
   const std::vector<byte_buffer> encoded =
       engine_->encode_batch(crypto::shuffle_and_rerandomize(
-          *engine_, joint_pk_, std::move(cts), rng_));
-  transport_.send(encode_vector(self_, next_in_chain(), msg_type::mix_pass,
-                                {round_id_, views_of(encoded)}));
-}
-
-void computation_party::on_decrypt(const net::message& msg) {
-  vector_msg m = decode_vector(msg);
-  if (m.round_id != round_id_) return;
-  if (decrypted_) {
-    log_line{log_level::warn} << "CP " << self_
-                              << ": duplicate decrypt pass for round "
-                              << m.round_id << "; dropping";
-    return;
-  }
-  decrypted_ = true;
-  std::vector<crypto::elgamal_ciphertext> cts = engine_->decode_batch(m.ciphertexts);
-  m = {};
-  std::vector<crypto::elgamal_ciphertext> stripped =
-      engine_->strip_share_batch(cts, keypair_.secret);
-  cts = {};
-  const std::vector<byte_buffer> encoded = engine_->encode_batch(stripped);
-  stripped = {};
+          *engine_, onward_pk_, std::move(cts), rng_));
   const net::node_id next = next_in_chain();
   const msg_type type =
-      next == tally_server_ ? msg_type::final_vector : msg_type::decrypt_pass;
+      next == tally_server_ ? msg_type::final_vector : msg_type::mix_pass;
   transport_.send(encode_vector(self_, next, type, {round_id_, views_of(encoded)}));
 }
 
@@ -110,18 +91,15 @@ void computation_party::handle_message(const net::message& msg) {
       on_configure(decode_cp_configure(msg));
       return;
     case msg_type::dc_configure: {
-      // The TS echoes the combined joint key to CPs with the same message
-      // DCs receive.
+      // The TS sends each CP its onward key with the message that carries
+      // the joint key to the DCs.
       const dc_configure_msg m = decode_dc_configure(msg);
       if (m.round_id != round_id_) return;
-      joint_pk_ = group_->decode(m.joint_pk);
+      onward_pk_ = group_->decode(m.joint_pk);
       return;
     }
     case msg_type::mix_pass:
       on_mix(msg);
-      return;
-    case msg_type::decrypt_pass:
-      on_decrypt(msg);
       return;
     default:
       log_line{log_level::warn} << "CP " << self_ << ": unexpected message type "

@@ -1,10 +1,15 @@
-// PSC computation party (CP): holds one share of the joint ElGamal key,
-// contributes binomial noise bits, mixes (shuffle + rerandomize), and strips
-// its decryption share. The union cardinality stays private as long as one
-// CP is honest: its shuffle breaks bin/DC linkability and its noise bits
-// keep the count differentially private.
+// PSC computation party (CP): holds one share of the joint ElGamal key and
+// makes one pass over the round's vector. CP i of m receives it encrypted
+// under K_i, the sum of the key shares of CPs i..m. It strips its own
+// share, which leaves the vector under its onward key K_{i+1}; appends its
+// binomial noise bits encrypted under K_{i+1}; shuffles and rerandomizes
+// under K_{i+1}; and sends the result on. The last CP's onward key is the
+// identity, so the vector it sends the TS holds plaintexts. The union
+// cardinality stays private as long as one CP is honest: its shuffle
+// breaks bin/DC linkability and its noise bits keep the count
+// differentially private.
 //
-// The bulk ciphertext work (noise encryption, mix pass, decrypt pass) runs
+// The bulk ciphertext work (strip, noise encryption, rerandomization) runs
 // through a crypto::batch_engine; attach a shared thread pool with
 // set_thread_pool to spread it across workers. Results are deterministic in
 // the session RNG regardless of the worker count.
@@ -38,7 +43,6 @@ class computation_party {
  private:
   void on_configure(const cp_configure_msg& m);
   void on_mix(const net::message& msg);
-  void on_decrypt(const net::message& msg);
   [[nodiscard]] net::node_id next_in_chain() const;
 
   net::node_id self_;
@@ -53,12 +57,13 @@ class computation_party {
   std::shared_ptr<const crypto::group> group_;
   std::unique_ptr<crypto::batch_engine> engine_;  // owns the round's elgamal
   crypto::elgamal_keypair keypair_;
-  crypto::group_element joint_pk_;  // set when the TS echoes it via dc_configure
-  // Once-per-round latches: a retried round attempt can deliver duplicate
-  // (byte-identical) mix/decrypt passes; processing one twice would consume
-  // the session RNG again and change every downstream byte.
+  // K_{i+1}: the sum of the later CPs' shares, set by the TS's
+  // dc_configure.
+  crypto::group_element onward_pk_;
+  // Once-per-round latch: a retried round attempt can deliver a duplicate
+  // (byte-identical) mix pass; processing it twice would consume the
+  // session RNG again and change every downstream byte.
   bool mixed_ = false;
-  bool decrypted_ = false;
 };
 
 }  // namespace tormet::psc

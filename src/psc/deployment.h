@@ -57,7 +57,7 @@ class deployment {
   void attach(tor::network& net);
 
   /// Runs one full round: key setup -> collect (caller generates traffic in
-  /// `workload`) -> combine/mix/decrypt -> estimate.
+  /// `workload`) -> combine -> one strip-and-mix pass per CP -> estimate.
   round_outcome run_round(const std::function<void()>& workload);
 
   [[nodiscard]] tally_server& ts() noexcept { return *ts_; }

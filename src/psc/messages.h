@@ -5,13 +5,16 @@
 //   TS -> CP   cp_configure        (bins, noise bits, group backend)
 //   CP -> TS   pk_share            (public-key share)
 //   TS -> DC   dc_configure        (bins, joint public key)
+//   TS -> CP   dc_configure        (the CP's onward key: the later CPs' shares)
 //   ... collection: DCs insert items locally/obliviously ...
 //   TS -> DC   report_request
 //   DC -> TS   dc_vector           (encrypted bit table)
-//   TS combines homomorphically, then the vector walks the CP chain twice:
-//   TS -> CP1 -> ... -> CPm        mix_pass    (noise + shuffle + rerandomize)
-//   CPm -> TS, TS -> CP1 -> ...    decrypt_pass (each strips its key share)
-//   CPm -> TS  final plaintext structure; TS counts non-identity bins.
+//   TS combines homomorphically, then the vector walks the CP chain once:
+//   TS -> CP1 -> ... -> CPm        mix_pass (each strips its key share, then
+//                                  adds noise, shuffles and rerandomizes
+//                                  under its onward key)
+//   CPm -> TS  final_vector: CPm's onward key is the identity, so it holds
+//              plaintexts; the TS counts non-identity bins.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +33,7 @@ enum class msg_type : std::uint16_t {
   report_request = 35,
   dc_vector = 36,
   mix_pass = 37,
-  decrypt_pass = 38,
+  decrypt_pass = 38,  // retired: the mix pass strips; never sent
   final_vector = 39,
 };
 
@@ -51,12 +54,12 @@ struct dc_configure_msg {
   std::uint32_t round_id = 0;
   std::uint64_t bins = 0;
   std::uint8_t group = 0;
-  byte_buffer joint_pk;
+  byte_buffer joint_pk;  // a DC's encryption key; a CP's onward key
 };
 
-/// A ciphertext vector in transit (dc_vector / mix_pass / decrypt_pass /
-/// final_vector all carry this shape). The ciphertexts are views: into the
-/// sender's encodings for encode_vector, into the received payload after
+/// A ciphertext vector in transit (dc_vector / mix_pass / final_vector all
+/// carry this shape). The ciphertexts are views: into the sender's
+/// encodings for encode_vector, into the received payload after
 /// decode_vector. What they view must outlive them.
 struct vector_msg {
   std::uint32_t round_id = 0;

@@ -28,11 +28,9 @@ void tally_server::begin_round(const round_params& params) {
   group_ = crypto::make_group(params_.group);
   engine_ = std::make_unique<crypto::batch_engine>(group_, pool_);
   pk_shares_.clear();
-  joint_pk_ = {};
   dcs_configured_ = false;
   reports_requested_ = false;
   mixing_started_ = false;
-  decrypt_requested_ = false;
   dc_reports_seen_.clear();
   combined_.clear();
   raw_count_.reset();
@@ -56,22 +54,27 @@ void tally_server::begin_round(const round_params& params) {
 
 void tally_server::maybe_distribute_joint_key() {
   if (pk_shares_.size() != cps_.size() || dcs_configured_) return;
-  std::vector<crypto::group_element> shares;
-  shares.reserve(pk_shares_.size());
-  for (const auto& [cp, pk] : pk_shares_) shares.push_back(pk);
-  joint_pk_ = engine_->scheme().combine_public_keys(shares);
+  // Walking the chain backwards, each CP's onward key is the sum of the
+  // shares of the CPs after it (the identity for the last CP), and the sum
+  // of every share is the joint key the DCs encrypt under.
+  std::vector<byte_buffer> onward(cps_.size());
+  crypto::group_element key = group_->identity();
+  for (std::size_t i = cps_.size(); i-- > 0;) {
+    onward[i] = group_->encode(key);
+    key = group_->add(key, pk_shares_.at(cps_[i]));
+  }
 
   dc_configure_msg cfg;
   cfg.round_id = round_id_;
   cfg.bins = params_.bins;
   cfg.group = static_cast<std::uint8_t>(params_.group);
-  cfg.joint_pk = group_->encode(joint_pk_);
+  cfg.joint_pk = group_->encode(key);
   for (const auto dc : dcs_) {
     transport_.send(encode_dc_configure(self_, dc, cfg));
   }
-  // CPs need the joint key too (noise encryption + rerandomization).
-  for (const auto cp : cps_) {
-    transport_.send(encode_dc_configure(self_, cp, cfg));
+  for (std::size_t i = 0; i < cps_.size(); ++i) {
+    cfg.joint_pk = std::move(onward[i]);
+    transport_.send(encode_dc_configure(self_, cps_[i], cfg));
   }
   dcs_configured_ = true;
 }
@@ -117,6 +120,7 @@ void tally_server::handle_message(const net::message& msg) {
     case msg_type::pk_share: {
       const pk_share_msg m = decode_pk_share(msg);
       if (m.round_id != round_id_) return;
+      if (std::find(cps_.begin(), cps_.end(), msg.from) == cps_.end()) return;
       pk_shares_[msg.from] = group_->decode(m.pk);
       maybe_distribute_joint_key();
       return;
@@ -158,28 +162,12 @@ void tally_server::handle_message(const net::message& msg) {
       maybe_start_mixing();
       return;
     }
-    case msg_type::mix_pass: {
-      // The mixed vector returned from the last CP starts the decrypt chain
-      // as it arrived: the TS checks its framing and round, then forwards
-      // the payload without decoding a ciphertext.
-      if (decode_vector(msg).round_id != round_id_) return;
-      if (decrypt_requested_) {
-        // A stale duplicate from a retried round attempt (byte-identical by
-        // per-round determinism): one decrypt chain is enough.
-        return;
-      }
-      decrypt_requested_ = true;
-      transport_.send(net::message{self_, cps_.front(),
-                                   static_cast<std::uint16_t>(msg_type::decrypt_pass),
-                                   msg.payload});
-      return;
-    }
     case msg_type::final_vector: {
       const vector_msg m = decode_vector(msg);
       if (m.round_id != round_id_) return;
-      // After every CP stripped its share, b holds the plaintext: the batch
-      // tally decode parses only the b components and counts non-identity
-      // bins, sharded across the pool at large bin counts.
+      // The last CP mixed under the identity, so b holds the plaintext: the
+      // batch tally decode parses only the b components and counts
+      // non-identity bins, sharded across the pool at large bin counts.
       raw_count_ = engine_->tally_decode_count(m.ciphertexts);
       return;
     }

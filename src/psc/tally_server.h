@@ -1,8 +1,10 @@
 // PSC tally server (the paper's §3.1 extension): coordinates key setup,
-// collects the DCs' encrypted tables, combines them homomorphically
-// (per-bin ciphertext products — an encryption of identity iff no DC set
-// the bin), drives the CP mix and decrypt chains, and counts non-identity
-// plaintexts. The TS never handles any plaintext item.
+// giving the DCs the joint key and each CP its onward key (the sum of the
+// later CPs' shares); collects the DCs' encrypted tables, combines them
+// homomorphically (per-bin ciphertext products — an encryption of identity
+// iff no DC set the bin), starts the CP chain, whose single pass strips,
+// noises and mixes, and counts non-identity plaintexts in the vector the
+// last CP returns. The TS never handles any plaintext item.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +50,8 @@ class tally_server {
   void set_thread_pool(std::shared_ptr<util::thread_pool> pool);
 
   /// Phase 1: configure CPs (they reply with key shares); once all shares
-  /// arrive the TS combines them and configures the DCs with the joint key.
+  /// arrive the TS configures the DCs with the joint key and each CP with
+  /// its onward key.
   void begin_round(const round_params& params);
   [[nodiscard]] bool setup_complete() const;  // DCs configured
 
@@ -112,11 +115,9 @@ class tally_server {
   /// through the engine so large bin counts shard across the pool.
   std::unique_ptr<crypto::batch_engine> engine_;
   std::map<net::node_id, crypto::group_element> pk_shares_;
-  crypto::group_element joint_pk_;
   bool dcs_configured_ = false;
   bool reports_requested_ = false;
   bool mixing_started_ = false;
-  bool decrypt_requested_ = false;
   std::set<net::node_id> dc_reports_seen_;
   std::vector<crypto::elgamal_ciphertext> combined_;
   std::optional<std::uint64_t> raw_count_;

@@ -139,6 +139,19 @@ TEST_F(AllocationTest, RerandomizeBatchAllocationsDoNotScaleWithBatchSize) {
   EXPECT_EQ(large, small) << "per-element allocations on the rerandomize path";
 }
 
+TEST_F(AllocationTest, RerandomizeUnderTheIdentityDoesNotScaleWithBatchSize) {
+  // The last CP of a PSC chain mixes under the identity, where mul_batch
+  // answers without a table.
+  const group_element identity = group_->identity();
+  const std::size_t small = allocations_of([&] {
+    (void)engine_small_.rerandomize_batch(identity, input_small_, seed_);
+  });
+  const std::size_t large = allocations_of([&] {
+    (void)engine_large_.rerandomize_batch(identity, input_large_, seed_);
+  });
+  EXPECT_EQ(large, small) << "per-element allocations under the identity key";
+}
+
 TEST_F(AllocationTest, StripShareBatchAllocationsDoNotScaleWithBatchSize) {
   const std::size_t small = allocations_of([&] {
     (void)engine_small_.strip_share_batch(input_small_, kp_.secret);

@@ -159,6 +159,26 @@ TEST_P(GroupBatchTest, AddAndSubBatchMatchScalarPath) {
   }
 }
 
+TEST_P(GroupBatchTest, MulBatchAgainstTheIdentityIsTheIdentity) {
+  // k·0 = 0: the shortcut answers on both sides of p256's table threshold
+  // (256 scalars), for the identity as built and as decoded off the wire,
+  // the way a PSC chain's last CP receives its onward key.
+  const auto g = make();
+  deterministic_rng rng{6};
+  for (const group_element& base :
+       {g->identity(), g->decode(g->encode(g->identity()))}) {
+    for (const std::size_t n : {1u, 255u, 256u, 1024u}) {
+      std::vector<scalar> ks;
+      for (std::size_t i = 0; i < n; ++i) ks.push_back(g->random_scalar(rng));
+      const std::vector<group_element> out = g->mul_batch(base, ks);
+      ASSERT_EQ(out.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_TRUE(g->is_identity(out[i])) << "n " << n << ", index " << i;
+      }
+    }
+  }
+}
+
 TEST_P(GroupBatchTest, MismatchedSpansRejected) {
   const auto g = make();
   deterministic_rng rng{5};

@@ -6,9 +6,10 @@
 // the protocol's shape or its result may). Within one backend the stronger
 // property holds: the pooled engine run is byte-identical to the inline
 // run, because shard boundaries and per-shard RNG streams never depend on
-// the worker count.
+// the worker count. A last test pins the CP chain's shape and keys.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -48,7 +49,6 @@ class recording_net final : public net::transport {
     switch (static_cast<msg_type>(msg.type)) {
       case msg_type::dc_vector:
       case msg_type::mix_pass:
-      case msg_type::decrypt_pass:
       case msg_type::final_vector:
         e.vector_len = decode_vector(msg).ciphertexts.size();
         break;
@@ -168,6 +168,66 @@ TEST(BackendDifferentialTest, PooledRunIsByteIdenticalToSerialRun) {
       SCOPED_TRACE("backend " + std::to_string(static_cast<int>(backend)) +
                    ", " + std::to_string(workers) + " workers");
       expect_identical_bytes(serial, run_round(backend, workers, true, 1100));
+    }
+  }
+}
+
+/// The chain's shape and keys on both backends. After the DC tables each
+/// CP makes one pass: TS→CP1, CP1→CP2 and CP2→CP3 carry mix_pass and
+/// CP3→TS carries final_vector, and no decrypt pass is ever sent. The
+/// vector a CP receives, and so strips, holds the bins and the noise of
+/// the CPs before it. Each CP is sent its onward key, the sum of the later
+/// CPs' recorded key shares (the identity for the last), and each DC the
+/// sum of every share.
+TEST(PscChainTest, OnePassPerCpUnderTheLaterCpsKeys) {
+  using pass = std::tuple<net::node_id, net::node_id, msg_type, std::size_t>;
+  for (const auto backend :
+       {crypto::group_backend::toy, crypto::group_backend::p256}) {
+    SCOPED_TRACE("backend " + std::to_string(static_cast<int>(backend)));
+    const round_run run = run_round(backend, 0, true);
+    const auto group = crypto::make_group(backend);
+    // Node ids: TS=0, CPs 1-3, DCs 4-6.
+    std::map<net::node_id, crypto::group_element> shares;
+    std::map<net::node_id, byte_buffer> keys;
+    std::vector<pass> passes;
+    for (const auto& e : run.trace) {
+      const net::message msg{e.from, e.to, e.type, e.payload};
+      const auto type = static_cast<msg_type>(e.type);
+      EXPECT_NE(type, msg_type::decrypt_pass);
+      if (type == msg_type::pk_share) {
+        shares[e.from] = group->decode(decode_pk_share(msg).pk);
+      } else if (type == msg_type::dc_configure) {
+        keys[e.to] = decode_dc_configure(msg).joint_pk;
+      } else if (type == msg_type::dc_vector) {
+        passes.clear();  // only the passes after the last DC table count
+      } else if (e.vector_len > 0) {
+        passes.emplace_back(e.from, e.to, type, e.vector_len);
+      }
+    }
+    const std::size_t bins = run.outcome.bins;
+    const std::size_t noise = run.outcome.total_noise_bits / 3;
+    ASSERT_GT(noise, 0u);
+    const std::vector<pass> chain = {
+        {0, 1, msg_type::mix_pass, bins},
+        {1, 2, msg_type::mix_pass, bins + noise},
+        {2, 3, msg_type::mix_pass, bins + 2 * noise},
+        {3, 0, msg_type::final_vector, bins + 3 * noise}};
+    EXPECT_EQ(passes, chain);
+
+    const crypto::elgamal scheme{group};
+    ASSERT_EQ(shares.size(), 3u);
+    const auto sum_of_shares_from = [&](net::node_id first) {
+      std::vector<crypto::group_element> later;
+      for (net::node_id cp = first; cp <= 3; ++cp) later.push_back(shares.at(cp));
+      return later.empty() ? group->identity()
+                           : scheme.combine_public_keys(later);
+    };
+    for (net::node_id cp = 1; cp <= 3; ++cp) {
+      EXPECT_EQ(keys.at(cp), group->encode(sum_of_shares_from(cp + 1)))
+          << "CP " << cp;
+    }
+    for (net::node_id dc = 4; dc <= 6; ++dc) {
+      EXPECT_EQ(keys.at(dc), group->encode(sum_of_shares_from(1))) << "DC " << dc;
     }
   }
 }

@@ -1247,6 +1247,44 @@ TEST(DurableRoundTest, CpCrashCountsOneRetry) {
       << result.summary;
 }
 
+/// The last CP (PSC) or the last SK (PrivCount) crashing after a plan's
+/// only round: it dies after sending the round's final message, and can
+/// take the TS's ROUND_DONE down with it. The TS must resend ROUND_DONE
+/// when the restarted peer announces itself, instead of waiting out the
+/// round deadline and failing. The loss depends on timing, so each
+/// protocol runs eight times, each run with a 3 s deadline.
+TEST(DurableRoundTest, LastPeerCrashingAfterTheOnlyRoundIsSentRoundDoneAgain) {
+  const std::string bin = node_binary();
+  if (bin.empty()) GTEST_SKIP() << "tormet_node binary not found";
+
+  for (const bool psc : {true, false}) {
+    SCOPED_TRACE(psc ? "psc" : "privcount");
+    // Node layout: TS=0, CPs or SKs 1-2, DCs 3-5.
+    deployment_plan plan =
+        psc ? make_psc_plan(3, 2, 512)
+            : make_privcount_plan(3, 2,
+                                  {{"entry/connections", 12.0, 100.0},
+                                   {"entry/circuits", 651.0, 100.0}});
+    plan.round.group = crypto::group_backend::toy;
+    plan.rng_seed = 127;
+    plan.round_deadline_ms = 3'000;
+    const std::string reference = run_reference_round(plan);
+    fault_env fault{"2 crash_after_round 0"};
+    for (int run = 0; run < 8; ++run) {
+      SCOPED_TRACE("run " + std::to_string(run));
+      workdir_guard workdir;
+      plan.durable_dir = workdir.path() + "/durable";
+      plan.tally_path = workdir.path() + "/tally.out";
+      assign_free_ports(plan);
+      distributed_round_result result;
+      ASSERT_NO_THROW(
+          result = run_distributed_round(plan, bin, workdir.path(), 60'000));
+      EXPECT_GE(restarts_of(result, 2), 1);
+      EXPECT_EQ(result.tally, reference);
+    }
+  }
+}
+
 /// A restarted TS must re-apply the scheduled churn of the round it last
 /// committed. With relay_churn over 8 daily rounds, DC 0 is scheduled dark
 /// in rounds 3 and 4, and the TS crashes right after committing round 3:

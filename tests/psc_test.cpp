@@ -1,6 +1,7 @@
 // PSC protocol tests: oblivious sets, full rounds over both group backends,
-// union semantics, noise, dropout, estimator inversion, and a parameterized
-// accuracy sweep across bin counts and cardinalities.
+// union semantics, noise, dropout, known-answer tallies, estimator
+// inversion, and a parameterized accuracy sweep across bin counts and
+// cardinalities.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -201,6 +202,58 @@ INSTANTIATE_TEST_SUITE_P(Backends, PscRoundTest,
                                       ? "toy"
                                       : "p256";
                          });
+
+// Known answers: the raw count and noise bits of fixed-seed in-process
+// rounds, recorded when each CP still decrypted in a second pass down the
+// chain. The coins every CP draws and the bins every DC sets decide both,
+// so a change to how the chain encrypts, mixes or strips must keep them.
+struct known_round {
+  crypto::group_backend group;
+  std::size_t cps;
+  std::uint64_t raw_count;
+  std::uint64_t noise_bits;
+};
+
+class PscKnownAnswerTest : public ::testing::TestWithParam<known_round> {};
+
+TEST_P(PscKnownAnswerTest, FixedSeedRoundKeepsItsTally) {
+  const known_round& k = GetParam();
+  net::inproc_net bus;
+  deployment_config cfg;
+  cfg.num_computation_parties = k.cps;
+  cfg.measured_relays = {0, 1, 2};
+  cfg.round.bins = 512;
+  cfg.round.group = k.group;
+  cfg.round.sensitivity = 2.0;
+  cfg.round.privacy = {1.0, 1e-4};  // 318 noise bits per CP
+  cfg.rng_seed = 2404;
+  deployment dep{bus, cfg};
+  // Three overlapping sets of 120 items, 220 distinct.
+  const round_outcome out = dep.run_round([&] {
+    for (std::size_t d = 0; d < 3; ++d) {
+      for (std::size_t i = 0; i < 120; ++i) {
+        dep.dc_at(d).insert_item("client-" + std::to_string(50 * d + i));
+      }
+    }
+  });
+  EXPECT_EQ(out.raw_count, k.raw_count);
+  EXPECT_EQ(out.total_noise_bits, k.noise_bits);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Recorded, PscKnownAnswerTest,
+    ::testing::Values(known_round{crypto::group_backend::toy, 1, 344, 318},
+                      known_round{crypto::group_backend::toy, 2, 504, 636},
+                      known_round{crypto::group_backend::toy, 3, 644, 954},
+                      known_round{crypto::group_backend::p256, 1, 345, 318},
+                      known_round{crypto::group_backend::p256, 2, 504, 636},
+                      known_round{crypto::group_backend::p256, 3, 644, 954}),
+    [](const auto& info) {
+      return std::string{info.param.group == crypto::group_backend::toy
+                             ? "toy"
+                             : "p256"} +
+             "_cps" + std::to_string(info.param.cps);
+    });
 
 // Accuracy sweep: bins x cardinality, toy backend (speed). Property: the
 // collision-corrected estimate tracks the true distinct count.
