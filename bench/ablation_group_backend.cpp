@@ -1,8 +1,8 @@
 // Ablation: group-backend cost for the PSC pipeline stages (DC table
-// initialization, oblivious inserts, homomorphic combine, mix pass,
-// decryption pass). p256 is the production backend; the toy 62-bit group is
-// algebraically identical and lets simulations run at larger scale — this
-// bench quantifies the gap.
+// initialization, oblivious inserts, homomorphic combine, each CP's
+// strip-and-mix pass, the tally server's decode). p256 is the production
+// backend; the toy 62-bit group is algebraically identical and lets
+// simulations run at larger scale — this bench quantifies the gap.
 #include "common.h"
 
 #include <chrono>
@@ -56,35 +56,35 @@ void run_backend(const char* name, crypto::group_backend backend,
   }
   const double combine_ms = ms_since(t0);
 
-  // One CP mix pass (shuffle + rerandomize). Encoding the input stands in
-  // for the wire bytes a CP receives.
-  t0 = clock_type::now();
-  crypto::shuffle_transcript transcript;
-  std::vector<crypto::elgamal_ciphertext> mixed =
-      crypto::shuffle_and_rerandomize_encoded(engine, joint, table_a,
-                                              engine.encode_batch(table_a),
-                                              rng, transcript)
-          .output;
-  const double mix_ms = ms_since(t0);
-
-  // Decryption passes (3 CPs strip shares, then count).
-  t0 = clock_type::now();
-  std::size_t nonzero = 0;
-  for (auto& ct : mixed) {
-    ct = scheme.strip_share(ct, kp1.secret);
-    ct = scheme.strip_share(ct, kp2.secret);
-    ct = scheme.strip_share(ct, kp3.secret);
-    if (!group->is_identity(ct.b)) ++nonzero;
-  }
-  const double decrypt_ms = ms_since(t0);
-
   const auto fmt = [](double ms) { return format_sig(ms, 3) + " ms"; };
   table.add(std::string{name} + " init", "", fmt(init_ms));
   table.add(std::string{name} + " inserts (b/4)", "", fmt(insert_ms));
   table.add(std::string{name} + " combine", "", fmt(combine_ms));
-  table.add(std::string{name} + " mix pass", "", fmt(mix_ms));
-  table.add(std::string{name} + " 3x decrypt+count", "", fmt(decrypt_ms),
-            "", "nonzero=" + std::to_string(nonzero));
+
+  // One pass per CP: CP i strips its share, which leaves the vector under
+  // the sum of the later CPs' shares, then shuffles and rerandomizes under
+  // that onward key. The last CP's onward key is the identity, so it hands
+  // the TS plaintexts.
+  const std::vector<crypto::scalar> shares{kp1.secret, kp2.secret, kp3.secret};
+  const std::vector<crypto::group_element> onward{
+      scheme.combine_public_keys(
+          std::vector<crypto::group_element>{kp2.pub, kp3.pub}),
+      kp3.pub, group->identity()};
+  for (std::size_t cp = 0; cp < shares.size(); ++cp) {
+    t0 = clock_type::now();
+    table_a = crypto::shuffle_and_rerandomize(
+        engine, onward[cp], engine.strip_share_batch(table_a, shares[cp]), rng);
+    table.add(std::string{name} + " CP " + std::to_string(cp + 1) +
+                  " strip+mix",
+              "", fmt(ms_since(t0)));
+  }
+
+  // The TS decodes the last CP's wire vector and counts non-identity bins.
+  const std::vector<byte_buffer> wire = engine.encode_batch(table_a);
+  t0 = clock_type::now();
+  const std::uint64_t nonzero = engine.tally_decode_count(views_of(wire));
+  table.add(std::string{name} + " TS decode+count", "", fmt(ms_since(t0)), "",
+            "nonzero=" + std::to_string(nonzero));
 }
 
 int run() {

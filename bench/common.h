@@ -1,6 +1,7 @@
 // Shared helpers for the reproduction benches: standard study setup at
 // paper-like weight fractions, formatting of estimates, and the per-bench
-// scale bookkeeping described in DESIGN.md §6.
+// scale bookkeeping described in docs/ARCHITECTURE.md, "Substitutes and
+// scale".
 #pragma once
 
 #include <cstdio>

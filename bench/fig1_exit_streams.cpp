@@ -50,11 +50,11 @@ int run() {
 
   // Sensitivities: the Table-1 domain bound (20) covers initial streams; a
   // protected user's total streams are bounded by 20 domains x ~20 streams.
-  // Bounds scale with network_scale (DESIGN.md §6). Expected values for the
-  // near-zero counters are set to the smallest magnitude of *interest*
-  // (~0.2 % of initial streams), not to zero: the equal-relative-noise
-  // allocator would otherwise spend the whole budget shrinking their noise
-  // floor (see ablation_noise_allocation).
+  // Bounds scale with network_scale (docs/ARCHITECTURE.md, "Substitutes and
+  // scale"). Expected values for the near-zero counters are set to the
+  // smallest magnitude of *interest* (~0.2 % of initial streams), not to
+  // zero: the equal-relative-noise allocator would otherwise spend the whole
+  // budget shrinking their noise floor (see ablation_noise_allocation).
   const double d20 = 20.0 * k_scale;
   const double d400 = 400.0 * k_scale;
   const std::vector<privcount::counter_spec> specs{

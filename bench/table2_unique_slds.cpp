@@ -2,12 +2,12 @@
 // all SLDs vs Alexa-listed SLDs — plus the §4.3 Monte-Carlo power-law
 // extrapolation to a network-wide unique-Alexa-SLD count.
 //
-// Workload note (EXPERIMENTS.md): the paper's Table 2 (March) and Fig 2
-// (January/February) were measured weeks apart and are not mutually
-// consistent; this bench uses the Table-2-calibrated destination model
-// (full Alexa list, Zipf exponent 1.4 — which reproduces both the paper's
-// local 35,660 Alexa uniques and its 513,342 network-wide extrapolation at
-// full scale), while fig2_alexa uses the Fig-2-calibrated model.
+// Workload note: the paper's Table 2 (March) and Fig 2 (January/February)
+// were measured weeks apart and are not mutually consistent; this bench
+// uses the Table-2-calibrated destination model (full Alexa list, Zipf
+// exponent 1.4 — which reproduces both the paper's local 35,660 Alexa
+// uniques and its 513,342 network-wide extrapolation at full scale), while
+// fig2_alexa uses the Fig-2-calibrated model.
 #include "common.h"
 
 #include "src/psc/deployment.h"

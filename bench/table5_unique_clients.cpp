@@ -3,12 +3,12 @@
 // (672,303) and the derived churn rate (~119,697 IPs/day; IPs turn over
 // almost twice in 4 days).
 //
-// Scale notes (EXPERIMENTS.md): unique-IP counts scale with the client
-// population, so this bench runs at 1/25 scale with population-scaled
-// sensitivity; country/AS counts are scale-invariant quantities, so their
-// rounds use the unscaled sensitivity — preserving the paper's
-// noise-overwhelms-small-counts behaviour (the country CI hits the 250
-// ceiling exactly as in the paper).
+// Scale notes (docs/ARCHITECTURE.md, "Substitutes and scale"): unique-IP
+// counts scale with the client population, so this bench runs at 1/25
+// scale with population-scaled sensitivity; country/AS counts are
+// scale-invariant quantities, so their rounds use the unscaled sensitivity
+// — preserving the paper's noise-overwhelms-small-counts behaviour (the
+// country CI hits the 250 ceiling exactly as in the paper).
 #include "common.h"
 
 #include <algorithm>

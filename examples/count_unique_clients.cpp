@@ -41,8 +41,8 @@ int main() {
   cfg.round.bins = 1 << 14;
   cfg.round.group = crypto::group_backend::toy;  // p256 for production
   // Table 1 bound: 4 new IPs per protected day, scaled to this small
-  // simulation (DESIGN.md §6) so the noise matches the deployment's
-  // signal-to-noise ratio.
+  // simulation (docs/ARCHITECTURE.md, "Substitutes and scale") so the noise
+  // matches the deployment's signal-to-noise ratio.
   cfg.round.sensitivity = 4.0 * 0.05;
   psc::deployment psc_dep{bus, cfg};
   psc_dep.set_extractor(core::extract_client_ip());

@@ -44,8 +44,9 @@ int main() {
   }
 
   // 4. One measurement round: counter specs carry the sensitivity (Table-1
-  //    action bounds, scaled to this small simulation — see DESIGN.md §6)
-  //    and an expected magnitude for the noise allocation.
+  //    action bounds, scaled to this small simulation — see
+  //    docs/ARCHITECTURE.md, "Substitutes and scale") and an expected
+  //    magnitude for the noise allocation.
   const std::vector<privcount::counter_spec> specs{
       {"streams/total", 8.0, 2500.0},
       {"streams/initial", 0.4, 125.0},

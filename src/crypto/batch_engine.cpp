@@ -108,15 +108,6 @@ std::vector<elgamal_ciphertext> batch_engine::strip_share_batch(
       });
 }
 
-std::vector<group_element> batch_engine::decrypt_batch(
-    const scalar& secret, std::span<const elgamal_ciphertext> cts) const {
-  return map_chunked<group_element>(
-      cts.size(), pure_grain(cts.size()),
-      [&](std::size_t begin, std::size_t end) {
-        return scheme_.decrypt_batch(secret, cts.subspan(begin, end - begin));
-      });
-}
-
 std::vector<elgamal_ciphertext> batch_engine::add_batch(
     std::span<const elgamal_ciphertext> c1,
     std::span<const elgamal_ciphertext> c2) const {

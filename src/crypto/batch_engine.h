@@ -9,10 +9,10 @@
 // worker count or scheduling — so a given (inputs, seed) pair yields
 // bit-identical ciphertexts whether the engine runs inline, on one worker,
 // or on sixteen. Operations that draw no randomness (decode, add, encode,
-// strip, decrypt, tally decode) are pure per-index functions, so they
-// chunk for parallelism alone: about four chunks per party (the pool's
-// workers plus the calling thread), no smaller than a few dozen elements
-// and no larger than a shard. Their bytes are the same at any chunking.
+// strip, tally decode) are pure per-index functions, so they chunk for
+// parallelism alone: about four chunks per party (the pool's workers plus
+// the calling thread), no smaller than a few dozen elements and no larger
+// than a shard. Their bytes are the same at any chunking.
 #pragma once
 
 #include <cstddef>
@@ -64,10 +64,6 @@ class batch_engine {
   /// Strips one decryption share from every ciphertext.
   [[nodiscard]] std::vector<elgamal_ciphertext> strip_share_batch(
       std::span<const elgamal_ciphertext> cts, const scalar& share) const;
-
-  /// Single-key decryption of every ciphertext.
-  [[nodiscard]] std::vector<group_element> decrypt_batch(
-      const scalar& secret, std::span<const elgamal_ciphertext> cts) const;
 
   /// Elementwise homomorphic combination (the tally server's table merge).
   [[nodiscard]] std::vector<elgamal_ciphertext> add_batch(

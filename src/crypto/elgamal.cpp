@@ -161,13 +161,6 @@ std::vector<elgamal_ciphertext> elgamal::strip_share_batch(
   return zip_components(std::move(as), group_->sub_batch(bs, shares));
 }
 
-std::vector<group_element> elgamal::decrypt_batch(
-    const scalar& secret, std::span<const elgamal_ciphertext> cts) const {
-  std::vector<group_element> as, bs;
-  split_components(cts, as, bs);
-  return group_->sub_batch(bs, group_->mul_batch(as, secret));
-}
-
 byte_buffer elgamal::encode(const elgamal_ciphertext& c) const {
   const byte_buffer ea = group_->encode(c.a);
   const byte_buffer eb = group_->encode(c.b);

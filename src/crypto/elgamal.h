@@ -103,14 +103,10 @@ class elgamal {
       const group_element& pub, std::span<const elgamal_ciphertext> cts,
       secure_rng& rng) const;
 
-  /// Strips one decryption share from every ciphertext (the decrypt pass).
+  /// Strips one decryption share from every ciphertext.
   [[nodiscard]] std::vector<elgamal_ciphertext> strip_share_batch(
       std::span<const elgamal_ciphertext> cts,
       const scalar& secret_share) const;
-
-  /// Single-key decryption of every ciphertext.
-  [[nodiscard]] std::vector<group_element> decrypt_batch(
-      const scalar& secret, std::span<const elgamal_ciphertext> cts) const;
 
   /// Serialized ciphertext (length-prefixed a || b), and its inverse.
   [[nodiscard]] byte_buffer encode(const elgamal_ciphertext& c) const;

@@ -119,9 +119,6 @@ class group {
   /// are never the identity.
   [[nodiscard]] virtual scalar random_scalar(secure_rng& rng) const = 0;
   [[nodiscard]] virtual scalar scalar_from_u64(std::uint64_t value) const = 0;
-  /// Scalar addition modulo the group order (used by distributed keygen
-  /// sanity checks and tests).
-  [[nodiscard]] virtual scalar scalar_add(const scalar& a, const scalar& b) const = 0;
 
   // -- elements -----------------------------------------------------------
   [[nodiscard]] virtual group_element identity() const = 0;
@@ -141,7 +138,7 @@ class group {
 
   // -- batch operations ----------------------------------------------------
   // Vector forms of the element operations, for the bulk homogeneous work
-  // that dominates PSC rounds (bin init, rerandomize-and-mix, decrypt
+  // that dominates PSC rounds (bin init, rerandomize-and-mix, strip
   // passes). Contract, binding on every backend:
   //
   //  * out[i] is the same group element the scalar operation would return

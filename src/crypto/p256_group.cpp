@@ -222,15 +222,6 @@ class p256_group final : public group {
     return make_scalar_from_bn(bn.bn);
   }
 
-  [[nodiscard]] scalar scalar_add(const scalar& a, const scalar& b) const override {
-    bignum bn_a, bn_b, bn_r;
-    to_bn(a, bn_a.bn);
-    to_bn(b, bn_b.bn);
-    ossl_check(BN_mod_add(bn_r.bn, bn_a.bn, bn_b.bn, order_, tls_bn_ctx()),
-               "BN_mod_add");
-    return make_scalar_from_bn(bn_r.bn);
-  }
-
   [[nodiscard]] group_element identity() const override {
     point_ptr p = new_point();
     ossl_check(EC_POINT_set_to_infinity(curve_, p.get()), "EC_POINT_set_to_infinity");

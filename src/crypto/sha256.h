@@ -1,5 +1,5 @@
 // SHA-256 wrapper over OpenSSL's EVP interface. Used for onion descriptor
-// IDs, PSC item hashing, shuffle transcripts, and the deterministic DRBG.
+// IDs, PSC item hashing, and the deterministic DRBG.
 #pragma once
 
 #include <array>
@@ -19,8 +19,8 @@ using sha256_digest = std::array<std::uint8_t, k_sha256_size>;
 /// Convenience overload hashing the bytes of a string.
 [[nodiscard]] sha256_digest sha256(std::string_view data);
 
-/// Incremental hasher for multi-part inputs (domain-separated hashing,
-/// transcript hashing). Not copyable: it owns an OpenSSL EVP context.
+/// Incremental hasher for multi-part, domain-separated inputs. Not
+/// copyable: it owns an OpenSSL EVP context.
 class sha256_hasher {
  public:
   sha256_hasher();

@@ -145,10 +145,6 @@ class toy_group final : public group {
     return make_scalar(value % k_q);
   }
 
-  [[nodiscard]] scalar scalar_add(const scalar& a, const scalar& b) const override {
-    return make_scalar((scalar_value(a) + scalar_value(b)) % k_q);
-  }
-
   [[nodiscard]] group_element identity() const override { return wrap(1); }
 
   [[nodiscard]] group_element generator() const override { return wrap(k_g); }

@@ -46,9 +46,10 @@ class action_bounds {
   [[nodiscard]] static action_bounds paper_defaults();
 
   /// Returns a copy with every bound multiplied by `factor`. Used by the
-  /// simulated deployment (DESIGN.md §6): at reduced network scale the
-  /// absolute noise of unscaled bounds would swamp every counter, so bounds
-  /// scale with the network to preserve the deployment's signal-to-noise.
+  /// simulated deployment (docs/ARCHITECTURE.md, "Substitutes and scale"):
+  /// at reduced network scale the absolute noise of unscaled bounds would
+  /// swamp every counter, so bounds scale with the network to preserve the
+  /// deployment's signal-to-noise.
   [[nodiscard]] action_bounds scaled(double factor) const;
 
   /// The daily bound for an action. Throws if the action is not in the table.

@@ -74,8 +74,7 @@ void computation_party::on_mix(const net::message& msg) {
              std::make_move_iterator(noise.end()));
   noise = {};
 
-  // Nothing reads a transcript of this pass, so none is computed. The last
-  // CP mixes under the identity, so its output holds plaintexts.
+  // The last CP mixes under the identity, so its output holds plaintexts.
   const std::vector<byte_buffer> encoded =
       engine_->encode_batch(crypto::shuffle_and_rerandomize(
           *engine_, onward_pk_, std::move(cts), rng_));

@@ -7,8 +7,8 @@
 //
 // Scale: events are only materialized for relays in the observed set (the
 // deployment's 16 measurement relays); all-network totals are tracked in a
-// cheap ground_truth tally used to validate inference (EXPERIMENTS.md
-// compares measured estimates against these true simulated values — in the
+// cheap ground_truth tally used to validate inference (the paper programs
+// print measured estimates beside these true simulated values — in the
 // real deployment the ground truth is of course unknown).
 #pragma once
 

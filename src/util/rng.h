@@ -1,7 +1,8 @@
 // Deterministic, seedable random number generation for simulation and
 // statistics. Every stochastic component in tormet takes an rng& so that
 // experiments and tests are exactly reproducible from a seed. Cryptographic
-// randomness (key generation, blinding) lives in src/crypto/rng instead.
+// randomness (key generation, blinding) lives in src/crypto/secure_rng.h
+// instead.
 #pragma once
 
 #include <cstdint>

@@ -4,12 +4,26 @@
 #include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <string_view>
 
 namespace tormet {
 
 namespace {
 void pad_to(std::string& s, std::size_t width) {
   if (s.size() < width) s.append(width - s.size(), ' ');
+}
+
+// printf keeps the sign of a negative value that rounds to zero ("-0",
+// "-0.0 %"); a printed zero carries no sign.
+std::string without_negative_zero(const char* printed) {
+  std::string s{printed};
+  const std::string_view number =
+      std::string_view{s}.substr(1, s.find_first_not_of("0123456789.", 1) - 1);
+  if (s.front() == '-' && !number.empty() &&
+      number.find_first_not_of("0.") == std::string_view::npos) {
+    s.erase(0, 1);
+  }
+  return s;
 }
 }  // namespace
 
@@ -59,7 +73,7 @@ void repro_table::print() const {
 std::string format_sig(double value, int digits) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*g", digits, value);
-  return buf;
+  return without_negative_zero(buf);
 }
 
 std::string format_count(double value) {
@@ -74,13 +88,13 @@ std::string format_count(double value) {
   } else {
     std::snprintf(buf, sizeof buf, "%.0f", value);
   }
-  return buf;
+  return without_negative_zero(buf);
 }
 
 std::string format_percent(double fraction) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.1f %%", fraction * 100.0);
-  return buf;
+  return without_negative_zero(buf);
 }
 
 std::string format_bytes(double bytes) {
@@ -93,7 +107,7 @@ std::string format_bytes(double bytes) {
   }
   char buf[48];
   std::snprintf(buf, sizeof buf, "%.3g %s", v, units[unit]);
-  return buf;
+  return without_negative_zero(buf);
 }
 
 }  // namespace tormet

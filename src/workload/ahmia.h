@@ -1,8 +1,9 @@
 // Synthetic ahmia.fi onion-site index (substitute for the live search
-// index — see DESIGN.md §1). The paper checked every successfully fetched
-// descriptor address against ahmia's public index and found 56.8 % present;
-// we build an index covering a configurable fraction of the service
-// population so the same Table 7 classification runs.
+// index — see docs/ARCHITECTURE.md, "Substitutes and scale"). The paper
+// checked every successfully fetched descriptor address against ahmia's
+// public index and found 56.8 % present; we build an index covering a
+// configurable fraction of the service population so the same Table 7
+// classification runs.
 #pragma once
 
 #include <set>

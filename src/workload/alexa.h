@@ -1,6 +1,7 @@
 // Synthetic Alexa top-sites list (substitute for the proprietary 2018
-// snapshot — see DESIGN.md §1). The generated list reproduces the structure
-// the paper's Fig 2/3 measurements depend on:
+// snapshot — see docs/ARCHITECTURE.md, "Substitutes and scale"). The
+// generated list reproduces the structure the paper's Fig 2/3 measurements
+// depend on:
 //   * the 2018 top-10 head (google, youtube, facebook, baidu, wikipedia,
 //     yahoo, google.co.in, reddit, qq, amazon),
 //   * duckduckgo at rank 342 and torproject.org at rank 10,244,

@@ -1,10 +1,10 @@
 // Synthetic GeoIP + autonomous-system database (substitute for MaxMind
-// GeoLite2 and CAIDA pfx2as — see DESIGN.md §1). The 32-bit IP space is
-// partitioned into per-country prefix blocks, each subdivided into AS
-// ranges, so IP -> country and IP -> ASN lookups behave like the real
-// databases. Country client-share weights follow the paper's Fig 4 shape
-// (US, RU, DE lead; UAE present for the circuit anomaly; a long tail of
-// small countries).
+// GeoLite2 and CAIDA pfx2as — see docs/ARCHITECTURE.md, "Substitutes and
+// scale"). The 32-bit IP space is partitioned into per-country prefix
+// blocks, each subdivided into AS ranges, so IP -> country and IP -> ASN
+// lookups behave like the real databases. Country client-share weights
+// follow the paper's Fig 4 shape (US, RU, DE lead; UAE present for the
+// circuit anomaly; a long tail of small countries).
 #pragma once
 
 #include <cstdint>

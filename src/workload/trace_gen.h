@@ -13,10 +13,13 @@
 //
 // Partitioning: simulation events materialize at the observed (measured)
 // relays of a canonical measurement_study; relay r maps to DC
-// `sorted_index(r) % dcs`, so all DCs receive work even when fewer relays
-// than DCs see events. Each per-DC sequence is stably sorted by sim time
-// (generation order breaks ties), matching the trace-file ordering
-// contract.
+// `sorted_index(r) % dcs`. A DC receives events only from relays that see
+// the model's side of the circuit. The population model is entry-side
+// only, and 2 of the 16 measured relays are exits without the guard flag,
+// so a 16-DC population trace (paper-day's shape) has 14 active DCs:
+// dc-6 and dc-12 get empty traces. Each per-DC sequence is stably sorted
+// by sim time (generation order breaks ties), matching the trace-file
+// ordering contract.
 #pragma once
 
 #include <cstdint>

@@ -167,6 +167,19 @@ TEST(TableTest, Formatters) {
   EXPECT_EQ(format_bytes(1024.0 * 1024.0), "1 MiB");
 }
 
+TEST(TableTest, ValuesThatRoundToZeroPrintNoSign) {
+  EXPECT_EQ(format_count(-0.3), "0");
+  EXPECT_EQ(format_count(-0.0), "0");
+  EXPECT_EQ(format_percent(-0.0001), "0.0 %");
+  EXPECT_EQ(format_sig(-0.0, 3), "0");
+  EXPECT_EQ(format_bytes(-0.0), "0 B");
+  // Values that do not round to zero keep their sign.
+  EXPECT_EQ(format_count(-0.6), "-1");
+  EXPECT_EQ(format_percent(-0.001), "-0.1 %");
+  EXPECT_EQ(format_sig(-0.00123, 3), "-0.00123");
+  EXPECT_EQ(format_sig(-1e-10, 3), "-1e-10");
+}
+
 TEST(SimTimeTest, Arithmetic) {
   sim_time t{100};
   EXPECT_EQ((t + 50).seconds, 150);
