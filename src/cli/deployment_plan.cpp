@@ -164,7 +164,6 @@ std::string serialize_plan(const deployment_plan& plan) {
   if (plan.max_restarts != 5) {
     out << "max_restarts " << plan.max_restarts << "\n";
   }
-  if (plan.pace != 0.0) out << "pace " << format_double(plan.pace) << "\n";
   out << "psc_extractor " << plan.psc_extractor << "\n";
   for (const auto& name : plan.instruments) {
     out << "instrument " << name << "\n";
@@ -372,9 +371,6 @@ deployment_plan parse_plan(std::string_view text) {
     } else if (key == "max_restarts") {
       ls >> plan.max_restarts;
       want(plan.max_restarts >= 0 && plan.max_restarts <= 1'000);
-    } else if (key == "pace") {
-      ls >> plan.pace;
-      want(plan.pace >= 0.0);
     } else if (key == "psc_extractor") {
       ls >> plan.psc_extractor;
       const auto& known = core::extractor_names();

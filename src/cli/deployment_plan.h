@@ -140,10 +140,6 @@ struct deployment_plan {
   /// PrivCount: which instruments map replayed events to counter
   /// increments (core::instrument_by_name). Required for event workloads.
   std::vector<std::string> instruments;
-  /// Sim-time pacing for event replay: wall-clock seconds slept per
-  /// simulated second between successive events (0 = replay at full
-  /// speed). See workload_cursor::stream_window.
-  double pace = 0.0;
 
   /// Synthetic workload (workload.kind == synthetic): each PSC DC inserts
   /// `items_per_dc` items unique to it plus `shared_items` items inserted

@@ -58,7 +58,7 @@ void assign_free_ports(deployment_plan& plan) {
   std::vector<int> probes;
   for (auto& n : plan.nodes) {
     if (n.port != 0) continue;
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     expects(fd >= 0, "socket() for port probing failed");
     const int one = 1;
     ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
@@ -90,12 +90,7 @@ std::string run_reference_round(const deployment_plan& plan) {
   // Per-DC event cursors persist across all rounds, exactly like the node
   // processes' streams: one open source each, windowed by the schedule,
   // gap events counted-but-dropped. `generate` workloads materialize once
-  // and share across cursors. Replay pacing is a live-deployment fidelity
-  // knob; the reference exists only to check bytes, so it always replays
-  // at full speed (a paced plan would stall --check-inproc for real
-  // wall-clock hours).
-  deployment_plan unpaced = plan;
-  unpaced.pace = 0.0;
+  // and share across cursors.
   std::vector<workload_cursor> cursors;
   // The reference round honors the plan's ingest-plane knobs too (one
   // pool shared across every DC, like a node process shares its workers
@@ -154,7 +149,7 @@ std::string run_reference_round(const deployment_plan& plan) {
           shared = materialize_plan_events(plan);
       for (std::size_t i = 0; i < dc_ids.size(); ++i) {
         configure_dc_ingest(plan, dep.dc_at(i), ingest_pool);
-        cursors.emplace_back(unpaced, i, shared);
+        cursors.emplace_back(plan, i, shared);
       }
     }
     std::vector<std::string> tallies;

@@ -1,9 +1,7 @@
 #include "src/cli/workload_source.h"
 
 #include <algorithm>
-#include <chrono>
 #include <iterator>
-#include <thread>
 
 #include "src/core/instruments.h"
 #include "src/util/check.h"
@@ -96,7 +94,7 @@ workload_cursor::workload_cursor(const deployment_plan& plan,
 workload_cursor::workload_cursor(
     const deployment_plan& plan, std::size_t dc_index,
     std::shared_ptr<const std::vector<std::vector<tor::event>>> generated)
-    : kind_{plan.workload.kind}, pace_{plan.pace}, dc_index_{dc_index} {
+    : kind_{plan.workload.kind}, dc_index_{dc_index} {
   switch (kind_) {
     case workload_kind::synthetic:
       throw precondition_error{
@@ -154,47 +152,10 @@ std::optional<tor::event> workload_cursor::fetch() {
   }
 }
 
-void workload_cursor::pace_to(sim_time t) {
-  if (pace_ <= 0.0) return;
-  if (last_paced_seconds_.has_value() && t.seconds > *last_paced_seconds_) {
-    const double gap = static_cast<double>(t.seconds - *last_paced_seconds_);
-    std::this_thread::sleep_for(std::chrono::duration<double>(gap * pace_));
-  }
-  last_paced_seconds_ = t.seconds;
-}
-
-std::size_t workload_cursor::stream_window_paced(sim_time start, sim_time end,
-                                                 const batch_sink& sink) {
-  std::size_t delivered = 0;
-  for (;;) {
-    std::optional<tor::event> ev;
-    if (pending_.has_value()) {
-      ev = std::move(pending_);
-      pending_.reset();
-    } else {
-      ev = fetch();
-    }
-    if (!ev.has_value()) break;  // end of stream (or failed live stream)
-    if (ev->at >= end) {
-      pending_ = std::move(ev);  // first event of a later window: hold it
-      break;
-    }
-    pace_to(ev->at);
-    if (ev->at < start) {
-      ++dropped_;  // inter-round gap: collection stays on, counting only
-      continue;
-    }
-    sink(&*ev, 1);
-    ++delivered;
-  }
-  return delivered;
-}
-
 std::size_t workload_cursor::stream_window(sim_time start, sim_time end,
                                            const batch_sink& sink) {
-  if (pace_ > 0.0) return stream_window_paced(start, end, sink);
   std::size_t delivered = 0;
-  // Lookahead a previous (scalar or batched) window held back.
+  // Lookahead a previous window held back.
   if (pending_.has_value()) {
     if (pending_->at >= end) return 0;
     const tor::event ev = *std::move(pending_);

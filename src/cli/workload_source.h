@@ -19,8 +19,7 @@
 //               stream (file mode only in the reference round: what a
 //               feeder pushed cannot be re-derived from the plan)
 //
-// Replay is time-ordered and optionally paced (plan.pace wall-clock
-// seconds per sim second).
+// Replay is time-ordered.
 #pragma once
 
 #include <functional>
@@ -134,9 +133,7 @@ class workload_cursor {
   /// Streams events with sim time in [start, end) into `sink` as
   /// contiguous spans — the one window-delivery API (a generated slice is
   /// handed out zero-copy; file/socket sources are blocked through a
-  /// reused buffer). Returns the number of events delivered. Paced replay
-  /// degrades to one-event spans: pacing sleeps between events by
-  /// definition, so wider spans would only add latency.
+  /// reused buffer). Returns the number of events delivered.
   std::size_t stream_window(sim_time start, sim_time end,
                             const batch_sink& sink);
   /// Consumes the remainder of the stream (counted as dropped). Call after
@@ -153,19 +150,12 @@ class workload_cursor {
 
  private:
   [[nodiscard]] std::optional<tor::event> fetch();
-  void pace_to(sim_time t);
-  /// The per-event adapter behind paced replay: fetch, sleep to the
-  /// event's sim time, deliver a one-event span.
-  std::size_t stream_window_paced(sim_time start, sim_time end,
-                                  const batch_sink& sink);
 
   workload_kind kind_;
-  double pace_ = 0.0;
   std::uint64_t dropped_ = 0;
   bool failed_ = false;
   bool eof_ = false;
   std::optional<tor::event> pending_;  // lookahead held across windows
-  std::optional<std::int64_t> last_paced_seconds_;
 
   // kind == trace or socket: a trace file, or an event_socket_source.
   std::unique_ptr<tor::trace_reader> reader_;

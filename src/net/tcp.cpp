@@ -1,13 +1,13 @@
 #include "src/net/tcp.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -28,25 +28,19 @@ namespace {
 
 using clock = std::chrono::steady_clock;
 
-constexpr std::uint8_t k_flag_final = 0x01;  // last chunk of a message
-constexpr std::size_t k_frame_header_bytes = 5;
-
-/// Protocol-level chunk bound: receivers accept chunks up to this size
-/// regardless of their own max_chunk_bytes, so two fabrics configured
-/// with different chunk sizes still interoperate (the sender's chunking
-/// granularity is a sender-side choice; the receiver only enforces the
-/// reassembled-message bound).
-constexpr std::size_t k_max_chunk_wire = 16u << 20;
-
 /// Resend attempts per message before the io loop declares the channel
 /// broken. Transient failures (peer restart, dropped link) succeed on the
-/// first or second retry; a peer that *keeps* rejecting our frames would
+/// first or second retry; a peer that *keeps* rejecting our messages would
 /// otherwise loop reconnect-and-resend forever.
 constexpr int k_max_write_attempts = 8;
 
-/// Largest reassembled message body: refused at the sender, and a peer
-/// sending one is dropped as malformed.
+/// Bound on one message, head and payload: a larger one is refused at the
+/// sender, and a peer declaring one is dropped as malformed.
 constexpr std::size_t k_max_message_bytes = 256u << 20;
+/// The reader grows a payload buffer at most this far past the bytes that
+/// have landed, so a peer that declares a large payload and stalls commits
+/// no more memory than this.
+constexpr std::size_t k_payload_step_bytes = 256u << 10;
 /// Step between outbound connect attempts, until the connect deadline.
 constexpr std::chrono::milliseconds k_connect_retry{25};
 /// run_until_quiescent()'s failure detector (see tcp.h): never causes an
@@ -57,14 +51,9 @@ void throw_errno(const char* what) {
   throw transport_error{std::string{what} + ": " + std::strerror(errno)};
 }
 
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
 /// The message head: epoch and sequence number lead, so the dedup decision
 /// needs no payload parsing, then from, to, type and the payload's length.
-/// On the wire the body is head ‖ payload.
+/// On the wire a message is head ‖ payload.
 constexpr std::size_t k_head_fixed_bytes = 8 + 8 + 4 + 4 + 2;
 /// The fixed fields and the longest varint.
 constexpr std::size_t k_max_head_bytes = k_head_fixed_bytes + 10;
@@ -111,39 +100,6 @@ struct decoded_head {
   return 1;
 }
 
-/// Frames head ‖ payload into the chunked wire format with every 5-byte
-/// chunk header interleaved in ONE flat buffer, so a partially written
-/// message resumes from a plain byte offset after EAGAIN — never from a
-/// chunk boundary. The payload is copied once, straight into place.
-[[nodiscard]] byte_buffer frame_message(byte_view head, byte_view payload,
-                                        std::size_t max_chunk,
-                                        std::size_t& chunks_out) {
-  std::size_t left = head.size() + payload.size();  // > 0: a head is never empty
-  const std::size_t n_chunks = (left + max_chunk - 1) / max_chunk;
-  byte_buffer wire;
-  wire.reserve(left + n_chunks * k_frame_header_bytes);
-  std::size_t room = 0;  // bytes the current chunk still takes
-  for (const byte_view part : {head, payload}) {
-    for (std::size_t at = 0; at < part.size();) {
-      if (room == 0) {
-        room = std::min(max_chunk, left);
-        left -= room;
-        wire.push_back(left == 0 ? k_flag_final : 0);
-        for (int i = 0; i < 4; ++i) {
-          wire.push_back(static_cast<std::uint8_t>(room >> (8 * i)));
-        }
-      }
-      const std::size_t take = std::min(room, part.size() - at);
-      wire.insert(wire.end(), part.begin() + static_cast<std::ptrdiff_t>(at),
-                  part.begin() + static_cast<std::ptrdiff_t>(at + take));
-      at += take;
-      room -= take;
-    }
-  }
-  chunks_out = n_chunks;
-  return wire;
-}
-
 /// Random per-process fabric epoch (never zero so tests can use 0 as a
 /// distinct foreign epoch).
 [[nodiscard]] std::uint64_t make_epoch() {
@@ -163,14 +119,6 @@ void atomic_max(std::atomic<std::uint64_t>& slot, std::uint64_t value) {
   while (cur < value &&
          !slot.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
   }
-}
-
-[[nodiscard]] tcp_options sanitize(tcp_options o) {
-  o.max_chunk_bytes = std::clamp<std::size_t>(o.max_chunk_bytes, 1, k_max_chunk_wire);
-  // A zero queue limit would make the very first send() block forever
-  // (0 < 0 never holds); every failure mode here must stay deadline-bounded.
-  o.send_queue_limit_bytes = std::max<std::size_t>(o.send_queue_limit_bytes, 1);
-  return o;
 }
 
 }  // namespace
@@ -210,33 +158,26 @@ struct tcp_net::channel {
   clock::time_point conn_deadline{};
   clock::time_point retry_at{};
   sockaddr_in addr{};         // resolved peer address for the current cycle
-  byte_buffer wire;           // framed current message (headers interleaved)
-  std::size_t wire_off = 0;
-  std::size_t wire_chunks = 0;
-  std::size_t cur_cost = 0;
+  byte_buffer head;           // head of queue.front() once its write began
+  std::size_t sent = 0;       // bytes of head ‖ payload on the wire
   int attempts = 0;           // failed write attempts for the current message
 };
 
 /// One fd in the epoll set: the wake eventfd, a listener, an accepted
-/// inbound connection (with its chunk-reassembly state machine), or an
-/// outbound channel socket.
+/// inbound connection (with the message it is reading), or an outbound
+/// channel socket.
 struct tcp_net::io_entry {
   enum class kind : std::uint8_t { wake, listen, inbound, outbound };
   kind k = kind::inbound;
   int fd = -1;
-  // Inbound reassembly: a 5-byte chunk header, then the chunk's bytes. The
-  // message head goes to `head`; the payload goes straight into `payload`,
-  // reserved at its declared length, which the delivered message takes
-  // over.
-  std::uint8_t header[k_frame_header_bytes] = {};
-  std::size_t header_got = 0;
-  bool in_chunk = false;
-  std::uint8_t flags = 0;
-  std::size_t chunk_remaining = 0;
+  // Inbound: the message head goes to `head`; the payload goes straight
+  // into `payload`, reserved at its declared length and grown as its bytes
+  // land, which the delivered message takes over.
   std::uint8_t head[k_max_head_bytes] = {};
   std::size_t head_got = 0;
   std::optional<decoded_head> decoded;  // set once the head is whole
   byte_buffer payload;
+  std::size_t payload_got = 0;  // bytes of `payload` received
   // Outbound back-pointer.
   std::shared_ptr<channel> ch;
 };
@@ -244,12 +185,12 @@ struct tcp_net::io_entry {
 tcp_net::tcp_net() : tcp_net(tcp_options{}) {}
 
 tcp_net::tcp_net(tcp_options opts)
-    : opts_{sanitize(opts)}, peers_{}, distributed_{false}, epoch_{make_epoch()} {
+    : opts_{opts}, peers_{}, distributed_{false}, epoch_{make_epoch()} {
   start_io();
 }
 
 tcp_net::tcp_net(std::map<node_id, tcp_endpoint> peers, tcp_options opts)
-    : opts_{sanitize(opts)},
+    : opts_{opts},
       peers_{std::move(peers)},
       distributed_{true},
       epoch_{make_epoch()} {
@@ -294,7 +235,7 @@ void tcp_net::register_node(node_id id, message_handler handler) {
     want_port = it->second.port;
   }
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) throw_errno("socket");
   const int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
@@ -316,7 +257,6 @@ void tcp_net::register_node(node_id id, message_handler handler) {
     ::close(fd);
     throw_errno("getsockname");
   }
-  set_nonblocking(fd);
 
   auto lst = std::make_unique<listener>();
   lst->fd = fd;
@@ -418,13 +358,13 @@ void tcp_net::io_add_listener(int fd) {
 
 void tcp_net::io_accept(const io_entry& lst) {
   for (;;) {
-    const int conn = ::accept(lst.fd, nullptr, nullptr);
+    const int conn =
+        ::accept4(lst.fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (conn < 0) return;  // EAGAIN (drained) or listener torn down
     if (stopping_.load(std::memory_order_acquire)) {
       ::close(conn);
       return;
     }
-    set_nonblocking(conn);
     auto entry = std::make_unique<io_entry>();
     entry->k = io_entry::kind::inbound;
     entry->fd = conn;
@@ -442,11 +382,10 @@ void tcp_net::io_drop_entry(int fd) {
   io_entries_.erase(fd);
 }
 
-/// Feeds readiness into the inbound chunk-reassembly state machine:
-/// header[5] -> chunk bytes, the message head's into `head` and the rest
-/// into the payload -> on a final-flagged chunk, enqueue. A connection cut
-/// mid-frame discards the partial message — the sender re-sends the whole
-/// message after reconnecting.
+/// Feeds readiness into the inbound message reader: the head into `head`,
+/// then the payload into `payload` -> enqueue. A connection cut
+/// mid-message discards the partial message — the sender re-sends the
+/// whole message after reconnecting.
 void tcp_net::io_read(io_entry& conn) {
   // recv(2) of up to `len` (> 0) bytes: the count read, or 0 when the
   // socket is drained (EAGAIN) or the connection is gone — then it is
@@ -467,80 +406,45 @@ void tcp_net::io_read(io_entry& conn) {
         << "tcp_net: malformed message; dropping connection";
     io_drop_entry(conn.fd);
   };
-  // Sizes the payload for the rest of the current chunk: one resize per
-  // chunk, the fill position derived as size() - chunk_remaining (a cut
-  // connection discards the whole payload, so the unfilled tail never
-  // leaks). False when the chunk runs past the declared length.
-  const auto size_for_chunk = [&conn] {
-    const std::size_t size = conn.payload.size() + conn.chunk_remaining;
-    if (size > conn.decoded->payload_len) return false;
-    conn.payload.resize(size);
-    return true;
-  };
   for (;;) {
-    if (!conn.in_chunk) {
-      const std::size_t n = receive(conn.header + conn.header_got,
-                                    k_frame_header_bytes - conn.header_got);
-      if (n == 0) return;
-      conn.header_got += n;
-      if (conn.header_got < k_frame_header_bytes) continue;
-      conn.header_got = 0;
-      conn.flags = conn.header[0];
-      std::uint32_t chunk_len = 0;
-      for (int i = 3; i >= 0; --i) chunk_len = (chunk_len << 8) | conn.header[1 + i];
-      if (chunk_len > k_max_chunk_wire ||
-          conn.head_got + conn.payload.size() + chunk_len > k_max_message_bytes) {
-        log_line{log_level::warn}
-            << "tcp_net: oversized frame from peer (" << chunk_len
-            << " B chunk); dropping connection";
-        return io_drop_entry(conn.fd);
-      }
-      conn.in_chunk = true;
-      conn.chunk_remaining = chunk_len;
-      if (conn.decoded.has_value() && !size_for_chunk()) return malformed();
-    }
-    while (conn.chunk_remaining > 0) {
-      if (conn.decoded.has_value()) {
-        const std::size_t fill = conn.payload.size() - conn.chunk_remaining;
-        const std::size_t n =
-            receive(conn.payload.data() + fill, conn.chunk_remaining);
-        if (n == 0) return;
-        conn.chunk_remaining -= n;
-        continue;
-      }
+    if (!conn.decoded.has_value()) {
       const std::size_t want = head_bytes_needed(conn.head, conn.head_got);
       if (conn.head_got + want > k_max_head_bytes) return malformed();
-      const std::size_t n = receive(conn.head + conn.head_got,
-                                    std::min(want, conn.chunk_remaining));
+      const std::size_t n = receive(conn.head + conn.head_got, want);
       if (n == 0) return;
       conn.head_got += n;
-      conn.chunk_remaining -= n;
       if (head_bytes_needed(conn.head, conn.head_got) > 0) continue;
       try {
         conn.decoded = decode_head(byte_view{conn.head, conn.head_got});
       } catch (const wire_error&) {
         return malformed();
       }
-      // Bounded like the whole message; pages are committed only as the
-      // payload's bytes arrive.
+      // Bounded like the whole message before any payload byte is read;
+      // pages are committed only as the payload's bytes arrive.
       if (conn.decoded->payload_len > k_max_message_bytes - conn.head_got) {
         return malformed();
       }
       conn.payload.reserve(conn.decoded->payload_len);
-      if (!size_for_chunk()) return malformed();
     }
-    conn.in_chunk = false;
-    if ((conn.flags & k_flag_final) != 0) {
-      if (!conn.decoded.has_value() ||
-          conn.payload.size() != conn.decoded->payload_len) {
-        return malformed();
+    const std::size_t len = conn.decoded->payload_len;
+    if (conn.payload_got < len) {
+      // The unfilled tail past payload_got is never delivered: a cut
+      // connection discards the whole payload.
+      if (conn.payload_got == conn.payload.size()) {
+        conn.payload.resize(std::min(len, conn.payload_got + k_payload_step_bytes));
       }
-      decoded_head h = *std::exchange(conn.decoded, std::nullopt);
-      h.msg.payload = std::exchange(conn.payload, {});
-      conn.head_got = 0;
-      messages_received_.fetch_add(1, std::memory_order_relaxed);
-      enqueue(std::move(h.msg), h.epoch, h.seq);
+      const std::size_t n = receive(conn.payload.data() + conn.payload_got,
+                                    conn.payload.size() - conn.payload_got);
+      if (n == 0) return;
+      conn.payload_got += n;
+      continue;
     }
+    decoded_head h = *std::exchange(conn.decoded, std::nullopt);
+    h.msg.payload = std::exchange(conn.payload, {});
+    conn.head_got = 0;
+    conn.payload_got = 0;
+    messages_received_.fetch_add(1, std::memory_order_relaxed);
+    enqueue(std::move(h.msg), h.epoch, h.seq);
   }
 }
 
@@ -598,7 +502,7 @@ void tcp_net::io_start_connect(const std::shared_ptr<channel>& chp) {
                                                std::size_t{res->ai_addrlen}));
   ::freeaddrinfo(res);
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     ch.backoff = true;
     ch.retry_at = now + k_connect_retry;
@@ -692,7 +596,7 @@ void tcp_net::io_fail_connection(channel& ch, bool& gave_up) {
   ch.armed = false;
   ch.cycle_active = false;  // the reconnect gets a fresh deadline
   reconnects_.fetch_add(1, std::memory_order_relaxed);
-  ch.wire_off = 0;  // whole-message resend
+  ch.sent = 0;  // whole-message resend
   // Re-service immediately: without a timer the epoll wait could sleep
   // indefinitely with this message still queued (no readiness event is
   // coming for a closed socket).
@@ -709,7 +613,7 @@ void tcp_net::io_peer_closed(io_entry& entry) {
     std::lock_guard lk{ch->m};
     if (ch->fd != entry.fd || ch->fd < 0) return;
     if (ch->connecting) return;  // failed connects go through io_check_connect
-    if (!ch->wire.empty() || !ch->queue.empty()) {
+    if (!ch->queue.empty()) {
       // Mid-message (or more queued): reconnect and resend from the start.
       io_fail_connection(*ch, gave_up);
     } else {
@@ -727,47 +631,45 @@ void tcp_net::io_peer_closed(io_entry& entry) {
 }
 
 void tcp_net::io_write_pending(channel& ch, bool& completed, bool& gave_up) {
-  for (;;) {
-    if (ch.wire.empty()) {
-      if (ch.queue.empty()) {
-        io_arm(ch, false);
-        return;
+  while (!ch.queue.empty()) {
+    channel::queued_msg& next = ch.queue.front();
+    if (ch.head.empty()) ch.head = encode_head(next.msg, epoch_, next.seq);
+    byte_buffer& payload = next.msg.payload;
+    while (ch.sent < ch.head.size() + payload.size()) {
+      // The unsent rest of head ‖ payload, straight from the queued message.
+      iovec parts[2];
+      std::size_t n_parts = 0;
+      if (ch.sent < ch.head.size()) {
+        parts[n_parts++] = {ch.head.data() + ch.sent, ch.head.size() - ch.sent};
       }
-      channel::queued_msg& next = ch.queue.front();
-      ch.cur_cost = queue_cost(next.msg);
-      ch.wire = frame_message(encode_head(next.msg, epoch_, next.seq),
-                              next.msg.payload, opts_.max_chunk_bytes,
-                              ch.wire_chunks);
-      ch.wire_off = 0;
-      // A resend after a cut writes ch.wire again from its start, so the
-      // payload is not read again: the wire holds the message's one copy.
-      next.msg.payload = {};
-    }
-    while (ch.wire_off < ch.wire.size()) {
-      const ssize_t n =
-          ::send(ch.fd, ch.wire.data() + ch.wire_off,
-                 ch.wire.size() - ch.wire_off, MSG_NOSIGNAL);
+      const std::size_t at = ch.sent - std::min(ch.sent, ch.head.size());
+      if (at < payload.size()) {
+        parts[n_parts++] = {payload.data() + at, payload.size() - at};
+      }
+      msghdr out{};
+      out.msg_iov = parts;
+      out.msg_iovlen = n_parts;
+      const ssize_t n = ::sendmsg(ch.fd, &out, MSG_NOSIGNAL);
       if (n < 0) {
         if (errno == EINTR) continue;
         if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          io_arm(ch, true);  // resume from wire_off on the next readiness
+          io_arm(ch, true);  // resume from `sent` on the next readiness
           return;
         }
         io_fail_connection(ch, gave_up);
         return;
       }
-      ch.wire_off += static_cast<std::size_t>(n);
+      ch.sent += static_cast<std::size_t>(n);
     }
-    // Message fully on the wire.
-    chunks_sent_.fetch_add(ch.wire_chunks, std::memory_order_relaxed);
-    ch.wire = {};  // a multi-MB vector's buffer is not kept for the next one
-    ch.wire_off = 0;
+    // Message fully on the wire; leaving the queue frees its payload.
+    ch.queued_bytes -= queue_cost(next.msg);
     ch.queue.pop_front();
-    ch.queued_bytes -= ch.cur_cost;
-    ch.cur_cost = 0;
+    ch.head.clear();
+    ch.sent = 0;
     ch.attempts = 0;
     completed = true;
   }
+  io_arm(ch, false);
 }
 
 void tcp_net::io_service_channel(const std::shared_ptr<channel>& ch) {
@@ -785,7 +687,7 @@ void tcp_net::io_service_channel(const std::shared_ptr<channel>& ch) {
       const auto now = clock::now();
       if (ch->backoff && now >= ch->retry_at) ch->backoff = false;
       if (ch->connecting) io_check_connect(*ch);
-      const bool has_work = !ch->queue.empty() || !ch->wire.empty();
+      const bool has_work = !ch->queue.empty();
       if (!ch->broken && !ch->connecting && !ch->backoff && has_work &&
           ch->fd < 0 && !stopping_.load(std::memory_order_acquire)) {
         io_start_connect(ch);
@@ -830,9 +732,8 @@ void tcp_net::io_give_up(const std::shared_ptr<channel>& ch) {
     dropped = ch->queue.size();
     ch->queue.clear();
     ch->queued_bytes = 0;
-    ch->wire.clear();
-    ch->wire_off = 0;
-    ch->cur_cost = 0;
+    ch->head.clear();
+    ch->sent = 0;
     ch->attempts = 0;
     ch->connecting = false;
     ch->cycle_active = false;
@@ -914,7 +815,7 @@ std::shared_ptr<tcp_net::channel> tcp_net::channel_to(node_id id) {
 
 void tcp_net::send(message msg) {
   // Fail oversized messages at the sender instead of letting the receiver
-  // reject the frame as malformed (which would read as a link failure).
+  // reject the message as malformed (which would read as a link failure).
   if (queue_cost(msg) > k_max_message_bytes) {
     throw transport_error{"send: message exceeds the message size bound"};
   }
@@ -938,7 +839,7 @@ void tcp_net::send(message msg) {
     }
     ch->cv_space.wait(lk, [&] {
       return ch->stop || ch->broken ||
-             ch->queued_bytes < opts_.send_queue_limit_bytes;
+             ch->queued_bytes < k_send_queue_limit_bytes;
     });
     if (ch->stop || ch->broken) {
       rejected = true;
@@ -1004,7 +905,7 @@ std::size_t tcp_net::run_until_quiescent() {
       if (!distributed_ && in_flight_ == 0) return delivered;
       throw transport_error{
           "run_until_quiescent: fabric failed to reach quiescence before the "
-          "deadline (wedged peer or lost frames)"};
+          "deadline (wedged peer or lost messages)"};
     }
   }
 }
@@ -1084,7 +985,6 @@ void tcp_net::drop_connections_to(node_id id) {
 tcp_stats tcp_net::stats() const {
   tcp_stats out;
   out.messages_sent = messages_sent_.load();
-  out.chunks_sent = chunks_sent_.load();
   out.messages_received = messages_received_.load();
   out.reconnects = reconnects_.load();
   out.duplicates_dropped = duplicates_dropped_.load();

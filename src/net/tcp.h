@@ -1,12 +1,11 @@
 // TCP transport: the same transport contract as inproc_net but over real
-// POSIX sockets with chunked length-prefixed framing, bounded per-channel
-// send queues (backpressure), and connection retry with a deadline. Two
-// modes:
+// POSIX sockets: one frame per message, bounded per-channel send queues
+// (backpressure), and connection retry with a deadline. Two modes:
 //
 //  - Single-fabric (default ctor): every node registers against this one
 //    object; listeners bind ephemeral loopback ports. All endpoints live in
 //    this process, so quiescence is tracked *exactly* with a fabric-wide
-//    in-flight counter — run_until_quiescent() returns only when no frame
+//    in-flight counter — run_until_quiescent() returns only when no message
 //    is queued, in a socket buffer, or awaiting delivery (no idle-timeout
 //    heuristic).
 //
@@ -18,16 +17,14 @@
 //    messages (see cli::node_runner's DONE/ACK round protocol);
 //    run_until_quiescent() only flushes local sends and drains the inbox.
 //
-// Framing: a message body (sender epoch, per-channel sequence number, then
-// from, to, type, payload via the wire codec) is split into chunks of at
-// most max_chunk_bytes, each prefixed by a 5-byte header
-// [u8 flags][u32 chunk_len le]; flags bit0 marks the final chunk of a
-// message. Chunking bounds single write() sizes for multi-megabyte tally
-// vectors and lets a reader enforce both per-chunk and per-message size
-// limits while streaming. Each side holds a message's bytes once: the
-// writer frames the head and the payload straight into the wire buffer and
-// frees the queued payload, and the reader receives the payload straight
-// into the buffer the delivered message owns.
+// Framing: a message is its head — sender epoch u64, per-channel sequence
+// number u64, from u32, to u32, type u16, payload length as a varint (the
+// wire codec) — followed by the payload. Each side holds a message's bytes
+// once: the writer sends head and payload straight from the queued message,
+// and the reader receives the payload straight into the buffer the
+// delivered message owns. A reader drops a connection whose head is
+// malformed or declares more than the 256 MiB message bound, before it
+// reads a payload byte.
 //
 // Exactly-once across reconnects: a channel that loses its connection
 // mid-message resends the whole message on a fresh connection, which makes
@@ -41,14 +38,13 @@
 // Event plane: ONE io thread per fabric runs an epoll readiness loop that
 // multiplexes every listener, every accepted inbound connection, and every
 // outbound channel over non-blocking sockets — no thread per destination,
-// no thread per connection. Outbound messages are framed into a flat wire
-// buffer (chunk headers interleaved) and written with partial-write
-// resumption from a byte offset on EAGAIN; non-blocking connects retry on
-// a timer until the connect deadline. Inbound connections run a chunked
-// reassembly state machine fed by readiness events. Received messages land
-// in a mutex-protected inbox and are delivered on the thread that calls
-// run_until_quiescent()/run_until(), so handlers never run concurrently
-// with each other.
+// no thread per connection. A message goes out as one sendmsg of two
+// iovecs (head, payload) that resumes from a byte offset across both on
+// EAGAIN; non-blocking connects retry on a timer until the connect
+// deadline. Received messages land in a mutex-protected inbox and are
+// delivered on the thread that calls run_until_quiescent()/run_until(), so
+// handlers never run concurrently with each other. Every socket is opened
+// close-on-exec, so a process forked from a fabric's owner inherits none.
 #pragma once
 
 #include <atomic>
@@ -73,13 +69,11 @@ struct tcp_endpoint {
   std::uint16_t port = 0;
 };
 
+/// Bound on queued-but-unwritten bytes per destination; send() blocks
+/// when the queue is full (backpressure on a slow reader).
+inline constexpr std::size_t k_send_queue_limit_bytes = 8u << 20;
+
 struct tcp_options {
-  /// Maximum bytes per framed chunk (a message splits into ceil(n/chunk)
-  /// chunks).
-  std::size_t max_chunk_bytes = 256 * 1024;
-  /// Bound on queued-but-unwritten bytes per destination; send() blocks
-  /// when the queue is full (backpressure on a slow reader).
-  std::size_t send_queue_limit_bytes = 8u << 20;
   /// Overall deadline for establishing (or re-establishing) one outbound
   /// connection, retried on a timer — peers in a distributed round start in
   /// arbitrary order.
@@ -95,7 +89,6 @@ struct tcp_options {
 /// Monotonic counters for tests and diagnostics.
 struct tcp_stats {
   std::uint64_t messages_sent = 0;
-  std::uint64_t chunks_sent = 0;
   std::uint64_t messages_received = 0;
   std::uint64_t reconnects = 0;
   /// Resent messages the receiver side dropped as already-delivered (the
@@ -123,14 +116,14 @@ class tcp_net final : public transport {
   /// io loop's epoll set.
   void register_node(node_id id, message_handler handler) override;
 
-  /// Frames and enqueues `msg` on the destination's channel. Blocks while
-  /// the destination's send queue is at send_queue_limit_bytes; throws
+  /// Enqueues `msg` on the destination's channel. Blocks while the
+  /// destination's send queue is at k_send_queue_limit_bytes; throws
   /// transport_error if the destination is unreachable past the connect
   /// deadline or the fabric is stopping.
   void send(message msg) override;
 
   /// Single-fabric mode: delivers until *exactly* quiescent — inbox empty
-  /// and zero frames in flight anywhere in the fabric (counter-tracked; no
+  /// and zero messages in flight anywhere in the fabric (counter-tracked; no
   /// idle-timeout heuristic). Distributed mode: flushes local sends and
   /// drains the inbox (global quiescence is per-process unknowable — use
   /// run_until). Throws transport_error when the fabric is still not
@@ -151,9 +144,8 @@ class tcp_net final : public transport {
 
   /// Test hook: forcibly shuts down the cached connection to `id` (as if
   /// the link failed mid-stream). Subsequent sends transparently
-  /// reconnect; a message whose frames were cut mid-write is resent from
-  /// the start on the fresh connection (the receiver discards the partial
-  /// assembly on EOF). A message fully written before the cut may be
+  /// reconnect; a message cut mid-write is resent from the start on the
+  /// fresh connection (the receiver discards the partial message on EOF). A message fully written before the cut may be
   /// resent too (the sender cannot tell), but the receiver's per-channel
   /// sequence dedup drops the duplicate — delivery stays exactly-once and
   /// FIFO across the reconnect.
@@ -199,7 +191,7 @@ class tcp_net final : public transport {
   const tcp_options opts_;
   const std::map<node_id, tcp_endpoint> peers_;  // empty => single-fabric
   const bool distributed_;
-  /// Random per-fabric epoch stamped into every frame; a restarted process
+  /// Random per-fabric epoch stamped into every message head; a restarted process
   /// gets a fresh epoch, so its sequence numbers never collide with its
   /// predecessor's in a receiver's dedup state.
   const std::uint64_t epoch_;
@@ -228,7 +220,6 @@ class tcp_net final : public transport {
   std::unordered_map<int, std::unique_ptr<io_entry>> io_entries_;
 
   std::atomic<std::uint64_t> messages_sent_{0};
-  std::atomic<std::uint64_t> chunks_sent_{0};
   std::atomic<std::uint64_t> messages_received_{0};
   std::atomic<std::uint64_t> reconnects_{0};
   std::atomic<std::uint64_t> duplicates_dropped_{0};

@@ -92,7 +92,7 @@ void trace_writer::close() {
 // -- trace_reader ------------------------------------------------------------
 
 trace_reader::trace_reader(const std::string& path) : label_{"trace file"} {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
+  std::FILE* f = std::fopen(path.c_str(), "rbe");  // e: close-on-exec
   if (f == nullptr) throw precondition_error{"cannot open trace file " + path};
   const std::shared_ptr<std::FILE> file{f,
                                         [](std::FILE* p) { std::fclose(p); }};

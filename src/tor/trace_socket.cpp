@@ -24,7 +24,7 @@ class feeder_socket {
  public:
   feeder_socket(std::uint16_t port, int timeout_ms)
       : port_{port}, timeout_ms_{timeout_ms} {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     expects(listen_fd_ >= 0, "event socket: socket() failed");
     const int one = 1;
     ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
@@ -74,7 +74,7 @@ class feeder_socket {
             " ms"};
       }
     }
-    conn_fd_ = ::accept(listen_fd_, nullptr, nullptr);
+    conn_fd_ = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
     expects(conn_fd_ >= 0, "event socket: accept failed");
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -106,7 +106,7 @@ class feeder_socket {
   }
   const auto deadline = clock::now() + std::chrono::milliseconds{timeout_ms};
   for (;;) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     expects(fd >= 0, "event socket: socket() failed");
     if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) ==
         0) {

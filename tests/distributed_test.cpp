@@ -149,12 +149,10 @@ TEST(DeploymentPlanTest, WorkloadSectionsRoundTripThroughSerialization) {
   plan.workload.kind = workload_kind::trace;
   plan.workload.trace_dir = "/data/my traces/day-1";
   plan.psc_extractor = "published_address";
-  plan.pace = 0.25;
   deployment_plan back = parse_plan(serialize_plan(plan));
   EXPECT_EQ(back.workload.kind, workload_kind::trace);
   EXPECT_EQ(back.workload.trace_dir, "/data/my traces/day-1");
   EXPECT_EQ(back.psc_extractor, "published_address");
-  EXPECT_EQ(back.pace, 0.25);
   EXPECT_EQ(serialize_plan(back), serialize_plan(plan));
 
   plan.workload.kind = workload_kind::generate;

@@ -396,7 +396,6 @@ TEST(FuzzTest, ScalarSmallBufferAndHeapStorageBehaveIdentically) {
   plan.round_duration_s = k_seconds_per_day;
   plan.round_gap_s = 3600;
   plan.dc_grace_ms = 2000;
-  plan.pace = 0.25;
   plan.workload.kind = cli::workload_kind::generate;
   plan.workload.model = "mixed";
   plan.workload.scale = 2e-5;

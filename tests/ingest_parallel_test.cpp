@@ -388,7 +388,7 @@ TEST(ParallelIngestTest, FlashCrowdSurgeThroughSocketFeederLosesNothing) {
   // A full flash-crowd surge day streamed live through the trace socket
   // into a sharded, threaded DC. The stream is far larger than the
   // receiver's 64 KiB recv chunk and any default kernel socket buffer, so
-  // the feeder's sends block on the receiver's ingest pace (the bounded
+  // the feeder's sends block on the receiver's ingest rate (the bounded
   // send queue engaging) — and despite that backpressure churn, every
   // single event must arrive and the report bytes must equal the serial
   // direct-ingest baseline.

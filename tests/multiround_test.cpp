@@ -183,41 +183,6 @@ TEST(WorkloadCursorTest, SingleRoundPlansReplayTheWholeStream) {
   EXPECT_EQ(cursor.dropped_outside_windows(), 0u);
 }
 
-/// A plan with `pace > 0` replays its window one event at a time, sleeping
-/// out each sim-time gap. Pacing is relative to the first event, so a trace
-/// starting at t=100 does not stall.
-TEST(WorkloadCursorTest, PacedWindowSleepsAgainstSimTime) {
-  workdir_guard workdir;
-  {
-    tor::trace_writer writer{workdir.path() + "/" + tor::trace_file_name(0)};
-    for (const std::int64_t t : {100, 101, 102}) {
-      writer.write(stream_event_at(t, 0));
-    }
-    writer.close();
-  }
-  deployment_plan plan = make_psc_plan(1, 1, 64);
-  plan.workload.kind = workload_kind::trace;
-  plan.workload.trace_dir = workdir.path();
-  plan.pace = 0.01;
-  const round_window w = round_window_for(plan, round_schedule_of(plan), 0);
-  workload_cursor cursor{plan, 0};
-  std::size_t spans = 0;
-  const auto start = std::chrono::steady_clock::now();
-  // 2 simulated seconds after the first event at 0.01 wall s/sim s >= 20 ms.
-  EXPECT_EQ(cursor.stream_window(w.start, w.end,
-                                 [&](const tor::event*, std::size_t k) {
-                                   EXPECT_EQ(k, 1u);
-                                   ++spans;
-                                 }),
-            3u);
-  const auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                              std::chrono::steady_clock::now() - start)
-                              .count();
-  EXPECT_EQ(spans, 3u);
-  EXPECT_GE(elapsed_ms, 20);
-  EXPECT_LT(elapsed_ms, 5'000);
-}
-
 // Hand-crafted event slices through the scenario/generated zero-copy fast
 // path: the cursor constructor accepts a pre-materialized stream, so the
 // window logic can be exercised against exact timestamps.

@@ -503,6 +503,9 @@ TEST(DeploymentPlanTest, SampleProbAndMaxRestartsRoundTrip) {
   // checkpoint cadence to set.
   EXPECT_THROW((void)parse_plan(serialize_plan(plan) + "checkpoint_every 8\n"),
                precondition_error);
+  // Replay always runs at full speed: there is no pacing to set.
+  EXPECT_THROW((void)parse_plan(serialize_plan(plan) + "pace 0.25\n"),
+               precondition_error);
 }
 
 }  // namespace

@@ -1,23 +1,33 @@
 // Transport tests: deterministic inproc delivery + failure injection, real
-// TCP loopback framing (chunked multi-megabyte frames, reconnect after a
+// TCP loopback framing (multi-megabyte messages, reconnect after a
 // mid-stream disconnect, send-queue backpressure), explicit run_until
-// completion, and the two-fabric distributed mode.
+// completion, the two-fabric distributed mode, raw peers that split,
+// duplicate or corrupt messages, and close-on-exec sockets.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <fstream>
+#include <limits>
 #include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "src/net/inproc.h"
 #include "src/net/tcp.h"
 #include "src/net/wire.h"
+#include "src/tor/trace_socket.h"
 
 namespace tormet::net {
 namespace {
@@ -161,10 +171,8 @@ TEST(TcpTest, PortsAreDistinct) {
   return out;
 }
 
-TEST(TcpTest, MultiMegabyteMessageIsChunkedAndReassembled) {
-  tcp_options opts;
-  opts.max_chunk_bytes = 256 * 1024;
-  tcp_net bus{opts};
+TEST(TcpTest, MultiMegabyteMessageIsReassembled) {
+  tcp_net bus;
   byte_buffer received;
   bus.register_node(1, [&](const message& m) { received = m.payload; });
   bus.register_node(2, [](const message&) {});
@@ -173,40 +181,7 @@ TEST(TcpTest, MultiMegabyteMessageIsChunkedAndReassembled) {
   bus.send(message{2, 1, 9, big});
   bus.run_until_quiescent();
   EXPECT_EQ(received, big);
-  // ceil(5 MiB / 256 KiB) = 20 chunks (plus framing of the wire header).
-  EXPECT_GE(bus.stats().chunks_sent, 20u);
   EXPECT_EQ(bus.stats().messages_received, 1u);
-}
-
-TEST(TcpTest, ChunksShorterThanTheMessageHeadReassembleByteExact) {
-  // 7-byte chunks cut the 27- to 29-byte message head into pieces and start
-  // payloads mid-chunk; the receiver reads the head apart from the payload
-  // and the payload straight into the delivered buffer, so every boundary
-  // between them occurs here: an empty payload, 1 MiB, and a small message
-  // after both.
-  tcp_options opts;
-  opts.max_chunk_bytes = 7;
-  tcp_net bus{opts};
-  std::vector<message> got;
-  bus.register_node(1, [&](const message& m) { got.push_back(m); });
-  bus.register_node(2, [](const message&) {});
-
-  const byte_buffer big = patterned_payload(1u << 20);
-  const byte_buffer small{'t', 'a', 'i', 'l'};
-  bus.send(message{2, 1, 4, byte_buffer{}});
-  bus.send(message{2, 1, 5, big});
-  bus.send(message{2, 1, 6, small});
-  bus.run_until_quiescent();
-  ASSERT_EQ(got.size(), 3u);
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].from, 2u);
-    EXPECT_EQ(got[i].to, 1u);
-    EXPECT_EQ(got[i].type, 4 + i);
-  }
-  EXPECT_TRUE(got[0].payload.empty());
-  EXPECT_EQ(got[1].payload, big);
-  EXPECT_EQ(got[2].payload, small);
-  EXPECT_GE(bus.stats().chunks_sent, (big.size() + 29) / 7);
 }
 
 TEST(TcpTest, ReconnectsAfterMidStreamDisconnect) {
@@ -232,11 +207,9 @@ TEST(TcpTest, ReconnectsAfterMidStreamDisconnect) {
 
 TEST(TcpTest, LargeMessageSurvivesConnectionCutDuringTransfer) {
   // Cut the link while a multi-megabyte message may be mid-write: the
-  // receiver discards any partial frame assembly and the writer re-sends
-  // the whole message on a fresh connection — exactly one copy arrives.
-  tcp_options opts;
-  opts.max_chunk_bytes = 64 * 1024;
-  tcp_net bus{opts};
+  // receiver discards any partial message and the writer re-sends the
+  // whole message on a fresh connection — exactly one copy arrives.
+  tcp_net bus;
   std::atomic<int> deliveries{0};
   byte_buffer received;
   bus.register_node(1, [&](const message& m) {
@@ -281,16 +254,16 @@ TEST(TcpTest, BackpressureBoundsTheSendQueueOnASlowReader) {
   };
 
   tcp_options opts;
-  opts.send_queue_limit_bytes = 64 * 1024;
   opts.connect_deadline_ms = 20'000;
   tcp_net sender{map, opts};
 
+  // 12 MiB against the 8 MiB queue bound.
   const std::size_t n_messages = 24;
-  const byte_buffer chunk = patterned_payload(32 * 1024);
+  const byte_buffer payload = patterned_payload(512 * 1024);
   std::atomic<bool> all_sent{false};
   std::thread producer{[&] {
     for (std::size_t i = 0; i < n_messages; ++i) {
-      sender.send(message{2, 1, 0, chunk});
+      sender.send(message{2, 1, 0, payload});
     }
     all_sent = true;
   }};
@@ -298,7 +271,7 @@ TEST(TcpTest, BackpressureBoundsTheSendQueueOnASlowReader) {
   std::this_thread::sleep_for(std::chrono::milliseconds{200});
   EXPECT_FALSE(all_sent.load());  // backpressure held the producer back
   EXPECT_LE(sender.stats().peak_queue_bytes,
-            opts.send_queue_limit_bytes + chunk.size() + 64);
+            k_send_queue_limit_bytes + payload.size() + 64);
 
   tcp_net receiver{map};
   std::atomic<std::size_t> got{0};
@@ -344,13 +317,11 @@ TEST(TcpTest, SixtyFourChannelsMultiplexThroughOneEventLoop) {
   }
 }
 
-TEST(TcpTest, HugeSingleChunkResumesAcrossPartialWrites) {
-  // A 6 MiB body in ONE chunk cannot fit any socket buffer: the non-
-  // blocking writer necessarily hits EAGAIN mid-frame and must resume from
-  // its wire offset — byte-exact — across many readiness cycles.
-  tcp_options opts;
-  opts.max_chunk_bytes = 8u << 20;
-  tcp_net bus{opts};
+TEST(TcpTest, HugeMessageResumesAcrossPartialWrites) {
+  // A 6 MiB message cannot fit any socket buffer: the non-blocking writer
+  // necessarily hits EAGAIN mid-message and must resume from its byte
+  // offset — byte-exact — across many readiness cycles.
+  tcp_net bus;
   byte_buffer received;
   bus.register_node(1, [&](const message& m) { received = m.payload; });
   bus.register_node(2, [](const message&) {});
@@ -363,13 +334,11 @@ TEST(TcpTest, HugeSingleChunkResumesAcrossPartialWrites) {
 }
 
 TEST(TcpTest, ReconnectUnderLoadStaysExactlyOnce) {
-  // Cut the connection repeatedly while a stream of chunked messages is in
-  // flight: the writer re-sends whole messages it cannot prove delivered,
-  // and the receiver's (epoch, seq) dedup must collapse every resend —
-  // each message arrives exactly once, intact, in order.
-  tcp_options opts;
-  opts.max_chunk_bytes = 32 * 1024;
-  tcp_net bus{opts};
+  // Cut the connection repeatedly while a stream of messages is in flight:
+  // the writer re-sends whole messages it cannot prove delivered, and the
+  // receiver's (epoch, seq) dedup must collapse every resend — each message
+  // arrives exactly once, intact, in order.
+  tcp_net bus;
   constexpr std::uint8_t k_messages = 40;
   std::vector<std::uint8_t> order;
   std::atomic<std::size_t> deliveries{0};
@@ -427,9 +396,7 @@ TEST(TcpTest, StalledReaderExertsBackpressureWithoutUnboundedBuffering) {
       {1, {"127.0.0.1", stalled_port}},
       {2, {"127.0.0.1", free_port()}},
   };
-  tcp_options opts;
-  opts.send_queue_limit_bytes = 64 * 1024;
-  tcp_net sender{map, opts};
+  tcp_net sender{map};
 
   std::atomic<int> accepted_fd{-1};
   std::thread acceptor{[&] {
@@ -437,13 +404,13 @@ TEST(TcpTest, StalledReaderExertsBackpressureWithoutUnboundedBuffering) {
   }};
 
   // Enough data to overrun the kernel's socket buffers (which absorb the
-  // first few MiB invisibly) and reach the bounded user-space queue.
+  // first few MiB invisibly) and the 8 MiB user-space queue.
   const std::size_t n_messages = 128;
-  const byte_buffer chunk = patterned_payload(256 * 1024);
+  const byte_buffer payload = patterned_payload(256 * 1024);
   std::atomic<bool> all_sent{false};
   std::thread producer{[&] {
     for (std::size_t i = 0; i < n_messages; ++i) {
-      sender.send(message{2, 1, 0, chunk});
+      sender.send(message{2, 1, 0, payload});
     }
     all_sent = true;
   }};
@@ -451,7 +418,7 @@ TEST(TcpTest, StalledReaderExertsBackpressureWithoutUnboundedBuffering) {
   std::this_thread::sleep_for(std::chrono::milliseconds{300});
   EXPECT_FALSE(all_sent.load());  // the stalled reader held the producer back
   EXPECT_LE(sender.stats().peak_queue_bytes,
-            opts.send_queue_limit_bytes + chunk.size() + 64);
+            k_send_queue_limit_bytes + payload.size() + 64);
 
   // Drain: read and discard everything the writer has to say.
   acceptor.join();
@@ -514,35 +481,36 @@ TEST(TcpTest, DistributedModeConnectsTwoFabrics) {
   EXPECT_EQ(reply, "ok");
 }
 
-// -- exactly-once dedup across reconnects ------------------------------------
+// -- raw peers: split, duplicate and malformed messages ----------------------
 //
 // These tests play the role of a (re)connecting peer writer at the raw
-// socket level: each frame carries the writer's epoch and per-channel
-// sequence number exactly as tcp_net's own writer emits them, so duplicate
-// and stale resends can be injected deterministically. Raw-injected frames
-// bypass the fabric's in-flight accounting, so completion is always a
-// run_until(count) predicate — never run_until_quiescent().
+// socket level: each message carries the writer's epoch and per-channel
+// sequence number exactly as tcp_net's own writer emits them, so split
+// writes, duplicate and stale resends, and malformed heads can be injected
+// deterministically. Raw-injected messages bypass the fabric's in-flight
+// accounting, so completion is always a run_until(count) predicate — never
+// run_until_quiescent().
 
-/// One complete wire frame ([u8 flags=final][u32 len le][body]) for `msg`
-/// stamped with `epoch`/`seq` — byte-identical to tcp_net's writer output
-/// for a single-chunk message.
-[[nodiscard]] byte_buffer raw_frame(const message& msg, std::uint64_t epoch,
-                                    std::uint64_t seq) {
+/// The fixed fields of a message head: epoch, seq, from, to, type.
+[[nodiscard]] byte_buffer raw_head_fields(const message& msg, std::uint64_t epoch,
+                                          std::uint64_t seq) {
   wire_writer w;
   w.write_u64(epoch);
   w.write_u64(seq);
   w.write_u32(msg.from);
   w.write_u32(msg.to);
   w.write_u16(msg.type);
+  return w.take();
+}
+
+/// One complete message on the wire — head ‖ payload, the head ending in
+/// the payload length — stamped with `epoch`/`seq`: byte-identical to
+/// tcp_net's writer output.
+[[nodiscard]] byte_buffer raw_frame(const message& msg, std::uint64_t epoch,
+                                    std::uint64_t seq) {
+  wire_writer w{raw_head_fields(msg, epoch, seq)};
   w.write_bytes(msg.payload);
-  const byte_buffer body = w.take();
-  byte_buffer out;
-  out.push_back(1);  // flags: final chunk
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>((body.size() >> (8 * i)) & 0xff));
-  }
-  out.insert(out.end(), body.begin(), body.end());
-  return out;
+  return w.take();
 }
 
 class raw_peer {
@@ -550,6 +518,10 @@ class raw_peer {
   explicit raw_peer(std::uint16_t port) {
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     EXPECT_GE(fd_, 0);
+    // Each send leaves as its own segment, so small writes reach the reader
+    // as separate pieces.
+    const int one = 1;
+    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -561,19 +533,103 @@ class raw_peer {
   ~raw_peer() {
     if (fd_ >= 0) ::close(fd_);
   }
-  void write(const byte_buffer& bytes) const {
+  /// Writes `bytes`, at most `piece` of them per send(2).
+  void write(const byte_buffer& bytes,
+             std::size_t piece = std::numeric_limits<std::size_t>::max()) const {
     std::size_t sent = 0;
     while (sent < bytes.size()) {
-      const ssize_t n =
-          ::send(fd_, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+      const ssize_t n = ::send(fd_, bytes.data() + sent,
+                               std::min(piece, bytes.size() - sent), MSG_NOSIGNAL);
       ASSERT_GT(n, 0);
       sent += static_cast<std::size_t>(n);
     }
+  }
+  /// Ends this side of the connection, as a peer that dies mid-message.
+  void close_write() const { ::shutdown(fd_, SHUT_WR); }
+  /// True once the fabric has closed the connection: EOF or a reset
+  /// arrives within `deadline_ms`.
+  [[nodiscard]] bool closed_by_fabric(int deadline_ms) const {
+    pollfd waiter{fd_, POLLIN, 0};
+    if (::poll(&waiter, 1, deadline_ms) <= 0) return false;
+    std::uint8_t byte = 0;
+    return ::recv(fd_, &byte, 1, 0) <= 0;
   }
 
  private:
   int fd_ = -1;
 };
+
+TEST(TcpRawPeerTest, SevenBytesPerSendReassembleByteExact) {
+  // 7-byte sends cut the 27- to 29-byte message head into pieces and start
+  // payloads mid-send; the receiver reads the head apart from the payload
+  // and the payload straight into the delivered buffer, so every boundary
+  // between them occurs here: an empty payload, 1 MiB, and a small message
+  // after both.
+  tcp_net bus;
+  std::vector<message> got;
+  bus.register_node(1, [&](const message& m) { got.push_back(m); });
+
+  const std::vector<byte_buffer> payloads{
+      byte_buffer{}, patterned_payload(1u << 20), byte_buffer{'t', 'a', 'i', 'l'}};
+  byte_buffer stream;
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    const byte_buffer one = raw_frame(
+        message{2, 1, static_cast<std::uint16_t>(4 + i), payloads[i]}, 0x7E, i + 1);
+    stream.insert(stream.end(), one.begin(), one.end());
+  }
+  raw_peer peer{bus.port_of(1)};
+  peer.write(stream, 7);
+  bus.run_until([&] { return got.size() >= payloads.size(); }, 30'000);
+  ASSERT_EQ(got.size(), payloads.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].from, 2u);
+    EXPECT_EQ(got[i].to, 1u);
+    EXPECT_EQ(got[i].type, 4 + i);
+    EXPECT_EQ(got[i].payload, payloads[i]);
+  }
+}
+
+TEST(TcpRawPeerTest, MalformedMessagesDropTheConnectionAndDeliverNothing) {
+  // Three hostile peers, each on its own connection: a head declaring a
+  // 2^40-byte payload (refused before any payload byte is read), a head
+  // whose length varint never ends, and a message cut mid-payload. The
+  // fabric drops each connection and delivers nothing from it; a later
+  // well-formed message still arrives.
+  tcp_net bus;
+  std::vector<message> got;
+  bus.register_node(1, [&](const message& m) { got.push_back(m); });
+  const message probe{9, 1, 0, {}};
+
+  {
+    wire_writer w{raw_head_fields(probe, 0xBAD, 1)};
+    w.write_varint(std::uint64_t{1} << 40);
+    raw_peer peer{bus.port_of(1)};
+    peer.write(w.take());
+    EXPECT_TRUE(peer.closed_by_fabric(10'000)) << "2^40-byte payload";
+  }
+  {
+    byte_buffer head = raw_head_fields(probe, 0xBAD, 2);
+    head.insert(head.end(), 32, 0xff);  // every byte continues the varint
+    raw_peer peer{bus.port_of(1)};
+    peer.write(head);
+    EXPECT_TRUE(peer.closed_by_fabric(10'000)) << "endless varint";
+  }
+  {
+    const byte_buffer whole =
+        raw_frame(message{9, 1, 0, patterned_payload(4096)}, 0xBAD, 3);
+    raw_peer peer{bus.port_of(1)};
+    peer.write(byte_buffer(whole.begin(), whole.end() - 1024));
+    peer.close_write();
+    EXPECT_TRUE(peer.closed_by_fabric(10'000)) << "cut mid-payload";
+  }
+
+  raw_peer good{bus.port_of(1)};
+  good.write(raw_frame(message{9, 1, 0, byte_buffer{'o', 'k'}}, 0x600D, 1));
+  bus.run_until([&] { return !got.empty(); }, 10'000);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].payload, (byte_buffer{'o', 'k'}));
+  EXPECT_EQ(bus.stats().messages_received, 1u);
+}
 
 TEST(TcpDedupTest, DuplicateAndOutOfOrderResendsAreDropped) {
   tcp_net bus;
@@ -688,6 +744,92 @@ TEST(TcpTest, BrokenChannelStaysBrokenWithoutRepair) {
   sender.flush_sends();
   EXPECT_THROW(sender.send(message{2, 1, 0, byte_buffer{'y'}}),
                transport_error);
+}
+
+// -- close-on-exec ------------------------------------------------------------
+//
+// A process that forks node processes (cli::run_distributed_round) must not
+// hand them its sockets: an inherited feeder connection stays open after
+// the feeder closes, so the DC never reads EOF, and an inherited listener
+// keeps its port bound. The flags come from /proc/self/fdinfo, which never
+// touches an fd another thread may be closing.
+
+/// This process's open sockets: "socket:[inode]" -> fd.
+[[nodiscard]] std::map<std::string, int> open_sockets() {
+  std::map<std::string, int> out;
+  std::error_code ec;
+  for (const auto& fd : std::filesystem::directory_iterator{"/proc/self/fd", ec}) {
+    std::error_code gone;  // the fd closed since the listing
+    const std::string link = std::filesystem::read_symlink(fd.path(), gone);
+    if (!gone && link.starts_with("socket:")) {
+      out.emplace(link, std::stoi(fd.path().filename().string()));
+    }
+  }
+  return out;
+}
+
+/// The sockets open now but not in `before` that lack O_CLOEXEC; counts
+/// into `checked` every one whose flags could be read (one that closed
+/// since the listing is skipped).
+[[nodiscard]] std::vector<std::string> inheritable_sockets(
+    const std::map<std::string, int>& before, std::size_t& checked) {
+  std::vector<std::string> out;
+  for (const auto& [link, fd] : open_sockets()) {
+    if (before.contains(link)) continue;
+    std::ifstream info{"/proc/self/fdinfo/" + std::to_string(fd)};
+    std::string key;
+    while (info >> key && key != "flags:") {
+    }
+    unsigned long flags = 0;
+    if (!(info >> std::oct >> flags)) continue;
+    ++checked;
+    if ((flags & O_CLOEXEC) == 0) out.push_back(link);
+  }
+  return out;
+}
+
+TEST(CloseOnExecTest, FabricAndEventSocketsAreNotInherited) {
+  const std::map<std::string, int> before = open_sockets();
+
+  // A fabric with traffic both ways: two listeners, and an outbound and an
+  // accepted inbound connection per direction.
+  tcp_net bus;
+  bus.register_node(1, [](const message&) {});
+  bus.register_node(2, [](const message&) {});
+  bus.send(message{2, 1, 0, byte_buffer{'a'}});
+  bus.send(message{1, 2, 0, byte_buffer{'b'}});
+  bus.run_until_quiescent();
+  std::size_t checked = 0;
+  EXPECT_EQ(inheritable_sockets(before, checked), std::vector<std::string>{});
+  EXPECT_GE(checked, 6u);
+
+  // An event socket: the source's listener, then a feeder whose 8 MiB
+  // stream outlasts the socket buffers (at most 4 MiB send plus the
+  // receive window), so its connection stays open until the source reads;
+  // then the source's accepted connection.
+  const std::uint16_t port = free_port();
+  tor::event_socket_source source{port, 30'000};
+  tor::exit_stream_event stream;
+  stream.target = std::string(4096, 'x');
+  const std::vector<tor::event> events(2048, tor::event{0, sim_time{0}, stream});
+  const std::size_t without_feeder = open_sockets().size();
+  std::thread feeder{[&] { tor::stream_events_to_socket("127.0.0.1", port, events); }};
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds{10};
+  while (open_sockets().size() < without_feeder + 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds{1});
+  }
+  checked = 0;
+  EXPECT_EQ(inheritable_sockets(before, checked), std::vector<std::string>{});
+  EXPECT_GE(checked, 8u);  // + listener + feeder
+  ASSERT_TRUE(source.next().has_value());  // accepts, closes the listener
+  checked = 0;
+  EXPECT_EQ(inheritable_sockets(before, checked), std::vector<std::string>{});
+  EXPECT_GE(checked, 7u);  // + accepted connection
+  std::size_t received = 1;
+  while (source.next().has_value()) ++received;
+  feeder.join();
+  EXPECT_EQ(received, events.size());
 }
 
 }  // namespace
