@@ -335,17 +335,16 @@ gate batched_ingest() {
   return g;
 }
 
-/// Parallel PSC ingest: 8 seeded-insert shards run on the calling thread
-/// vs on a 4-worker pool. Each p256 insert is a real EC encryption, so
-/// shard workers scale near-linearly on a multi-core runner.
+/// Parallel PSC ingest: a p256 DC's ingest calls on the calling thread vs
+/// on a 4-worker pool. Each call keeps every bin's last insert and runs
+/// those as one batch engine pass; each insert is a real EC encryption, so
+/// the pass scales near-linearly on a multi-core runner.
 gate psc_parallel_ingest() {
   constexpr std::size_t k_workers = 4;
-  constexpr std::size_t k_shards = 8;
   const std::size_t hw = std::thread::hardware_concurrency();
   const std::vector<tor::event> events = zipf_events(2'000).front();
   gate g{"psc_parallel_ingest",
          "\"events\":" + std::to_string(events.size()) +
-             ",\"shards\":" + std::to_string(k_shards) +
              ",\"workers\":" + std::to_string(k_workers) +
              ",\"hw\":" + std::to_string(hw),
          1.8};
@@ -362,7 +361,6 @@ gate psc_parallel_ingest() {
     crypto::deterministic_rng rng{1};
     psc::data_collector dc{1, 0, bus, rng};
     dc.set_extractor(core::extractor_by_name("primary_sld"));
-    dc.set_shards(k_shards);
     if (pool != nullptr) dc.set_thread_pool(std::move(pool));
     psc::dc_configure_msg cfg;
     cfg.round_id = 1;

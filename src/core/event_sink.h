@@ -12,9 +12,10 @@
 //     byte-identical to observing its events one by one.
 //   * set_shards / set_thread_pool are pure throughput knobs. Tally bytes
 //     never depend on the shard count, the worker count, or how the pool
-//     schedules shard work — partitions are keyed by stable per-event
-//     hashes and merges are commutative (PrivCount slab addition) or
-//     per-bin order-preserving (PSC last-insert-wins seeded inserts).
+//     schedules the work — PrivCount partitions are keyed by stable
+//     per-event hashes and merged by commutative slab addition; a PSC DC
+//     ignores the shard count and keeps each bin's last seeded insert,
+//     whose ciphertext depends only on (bin, seed).
 //   * Ingest-plane reconfiguration is a between-rounds operation: while a
 //     round is active the implementation rejects (or defers to the next
 //     round's configure) any shard/pool change — see each collector's

@@ -67,35 +67,73 @@ std::size_t batch_engine::pure_grain(std::size_t n) const noexcept {
                     std::min(k_min_chunk, shard_size_), shard_size_);
 }
 
+void batch_engine::draw_per_shard(const sha256_digest& seed,
+                                  std::span<const std::uint8_t> bits,
+                                  std::span<scalar> rs,
+                                  std::span<scalar> ms) const {
+  run_chunked(rs.size(), shard_size_, [&](std::size_t begin, std::size_t end) {
+    stream_rng rng{shard_stream_key(seed, begin / shard_size_)};
+    const std::size_t n = end - begin;
+    scheme_.draw_scalars(rng, bits.empty() ? bits : bits.subspan(begin, n),
+                         rs.subspan(begin, n),
+                         ms.empty() ? ms : ms.subspan(begin, n));
+  });
+}
+
+std::vector<elgamal_ciphertext> batch_engine::encrypt_drawn(
+    const group_element& pub, std::span<const scalar> rs,
+    std::span<const scalar> ms) const {
+  grp().prepare_fixed_base(pub, rs.size());
+  return map_chunked<elgamal_ciphertext>(
+      rs.size(), pure_grain(rs.size()), [&](std::size_t begin, std::size_t end) {
+        return scheme_.encrypt_batch(
+            pub, rs.subspan(begin, end - begin),
+            ms.empty() ? ms : ms.subspan(begin, end - begin));
+      });
+}
+
 std::vector<elgamal_ciphertext> batch_engine::encrypt_zero_batch(
     const group_element& pub, std::size_t count,
     const sha256_digest& seed) const {
-  return map_chunked<elgamal_ciphertext>(
-      count, shard_size_, [&](std::size_t begin, std::size_t end) {
-        stream_rng rng{shard_stream_key(seed, begin / shard_size_)};
-        return scheme_.encrypt_zero_batch(pub, end - begin, rng);
-      });
+  std::vector<scalar> rs(count);
+  draw_per_shard(seed, {}, rs, {});
+  return encrypt_drawn(pub, rs, {});
 }
 
 std::vector<elgamal_ciphertext> batch_engine::encrypt_bits_batch(
     const group_element& pub, std::span<const std::uint8_t> bits,
     const sha256_digest& seed) const {
-  return map_chunked<elgamal_ciphertext>(
-      bits.size(), shard_size_, [&](std::size_t begin, std::size_t end) {
-        stream_rng rng{shard_stream_key(seed, begin / shard_size_)};
-        return scheme_.encrypt_bits_batch(pub, bits.subspan(begin, end - begin),
-                                          rng);
-      });
+  std::vector<scalar> rs(bits.size()), ms(bits.size());
+  draw_per_shard(seed, bits, rs, ms);
+  return encrypt_drawn(pub, rs, ms);
+}
+
+std::vector<elgamal_ciphertext> batch_engine::encrypt_one_batch(
+    const group_element& pub, std::span<const sha256_digest> stream_keys) const {
+  const std::size_t n = stream_keys.size();
+  std::vector<scalar> rs(n), ms(n);
+  run_chunked(n, pure_grain(n), [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      // encrypt_one's order: the message scalar, then the nonce.
+      stream_rng rng{stream_keys[i]};
+      ms[i] = grp().random_scalar(rng);
+      rs[i] = grp().random_scalar(rng);
+    }
+  });
+  return encrypt_drawn(pub, rs, ms);
 }
 
 std::vector<elgamal_ciphertext> batch_engine::rerandomize_batch(
     const group_element& pub, std::span<const elgamal_ciphertext> cts,
     const sha256_digest& seed) const {
+  std::vector<scalar> rs(cts.size());
+  draw_per_shard(seed, {}, rs, {});
+  grp().prepare_fixed_base(pub, rs.size());
   return map_chunked<elgamal_ciphertext>(
-      cts.size(), shard_size_, [&](std::size_t begin, std::size_t end) {
-        stream_rng rng{shard_stream_key(seed, begin / shard_size_)};
+      cts.size(), pure_grain(cts.size()),
+      [&](std::size_t begin, std::size_t end) {
         return scheme_.rerandomize_batch(pub, cts.subspan(begin, end - begin),
-                                         rng);
+                                         std::span{rs}.subspan(begin, end - begin));
       });
 }
 

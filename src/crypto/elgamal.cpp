@@ -93,46 +93,59 @@ void split_components(std::span<const elgamal_ciphertext> cts,
 
 }  // namespace
 
+void elgamal::draw_scalars(secure_rng& rng, std::span<const std::uint8_t> bits,
+                           std::span<scalar> rs, std::span<scalar> ms) const {
+  expects(bits.empty() || (bits.size() == rs.size() && ms.size() == rs.size()),
+          "draw_scalars spans must have equal length");
+  for (std::size_t i = 0; i < rs.size(); ++i) {
+    // encrypt_one draws its random message element before its nonce.
+    if (!bits.empty() && bits[i] != 0) ms[i] = group_->random_scalar(rng);
+    rs[i] = group_->random_scalar(rng);
+  }
+}
+
+std::vector<elgamal_ciphertext> elgamal::encrypt_batch(
+    const group_element& pub, std::span<const scalar> rs,
+    std::span<const scalar> ms) const {
+  expects(ms.empty() || ms.size() == rs.size(),
+          "encrypt_batch spans must have equal length");
+  // b = identity + r·Y = r·Y, so a zero's identity add is skipped outright.
+  std::vector<group_element> as = group_->mul_generator_batch(rs);
+  std::vector<group_element> bs = group_->mul_batch(pub, rs);
+  // Gather the positions with a message, add their messages, scatter back.
+  std::vector<std::size_t> at;
+  for (std::size_t i = 0; i < ms.size(); ++i) {
+    if (ms[i].valid()) at.push_back(i);
+  }
+  if (!at.empty()) {
+    std::vector<scalar> ks;
+    std::vector<group_element> gathered;
+    ks.reserve(at.size());
+    gathered.reserve(at.size());
+    for (const std::size_t i : at) {
+      ks.push_back(ms[i]);
+      gathered.push_back(bs[i]);
+    }
+    std::vector<group_element> summed =
+        group_->add_batch(group_->mul_generator_batch(ks), gathered);
+    for (std::size_t j = 0; j < at.size(); ++j) bs[at[j]] = std::move(summed[j]);
+  }
+  return zip_components(std::move(as), std::move(bs));
+}
+
 std::vector<elgamal_ciphertext> elgamal::encrypt_zero_batch(
     const group_element& pub, std::size_t count, secure_rng& rng) const {
-  std::vector<scalar> rs;
-  rs.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    rs.push_back(group_->random_scalar(rng));
-  }
-  // b = identity + r·Y = r·Y, so the identity add is skipped outright.
-  return zip_components(group_->mul_generator_batch(rs),
-                        group_->mul_batch(pub, rs));
+  std::vector<scalar> rs(count);
+  draw_scalars(rng, {}, rs, {});
+  return encrypt_batch(pub, rs);
 }
 
 std::vector<elgamal_ciphertext> elgamal::encrypt_bits_batch(
     const group_element& pub, std::span<const std::uint8_t> bits,
     secure_rng& rng) const {
-  // Draw (message scalar, nonce) per index in the order the serial loop
-  // would: encrypt_one draws its random message element before its nonce.
-  std::vector<scalar> rs, ms;
-  rs.reserve(bits.size());
-  for (const auto bit : bits) {
-    if (bit != 0) ms.push_back(group_->random_scalar(rng));
-    rs.push_back(group_->random_scalar(rng));
-  }
-  std::vector<group_element> as = group_->mul_generator_batch(rs);
-  std::vector<group_element> bs = group_->mul_batch(pub, rs);
-  if (!ms.empty()) {
-    const std::vector<group_element> msgs = group_->mul_generator_batch(ms);
-    // Gather the one-bit positions, add their messages, scatter back.
-    std::vector<group_element> gathered;
-    gathered.reserve(msgs.size());
-    for (std::size_t i = 0; i < bits.size(); ++i) {
-      if (bits[i] != 0) gathered.push_back(bs[i]);
-    }
-    std::vector<group_element> summed = group_->add_batch(msgs, gathered);
-    std::size_t j = 0;
-    for (std::size_t i = 0; i < bits.size(); ++i) {
-      if (bits[i] != 0) bs[i] = std::move(summed[j++]);
-    }
-  }
-  return zip_components(std::move(as), std::move(bs));
+  std::vector<scalar> rs(bits.size()), ms(bits.size());
+  draw_scalars(rng, bits, rs, ms);
+  return encrypt_batch(pub, rs, ms);
 }
 
 std::vector<elgamal_ciphertext> elgamal::add_batch(
@@ -148,9 +161,16 @@ std::vector<elgamal_ciphertext> elgamal::add_batch(
 std::vector<elgamal_ciphertext> elgamal::rerandomize_batch(
     const group_element& pub, std::span<const elgamal_ciphertext> cts,
     secure_rng& rng) const {
-  const std::vector<elgamal_ciphertext> zeros =
-      encrypt_zero_batch(pub, cts.size(), rng);
-  return add_batch(cts, zeros);
+  std::vector<scalar> rs(cts.size());
+  draw_scalars(rng, {}, rs, {});
+  return rerandomize_batch(pub, cts, rs);
+}
+
+std::vector<elgamal_ciphertext> elgamal::rerandomize_batch(
+    const group_element& pub, std::span<const elgamal_ciphertext> cts,
+    std::span<const scalar> rs) const {
+  expects(cts.size() == rs.size(), "rerandomize_batch spans must have equal length");
+  return add_batch(cts, encrypt_batch(pub, rs));
 }
 
 std::vector<elgamal_ciphertext> elgamal::strip_share_batch(
@@ -161,9 +181,11 @@ std::vector<elgamal_ciphertext> elgamal::strip_share_batch(
   return zip_components(std::move(as), group_->sub_batch(bs, shares));
 }
 
-byte_buffer elgamal::encode(const elgamal_ciphertext& c) const {
-  const byte_buffer ea = group_->encode(c.a);
-  const byte_buffer eb = group_->encode(c.b);
+namespace {
+
+/// The wire ciphertext: each component encoding behind its length byte.
+[[nodiscard]] byte_buffer frame_components(const byte_buffer& ea,
+                                           const byte_buffer& eb) {
   expects(ea.size() <= 0xff && eb.size() <= 0xff, "element encoding too large");
   byte_buffer out;
   out.reserve(2 + ea.size() + eb.size());
@@ -172,6 +194,12 @@ byte_buffer elgamal::encode(const elgamal_ciphertext& c) const {
   out.push_back(static_cast<std::uint8_t>(eb.size()));
   out.insert(out.end(), eb.begin(), eb.end());
   return out;
+}
+
+}  // namespace
+
+byte_buffer elgamal::encode(const elgamal_ciphertext& c) const {
+  return frame_components(group_->encode(c.a), group_->encode(c.b));
 }
 
 elgamal::ciphertext_views elgamal::split_encoding(byte_view data) {
@@ -192,9 +220,18 @@ elgamal_ciphertext elgamal::decode(byte_view data) const {
 
 std::vector<byte_buffer> elgamal::encode_batch(
     std::span<const elgamal_ciphertext> cts) const {
+  std::vector<group_element> points;
+  points.reserve(2 * cts.size());
+  for (const auto& ct : cts) {
+    points.push_back(ct.a);
+    points.push_back(ct.b);
+  }
+  const std::vector<byte_buffer> encoded = group_->encode_batch(points);
   std::vector<byte_buffer> out;
   out.reserve(cts.size());
-  for (const auto& ct : cts) out.push_back(encode(ct));
+  for (std::size_t i = 0; i < cts.size(); ++i) {
+    out.push_back(frame_components(encoded[2 * i], encoded[2 * i + 1]));
+  }
   return out;
 }
 

@@ -81,7 +81,30 @@ class elgamal {
   // `rng` in index order before any group math, so each batch call consumes
   // the RNG stream exactly like the equivalent serial loop and produces
   // bit-identical ciphertexts — serial and batched protocol paths are
-  // interchangeable. Empty batches are no-ops.
+  // interchangeable. The draws and the products are also available apart
+  // (draw_scalars, then the span-of-scalars forms), which is how the batch
+  // engine draws per shard and multiplies per chunk. Empty batches are
+  // no-ops.
+
+  /// The scalars encrypt_bits_batch(pub, bits, rng) draws, in its order:
+  /// per index, the message scalar when bits[i] != 0, then the nonce. rs
+  /// gets every nonce; ms[i] is drawn at one bits and left as it was at
+  /// zero bits. Empty `bits` draws nonces only (every index a zero), and ms
+  /// may then be empty.
+  void draw_scalars(secure_rng& rng, std::span<const std::uint8_t> bits,
+                    std::span<scalar> rs, std::span<scalar> ms) const;
+
+  /// Encryptions from drawn scalars: index i encrypts ms[i]·G under nonce
+  /// rs[i], or the identity when ms is empty or ms[i] is not valid. These
+  /// are encrypt_one's and encrypt_zero's products for those draws.
+  [[nodiscard]] std::vector<elgamal_ciphertext> encrypt_batch(
+      const group_element& pub, std::span<const scalar> rs,
+      std::span<const scalar> ms = {}) const;
+
+  /// cts[i] ⊕ the encryption of zero under nonce rs[i].
+  [[nodiscard]] std::vector<elgamal_ciphertext> rerandomize_batch(
+      const group_element& pub, std::span<const elgamal_ciphertext> cts,
+      std::span<const scalar> rs) const;
 
   /// `count` independent encryptions of zero (PSC bulk bin initialization).
   [[nodiscard]] std::vector<elgamal_ciphertext> encrypt_zero_batch(
@@ -122,7 +145,8 @@ class elgamal {
   };
   [[nodiscard]] static ciphertext_views split_encoding(byte_view data);
 
-  /// Batch forms of encode/decode (one call site, one pass). decode_batch
+  /// Batch forms of encode/decode (one call site, one pass). encode_batch
+  /// encodes every point through one group::encode_batch call. decode_batch
   /// reads views — into a received message, say — and runs through the
   /// group's arena decoder: one element arena per component vector instead
   /// of a heap node per element.

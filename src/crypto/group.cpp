@@ -10,6 +10,14 @@ byte_buffer group::encode_scalar(const scalar& k) const {
   return {bytes.begin(), bytes.end()};
 }
 
+std::vector<byte_buffer> group::encode_batch(
+    std::span<const group_element> elements) const {
+  std::vector<byte_buffer> out;
+  out.reserve(elements.size());
+  for (const auto& e : elements) out.push_back(encode(e));
+  return out;
+}
+
 group_element group::random_element(secure_rng& rng) const {
   return mul_generator(random_scalar(rng));
 }

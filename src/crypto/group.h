@@ -157,11 +157,14 @@ class group {
   // BIGNUM arena per batch instead of allocating per call; the toy backend
   // uses fixed-base comb tables, a single-allocation element arena,
   // and Montgomery batch inversion for sub_batch. For mul_batch(base, ks)
-  // both backends cache a precomputed table per base, built when a batch is
-  // big enough to be bulk work against that base (toy: 16 scalars, p256:
-  // 256). p256 then uses the table for every batch against that base,
-  // one-scalar batches included, which is why elgamal::encrypt computes r·Y
-  // through mul_batch; mul() stays the plain variable-base operation.
+  // both backends cache a precomputed table per base. A table is built
+  // only when bulk work against that base asks for one: a mul_batch of at
+  // least the backend's threshold (toy: 16 scalars, p256: 256), or a
+  // prepare_fixed_base for a pass of that many products, which a caller
+  // that splits one pass into smaller chunks makes before they run. p256
+  // then uses the table for every batch against that base, one-scalar
+  // batches included, which is why elgamal::encrypt computes r·Y through
+  // mul_batch; mul() stays the plain variable-base operation.
   //
   // Lifetime note: batch results may share one arena per batch — every
   // returned handle keeps the whole batch's storage alive. Retaining a few
@@ -174,6 +177,12 @@ class group {
   /// base * ks[i] for every i (one base, many scalars — e.g. pk * nonce).
   [[nodiscard]] virtual std::vector<group_element> mul_batch(
       const group_element& base, std::span<const scalar> ks) const = 0;
+  /// Readies `base` for a pass of `products` mul_batch products split into
+  /// chunks of any size: looks up its table, or builds one when `products`
+  /// reaches the threshold a single mul_batch would build at. The chunks'
+  /// mul_batch calls then use that table. Changes no result.
+  virtual void prepare_fixed_base(const group_element& base,
+                                  std::size_t products) const = 0;
   /// pts[i] * k for every i (many points, one scalar — e.g. decrypt shares).
   [[nodiscard]] virtual std::vector<group_element> mul_batch(
       std::span<const group_element> pts, const scalar& k) const = 0;
@@ -188,6 +197,12 @@ class group {
 
   // -- serialization ------------------------------------------------------
   [[nodiscard]] virtual byte_buffer encode(const group_element& a) const = 0;
+  /// encode() for every element, with per-element work amortized across
+  /// the batch (p256 normalizes up to 1024 points per field inversion).
+  /// Same bytes as encode() at every index; the input handles are left as
+  /// they were. The default loops encode().
+  [[nodiscard]] virtual std::vector<byte_buffer> encode_batch(
+      std::span<const group_element> elements) const;
   [[nodiscard]] virtual group_element decode(byte_view data) const = 0;
   [[nodiscard]] virtual byte_buffer encode_scalar(const scalar& k) const;
   [[nodiscard]] virtual scalar decode_scalar(byte_view data) const = 0;

@@ -13,26 +13,32 @@
 // x86-64). k·Y for any other base — in PSC, the round's joint key Y, which
 // every bin init and insert multiplies, and each CP's onward key, which its
 // noise bits and rerandomizations multiply — uses a table built the first
-// time a bulk batch multiplies against Y and cached per base: a copy of
-// the curve with Y as its generator, whose multiples
+// time bulk work against Y asks for one (a pass of at least 256 products,
+// through prepare_fixed_base or a single mul_batch) and cached per base: a
+// copy of the curve with Y as its generator, whose multiples
 // EC_GROUP_precompute_mult lays out in that same table format. On a
 // 4-vCPU x86-64 host under OpenSSL 3.0.19 that makes k·Y ~14 µs instead of
 // ~80 µs, for a ~37 ms build per base. mul(p, k), which strip and decrypt
 // call on a different point each time, stays the variable-base operation.
 //
 // Points cross the wire in SEC1's uncompressed form, 0x04 ‖ X ‖ Y (65
-// bytes); the identity is the single byte 0x00. Decoding takes X and Y as
-// they are and checks the curve equation, ~1.5 µs, where the 33-byte
-// compressed form must recover Y with a square root: 20–28 µs per point on
-// a 4-vCPU x86-64 host under OpenSSL 3.0.19. The 32 extra bytes cost less
-// than that square root on any link faster than ~13 Mbit/s per decoding
-// core. A wire ciphertext is 134 bytes with its length prefix, so the
-// largest PSC vector the fabric's 256 MiB message bound carries fell from
-// ~3.9M ciphertexts (compressed) to ~2.0M; no plan or test comes near
-// that, and psc_slow_test's largest round has 2^16 bins. decode accepts
-// exactly the two encodings encode writes and throws on any other, the
-// compressed and hybrid forms OpenSSL would take included, so every point
-// has one wire form.
+// bytes); the identity is the single byte 0x00. encode() converts through
+// EC_POINT_point2oct, which inverts the point's Z on every call.
+// encode_batch copies up to 1024 points, normalizes the copies with
+// EC_POINTs_make_affine (one inversion for the block) and writes each
+// point's X and Y: 0.7–1.4 µs per point against encode()'s 5.9–6.7 µs, the
+// same bytes (one thread of a 4-vCPU x86-64 host under OpenSSL 3.0.19).
+// Decoding takes X and Y as they are and checks the curve equation,
+// ~1.5 µs, where the 33-byte compressed form must recover Y with a square
+// root: 20–28 µs per point on a 4-vCPU x86-64 host under OpenSSL 3.0.19.
+// The 32 extra bytes cost less than that square root on any link faster
+// than ~13 Mbit/s per decoding core. A wire ciphertext is 134 bytes with
+// its length prefix, so the largest PSC vector the fabric's 256 MiB
+// message bound carries fell from ~3.9M ciphertexts (compressed) to
+// ~2.0M; no plan or test comes near that, and psc_slow_test's largest
+// round has 2^16 bins. decode accepts exactly the two encodings encode
+// writes and throws on any other, the compressed and hybrid forms OpenSSL
+// would take included, so every point has one wire form.
 #include <openssl/bn.h>
 #include <openssl/ec.h>
 #include <openssl/obj_mac.h>
@@ -51,9 +57,14 @@ namespace {
 constexpr std::size_t k_scalar_bytes = 32;
 // Uncompressed point: the tag, then X and Y. The point at infinity
 // serializes to the single byte 0x00.
-constexpr std::size_t k_point_bytes = 65;
+constexpr std::size_t k_coordinate_bytes = 32;
+constexpr std::size_t k_point_bytes = 1 + 2 * k_coordinate_bytes;
 constexpr std::uint8_t k_uncompressed_tag = 0x04;
 constexpr std::uint8_t k_infinity_tag = 0x00;
+
+// encode_batch normalizes at most this many points per field inversion:
+// a batch engine chunk's worth (512 ciphertexts, two points each).
+constexpr std::size_t k_encode_block = 1024;
 
 /// Throws unless `data` is one of the two encodings encode() writes.
 void expect_canonical_point(byte_view data) {
@@ -70,6 +81,13 @@ template <typename T>
 T* ossl_require(T* p, const char* what) {
   if (p == nullptr) throw std::runtime_error{std::string{"openssl alloc failure in "} + what};
   return p;
+}
+
+/// Writes a field element as k_coordinate_bytes big-endian bytes.
+void write_coordinate(const BIGNUM* v, std::uint8_t* out) {
+  if (BN_bn2binpad(v, out, static_cast<int>(k_coordinate_bytes)) < 0) {
+    throw std::runtime_error{"BN_bn2binpad failed"};
+  }
 }
 
 struct bn_ctx_holder {
@@ -111,28 +129,35 @@ struct point_arena {
   }
 };
 
-/// Thread-local scratch reused across batch calls on one curve: a BIGNUM for
-/// scalar conversions and an EC_POINT for intermediates (negation in
-/// sub_batch, the decode of count_non_identity). Lazily bound to the curve —
-/// make_group() hands out one group instance per backend, so in practice the
-/// binding happens once per thread.
+/// Thread-local scratch reused across batch calls on one curve: BIGNUMs for
+/// scalar conversions and encode_batch's coordinates, an EC_POINT for
+/// intermediates (negation in sub_batch, the decode of count_non_identity)
+/// and encode_batch's copies. Lazily bound to the curve — make_group()
+/// hands out one group instance per backend, so in practice the binding
+/// happens once per thread.
 struct batch_scratch {
   const EC_GROUP* curve = nullptr;
   BIGNUM* bn = nullptr;
+  BIGNUM* y = nullptr;
   EC_POINT* tmp = nullptr;
-  ~batch_scratch() {
+  std::vector<EC_POINT*> affine;  // grown on demand, up to k_encode_block
+  ~batch_scratch() { release(); }
+  void release() {
     BN_free(bn);
+    BN_free(y);
     EC_POINT_free(tmp);
+    for (EC_POINT* p : affine) EC_POINT_free(p);
+    affine.clear();
   }
 };
 
 [[nodiscard]] batch_scratch& tls_scratch(const EC_GROUP* curve) {
   thread_local batch_scratch scratch;
   if (scratch.curve != curve) {
-    BN_free(scratch.bn);
-    EC_POINT_free(scratch.tmp);
+    scratch.release();
     scratch.curve = curve;
     scratch.bn = ossl_require(BN_new(), "BN_new");
+    scratch.y = ossl_require(BN_new(), "BN_new");
     scratch.tmp = ossl_require(EC_POINT_new(curve), "EC_POINT_new");
   }
   return scratch;
@@ -287,6 +312,60 @@ class p256_group final : public group {
     return out;
   }
 
+  // EC_POINTs_make_affine and EC_POINT_get_Jprojective_coordinates_GFp are
+  // deprecated since OpenSSL 3.0, like EC_GROUP_precompute_mult, and present
+  // in every 3.x release. The non-deprecated
+  // EC_POINT_get_affine_coordinates inverts Z on every call, even when Z is
+  // already one. Without the 3.0 API this loops encode(), which writes the
+  // same bytes.
+  [[nodiscard]] std::vector<byte_buffer> encode_batch(
+      std::span<const group_element> elements) const override {
+#ifdef OPENSSL_NO_DEPRECATED_3_0
+    return group::encode_batch(elements);
+#else
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+    BN_CTX* ctx = tls_bn_ctx();
+    batch_scratch& scratch = tls_scratch(curve_);
+    std::vector<byte_buffer> out;
+    out.reserve(elements.size());
+    // Normalize copies, a block at a time: a handle may be shared (a strip
+    // keeps its input's a points), so the caller's points stay as they
+    // were, and the copies stay bounded however long the batch is.
+    std::vector<EC_POINT*>& pts = scratch.affine;
+    for (std::size_t begin = 0; begin < elements.size();
+         begin += k_encode_block) {
+      const std::size_t n = std::min(k_encode_block, elements.size() - begin);
+      while (pts.size() < n) {
+        pts.push_back(ossl_require(EC_POINT_new(curve_), "EC_POINT_new"));
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        ossl_check(EC_POINT_copy(pts[i], unwrap(elements[begin + i])),
+                   "EC_POINT_copy");
+      }
+      ossl_check(EC_POINTs_make_affine(curve_, n, pts.data(), ctx),
+                 "EC_POINTs_make_affine");
+      for (std::size_t i = 0; i < n; ++i) {
+        if (EC_POINT_is_at_infinity(curve_, pts[i]) == 1) {
+          out.push_back({k_infinity_tag});
+          continue;
+        }
+        // Z is one now, so the Jacobian X and Y are the affine ones.
+        ossl_check(EC_POINT_get_Jprojective_coordinates_GFp(
+                       curve_, pts[i], scratch.bn, scratch.y, nullptr, ctx),
+                   "EC_POINT_get_Jprojective_coordinates_GFp");
+        byte_buffer enc(k_point_bytes);
+        enc[0] = k_uncompressed_tag;
+        write_coordinate(scratch.bn, &enc[1]);
+        write_coordinate(scratch.y, &enc[1 + k_coordinate_bytes]);
+        out.push_back(std::move(enc));
+      }
+    }
+    return out;
+#pragma GCC diagnostic pop
+#endif
+  }
+
   [[nodiscard]] group_element decode(byte_view data) const override {
     expect_canonical_point(data);
     point_ptr p = new_point();
@@ -342,6 +421,11 @@ class p256_group final : public group {
                  "EC_POINT_mul");
     }
     return wrap_arena(std::move(arena));
+  }
+
+  void prepare_fixed_base(const group_element& base,
+                          std::size_t products) const override {
+    if (!is_identity(base)) (void)cached_table(base, products);
   }
 
   [[nodiscard]] std::vector<group_element> mul_batch(

@@ -114,13 +114,34 @@ void deterministic_rng::fill(std::span<std::uint8_t> out) {
   }
 }
 
+namespace {
+
+/// ChaCha20, fetched once per process. EVP_chacha20() is an implicit
+/// fetch: every EVP_EncryptInit_ex with it looks the cipher up under
+/// OpenSSL 3's method-store lock, which serializes threads that each build
+/// many short streams.
+[[nodiscard]] const EVP_CIPHER* chacha20() {
+  static EVP_CIPHER* const cipher = [] {
+    EVP_CIPHER* c = EVP_CIPHER_fetch(nullptr, "ChaCha20", nullptr);
+    if (c == nullptr) throw std::runtime_error{"EVP_CIPHER_fetch(ChaCha20) failed"};
+    return c;
+  }();
+  return cipher;
+}
+
+// The first refill covers a PSC insert's two scalar draws with room for
+// p256's rejection sampling; later refills fill the buffer.
+constexpr std::size_t k_first_refill = 128;
+
+}  // namespace
+
 stream_rng::stream_rng(const sha256_digest& seed) {
   EVP_CIPHER_CTX* ctx = EVP_CIPHER_CTX_new();
   if (ctx == nullptr) throw std::runtime_error{"EVP_CIPHER_CTX_new failed"};
   // Zero IV: every stream gets a unique key (derived per shard), so the
   // nonce carries no distinguishing duty.
   const std::uint8_t iv[16] = {};
-  if (EVP_EncryptInit_ex(ctx, EVP_chacha20(), nullptr, seed.data(), iv) != 1) {
+  if (EVP_EncryptInit_ex(ctx, chacha20(), nullptr, seed.data(), iv) != 1) {
     EVP_CIPHER_CTX_free(ctx);
     throw std::runtime_error{"EVP_EncryptInit_ex(chacha20) failed"};
   }
@@ -133,20 +154,24 @@ stream_rng::~stream_rng() {
 
 void stream_rng::refill() {
   static constexpr std::uint8_t k_zeros[sizeof(buf_)] = {};
+  // The cipher keeps its place within a block across calls, so the
+  // keystream does not depend on the refill sizes.
+  const int n = static_cast<int>(size_ == 0 ? k_first_refill : buf_.size());
   int out_len = 0;
   if (EVP_EncryptUpdate(static_cast<EVP_CIPHER_CTX*>(ctx_), buf_.data(),
-                        &out_len, k_zeros, static_cast<int>(sizeof(buf_))) != 1 ||
-      out_len != static_cast<int>(sizeof(buf_))) {
+                        &out_len, k_zeros, n) != 1 ||
+      out_len != n) {
     throw std::runtime_error{"EVP_EncryptUpdate(chacha20) failed"};
   }
+  size_ = static_cast<std::size_t>(n);
   used_ = 0;
 }
 
 void stream_rng::fill(std::span<std::uint8_t> out) {
   std::size_t produced = 0;
   while (produced < out.size()) {
-    if (used_ == buf_.size()) refill();
-    const std::size_t take = std::min(out.size() - produced, buf_.size() - used_);
+    if (used_ == size_) refill();
+    const std::size_t take = std::min(out.size() - produced, size_ - used_);
     std::memcpy(out.data() + produced, buf_.data() + used_, take);
     produced += take;
     used_ += take;

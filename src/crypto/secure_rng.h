@@ -83,10 +83,13 @@ class deterministic_rng final : public secure_rng {
 };
 
 /// Deterministic bulk generator: a ChaCha20 keystream keyed by a 32-byte
-/// seed, buffered in 4 KiB blocks. Same reproducibility contract as
-/// deterministic_rng (the stream depends only on the seed) but an order of
-/// magnitude faster for the bulk nonce draws of the crypto batch engine,
-/// where every shard gets its own derived stream.
+/// seed, buffered in 4 KiB blocks after a first 128-byte one. Same
+/// reproducibility contract as deterministic_rng (the stream depends only
+/// on the seed, never on how it is read) but an order of magnitude faster
+/// for the bulk nonce draws of the crypto batch engine, where every shard
+/// gets its own derived stream. A PSC insert reads 64 bytes of its own
+/// stream, so a stream is cheap to build: the cipher is fetched once per
+/// process and the first block is small.
 class stream_rng final : public secure_rng {
  public:
   explicit stream_rng(const sha256_digest& seed);
@@ -100,8 +103,9 @@ class stream_rng final : public secure_rng {
   void refill();
 
   void* ctx_ = nullptr;  // EVP_CIPHER_CTX (void* keeps OpenSSL out of headers)
-  std::array<std::uint8_t, 4096> buf_{};
-  std::size_t used_ = sizeof(buf_);  // forces generation on first use
+  std::array<std::uint8_t, 4096> buf_;  // written before it is read
+  std::size_t size_ = 0;  // keystream bytes in buf_; 0 until the first refill
+  std::size_t used_ = 0;
 };
 
 }  // namespace tormet::crypto

@@ -205,13 +205,10 @@ class toy_group final : public group {
     // gets no comb table.
     std::vector<std::uint64_t> out(ks.size(), 1);
     if (b == 1) return wrap_batch(out);
-    // Table build is windows * 2^width multiplies; only worth it when the
-    // batch amortizes it below the ~91 multiplies of a plain square-and-
-    // multiply exponentiation. Tables are cached per base, so repeated
-    // batches against the same point (the joint public key, across every
-    // engine shard of every round) build it once.
-    if (ks.size() >= 16) {
-      const std::shared_ptr<const comb_table> t = cached_comb(b);
+    // Tables are cached per base, so repeated batches against the same
+    // point (the joint public key, across every engine chunk of every
+    // round) build it once; a smaller batch uses one that exists.
+    if (const std::shared_ptr<const comb_table> t = cached_comb(b, ks.size())) {
       for (std::size_t i = 0; i < ks.size(); ++i) {
         out[i] = comb_pow(*t, scalar_value(ks[i]));
       }
@@ -221,6 +218,12 @@ class toy_group final : public group {
       }
     }
     return wrap_batch(out);
+  }
+
+  void prepare_fixed_base(const group_element& base,
+                          std::size_t products) const override {
+    const std::uint64_t b = unwrap(base);
+    if (b != 1) (void)cached_comb(b, products);
   }
 
   [[nodiscard]] std::vector<group_element> mul_batch(
@@ -301,15 +304,23 @@ class toy_group final : public group {
   }
 
  private:
-  /// Finds or builds the width-8 comb table for `base`. The cache holds the
-  /// handful of fixed bases a process ever batches against (joint public
-  /// keys); a tiny FIFO bound keeps adversarial base churn from growing it.
+  // A table build is windows * 2^width multiplies; only worth it when the
+  // batch amortizes it below the ~91 multiplies of a plain square-and-
+  // multiply exponentiation.
+  static constexpr std::size_t k_comb_min_batch = 16;
+
+  /// The width-8 comb table for `base`: the cached one, else one built now
+  /// for a batch of `batch` products that amortizes it, else nullptr. The
+  /// cache holds the handful of fixed bases a process ever batches against
+  /// (joint public keys); a tiny FIFO bound keeps adversarial base churn
+  /// from growing it.
   [[nodiscard]] std::shared_ptr<const comb_table> cached_comb(
-      std::uint64_t base) const {
+      std::uint64_t base, std::size_t batch) const {
     std::lock_guard<std::mutex> lock{comb_mutex_};
     for (const auto& [cached_base, table] : comb_cache_) {
       if (cached_base == base) return table;
     }
+    if (batch < k_comb_min_batch) return nullptr;
     auto table = std::make_shared<const comb_table>(build_comb(base, 8));
     if (comb_cache_.size() >= 8) comb_cache_.erase(comb_cache_.begin());
     comb_cache_.emplace_back(base, table);

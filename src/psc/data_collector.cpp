@@ -70,40 +70,16 @@ void data_collector::ingest(const tor::event* evs, std::size_t n) {
   if (extractor_ == nullptr || set_ == nullptr || n == 0) return;
   events_observed_ += n;
   // Serial pre-pass in event order: hash each extracted item to its bin and
-  // draw its insert seed. Drawing here (not in the per-shard loop) keeps the
-  // rng stream identical to insert_item() per extracted item, and bucketing
-  // by bin means one bin is only ever touched by one shard, so in-bin insert
-  // order equals event order and last-insert-wins yields
-  // partition-independent bytes.
-  buckets_.resize(shards_);
-  for (auto& b : buckets_) b.clear();
+  // draw its insert seed, so the rng stream matches insert_item() per
+  // extracted item. The set keeps each bin's last insert, whose ciphertext
+  // depends only on (bin, seed), and computes those on the engine's pool.
+  inserts_.clear();
   for (std::size_t i = 0; i < n; ++i) {
     const std::optional<std::string> item = extractor_(evs[i]);
     if (!item.has_value()) continue;
-    const std::size_t bin = set_->bin_of(as_bytes(*item));
-    const std::uint64_t seed = rng_.next_u64();
-    buckets_[bin % shards_].emplace_back(bin, seed);
+    inserts_.push_back({set_->bin_of(as_bytes(*item)), rng_.next_u64()});
   }
-  if (pool_ != nullptr) {
-    // Execute the seeded inserts on the workers, one chunk of shards per
-    // party. Bins are owned by exactly one shard and each ciphertext is a
-    // pure function of (bin, seed), so concurrent chunks write disjoint
-    // slots and the table bytes match the serial path for every worker
-    // count; the parallel_for return is the window-end merge barrier.
-    const std::size_t parties = pool_->size() + 1;
-    const std::size_t grain = (shards_ + parties - 1) / parties;
-    pool_->parallel_for(shards_, grain, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t s = begin; s < end; ++s) {
-        for (const auto& [bin, seed] : buckets_[s]) {
-          set_->insert_seeded_bin(bin, seed);
-        }
-      }
-    });
-    return;
-  }
-  for (auto& b : buckets_) {
-    for (const auto& [bin, seed] : b) set_->insert_seeded_bin(bin, seed);
-  }
+  set_->insert_seeded(inserts_);
 }
 
 }  // namespace tormet::psc

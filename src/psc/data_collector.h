@@ -1,8 +1,8 @@
 // PSC data collector: owns the oblivious encrypted bit table for one
 // measurement relay, feeds items into it during collection, and ships the
-// encrypted table to the tally server on request. Batched ingest is
-// sharded by bin and optionally runs the shards on a worker pool; the
-// table bytes never depend on the shard count or the worker count.
+// encrypted table to the tally server on request. Each ingest call is one
+// batch of inserts on the DC's crypto pool; the table bytes never depend
+// on how events are split into calls or on the worker count.
 #pragma once
 
 #include <cstdint>
@@ -10,7 +10,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/core/event_sink.h"
@@ -36,29 +35,28 @@ class data_collector final : public core::event_sink {
                  net::transport& transport, crypto::secure_rng& rng);
 
   void set_extractor(extractor fn);
-  /// Shares `pool` for the bulk table initialization at configure time, the
-  /// report's encode and running the ingest shards. Rejected while a table
-  /// is live (between dc_configure and the report): the ingest plane is
-  /// reconfigured between rounds only.
+  /// Shares `pool` for the bulk table initialization at configure time,
+  /// the inserts of every ingest call and the report's encode. Rejected
+  /// while a table is live (between dc_configure and the report): the
+  /// ingest plane is reconfigured between rounds only.
   void set_thread_pool(std::shared_ptr<util::thread_pool> pool) override;
-  /// Number of ingest shards (>= 1) for batched ingest. The table bytes
-  /// are identical for every value: seeds are pre-drawn per insert in
-  /// event order and bins are owned by exactly one shard, so the
-  /// last-insert-wins slot contents never depend on the partition.
-  /// Rejected while a table is live, like set_thread_pool.
+  /// Accepted because every event_sink takes a shard count (>= 1), and
+  /// rejected while a table is live, like set_thread_pool; ingest does not
+  /// read it. An ingest call is one batch on the pool whatever its value.
   void set_shards(std::size_t n) override;
   [[nodiscard]] std::size_t shards() const noexcept override { return shards_; }
   void handle_message(const net::message& msg);
   void observe(const tor::event& ev) override;
 
   /// Feeds a contiguous batch of observed events: a serial pre-pass runs
-  /// the extractor and draws one insert seed per item in event order, then
-  /// each shard executes the seeded inserts for the bins it owns — one
-  /// pool worker per shard chunk when a pool is attached.
-  /// Byte-equivalent to observe() per event.
+  /// the extractor, hashes each item to its bin and draws one insert seed
+  /// per item in event order, then the set computes each bin's last insert
+  /// in one engine pass (oblivious_set::insert_seeded). Byte-equivalent to
+  /// observe() per event.
   void ingest(const tor::event* evs, std::size_t n) override;
 
-  /// Direct item insertion (for callers not going through tor events).
+  /// Direct item insertion (for callers not going through tor events): a
+  /// batch of one insert, like observe().
   void insert_item(std::string_view item);
 
   [[nodiscard]] net::node_id id() const noexcept { return self_; }
@@ -77,15 +75,14 @@ class data_collector final : public core::event_sink {
   crypto::secure_rng& rng_;
   extractor extractor_;
   std::size_t shards_ = 1;
-  /// Ingest scratch: (bin, seed) pairs bucketed by owning shard.
-  std::vector<std::vector<std::pair<std::size_t, std::uint64_t>>> buckets_;
+  std::vector<seeded_insert> inserts_;  // ingest scratch, in event order
   std::uint64_t events_observed_ = 0;
 
   std::uint32_t round_id_ = 0;
   std::shared_ptr<util::thread_pool> pool_;
   std::shared_ptr<const crypto::group> group_;
   std::unique_ptr<crypto::batch_engine> engine_;  // outlives set_ (set_ holds
-                                                  // a reference to its scheme)
+                                                  // a reference to it)
   std::unique_ptr<oblivious_set> set_;
 };
 

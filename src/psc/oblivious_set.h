@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/crypto/batch_engine.h"
@@ -15,12 +16,19 @@
 
 namespace tormet::psc {
 
+/// One insert: the bin it overwrites and the seed its encryption randomness
+/// is derived from.
+struct seeded_insert {
+  std::size_t bin = 0;
+  std::uint64_t seed = 0;
+};
+
 class oblivious_set {
  public:
   /// All bins initialized to encryptions of zero under `joint_pub`, through
   /// `engine` (multi-threaded when the engine has a pool; `rng` supplies
   /// only the 32-byte batch seed). The engine must outlive this set —
-  /// inserts use its elgamal instance.
+  /// inserts run on it.
   oblivious_set(const crypto::batch_engine& engine,
                 crypto::group_element joint_pub, std::size_t bins,
                 crypto::secure_rng& rng);
@@ -28,16 +36,18 @@ class oblivious_set {
   /// Bin index an item hashes to.
   [[nodiscard]] std::size_t bin_of(byte_view item) const;
 
-  /// Marks the item present (idempotent by construction).
+  /// Marks the item present (idempotent by construction): a batch of one
+  /// insert into its bin, seeded by one u64 of `rng`.
   void insert(byte_view item, crypto::secure_rng& rng);
 
-  /// Inserts into a specific bin using encryption randomness derived from
-  /// `seed` alone (domain-separated ChaCha20 stream). Because the
-  /// ciphertext depends only on (bin, seed), sharded ingest can pre-draw
-  /// one seed per insert in event order and then execute the inserts in
-  /// any per-bin-order-preserving schedule: the last insert into a bin
-  /// wins, so the final table bytes are independent of the shard count.
-  void insert_seeded_bin(std::size_t bin, std::uint64_t seed);
+  /// Applies `inserts` in order. Insert (bin, seed) overwrites its bin with
+  /// encrypt_one under the ChaCha20 stream keyed by
+  /// SHA256("tormet.psc.insert.v1" ‖ le64(seed)), so its ciphertext depends
+  /// on (bin, seed) alone. A later insert into a bin overwrites an earlier
+  /// one, so only each bin's last insert is computed, and the survivors run
+  /// as one engine pass. The table bytes equal those of applying the
+  /// inserts one at a time, however the caller splits them into batches.
+  void insert_seeded(std::span<const seeded_insert> inserts);
 
   [[nodiscard]] std::size_t bins() const noexcept { return slots_.size(); }
   [[nodiscard]] const std::vector<crypto::elgamal_ciphertext>& slots()
@@ -50,7 +60,7 @@ class oblivious_set {
   }
 
  private:
-  const crypto::elgamal& scheme_;
+  const crypto::batch_engine& engine_;
   crypto::group_element joint_pub_;
   std::vector<crypto::elgamal_ciphertext> slots_;
 };

@@ -180,6 +180,39 @@ TEST_P(GroupBatchTest, MulBatchAgainstTheIdentityIsTheIdentity) {
   }
 }
 
+TEST_P(GroupBatchTest, EncodeBatchMatchesEncodeAndLeavesItsInput) {
+  // Points in every form a batch meets: the identity, Jacobian outputs of
+  // mul_batch and add_batch, and affine points decoded off the wire. p256
+  // normalizes copies with one inversion per block of 1024 points, so
+  // sizes straddle the engine's 32-element chunk floor, its 512-element
+  // shards and that block, and the inputs must encode the same afterwards.
+  const auto g = make();
+  deterministic_rng rng{7};
+  const group_element base = g->random_element(rng);
+  for (const std::size_t n : {0u, 1u, 31u, 32u, 33u, 512u, 513u, 1025u}) {
+    std::vector<scalar> ks;
+    for (std::size_t i = 0; i < n; ++i) ks.push_back(g->random_scalar(rng));
+    const std::vector<group_element> products = g->mul_batch(base, ks);
+    const std::vector<group_element> sums =
+        g->add_batch(products, g->mul_generator_batch(ks));
+    std::vector<group_element> points;
+    for (std::size_t i = 0; i < n; ++i) {
+      switch (i % 4) {
+        case 0: points.push_back(g->identity()); break;
+        case 1: points.push_back(products[i]); break;
+        case 2: points.push_back(sums[i]); break;
+        default: points.push_back(g->decode(g->encode(products[i])));
+      }
+    }
+    std::vector<byte_buffer> want;
+    for (const auto& p : points) want.push_back(g->encode(p));
+    EXPECT_EQ(g->encode_batch(points), want) << "n " << n;
+    std::vector<byte_buffer> after;
+    for (const auto& p : points) after.push_back(g->encode(p));
+    EXPECT_EQ(after, want) << "n " << n;
+  }
+}
+
 TEST_P(GroupBatchTest, MismatchedSpansRejected) {
   const auto g = make();
   deterministic_rng rng{5};
@@ -508,11 +541,14 @@ TEST(P256FixedBaseTest, KnownAnswerDigestsOfTheBatchPaths) {
       engine.encrypt_bits_batch(kp.pub, bits, batch_engine::derive_seed(rng));
   const auto rerand =
       engine.rerandomize_batch(kp.pub, noise, batch_engine::derive_seed(rng));
-  // A DC table: bin init, then seeded inserts (single encryptions).
+  // A DC table: bin init, then 300 seeded inserts in one batch (recorded
+  // when each insert was a single encryption).
   psc::oblivious_set table{engine, kp.pub, 1024, rng};
+  std::vector<psc::seeded_insert> inserts;
   for (std::uint64_t i = 0; i < 300; ++i) {
-    table.insert_seeded_bin((i * 37) % 1024, 0x5eed0000 + i);
+    inserts.push_back({(i * 37) % 1024, 0x5eed0000 + i});
   }
+  table.insert_seeded(inserts);
   EXPECT_EQ(compressed_digest_hex(scheme, zeros),
             "d7e925502ef70b9426cda7aa5fab7050b39574d20f92f7e28e3721cc3b8193c5");
   EXPECT_EQ(compressed_digest_hex(scheme, noise),

@@ -3,8 +3,11 @@
 // the rerandomizing shuffle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "src/crypto/elgamal.h"
 #include "src/crypto/group.h"
@@ -83,6 +86,26 @@ TEST(SecureRngTest, DeterministicReproducible) {
   deterministic_rng c{42};
   c.fill(y);
   EXPECT_NE(x, y);
+}
+
+TEST(SecureRngTest, StreamRngIsTheSameAtEveryReadSize) {
+  // Refills are 128 bytes first and 4 KiB after; reads of mixed sizes
+  // cross both boundaries and must see one keystream.
+  sha256_digest seed{};
+  seed[0] = 0x5e;
+  stream_rng whole{seed};
+  std::vector<std::uint8_t> want(10'000);
+  whole.fill(want);
+
+  stream_rng pieces{seed};
+  std::vector<std::uint8_t> got(want.size());
+  const std::size_t sizes[] = {1, 7, 32, 64, 100, 127, 129, 4096, 3};
+  for (std::size_t at = 0, i = 0; at < got.size(); ++i) {
+    const std::size_t n = std::min(sizes[i % std::size(sizes)], got.size() - at);
+    pieces.fill(std::span{got}.subspan(at, n));
+    at += n;
+  }
+  EXPECT_EQ(got, want);
 }
 
 TEST(SecureRngTest, BelowUnbiasedSmallBound) {

@@ -15,6 +15,7 @@
 #include <tuple>
 #include <vector>
 
+#include "src/crypto/sha256.h"
 #include "src/net/inproc.h"
 #include "src/psc/deployment.h"
 #include "src/psc/messages.h"
@@ -170,6 +171,25 @@ TEST(BackendDifferentialTest, PooledRunIsByteIdenticalToSerialRun) {
       expect_identical_bytes(serial, run_round(backend, workers, true, 1100));
     }
   }
+}
+
+TEST(BackendDifferentialTest, PooledP256MixPassKeepsItsKnownDigest) {
+  // The vector CP 1 forwards holds its strip of the TS's combined tables,
+  // its noise and its rerandomization, each run on a 3-worker pool. The
+  // digest was recorded when every randomized pass multiplied one chunk per
+  // 512-element shard and every point was encoded on its own.
+  const round_run run = run_round(crypto::group_backend::p256, 3, true, 64);
+  std::vector<std::string> digests;
+  for (const auto& e : run.trace) {
+    if (static_cast<msg_type>(e.type) != msg_type::mix_pass || e.from != 1) {
+      continue;
+    }
+    const crypto::sha256_digest d = crypto::sha256(e.payload);
+    digests.push_back(to_hex(byte_view{d.data(), d.size()}));
+  }
+  EXPECT_EQ(digests,
+            std::vector<std::string>{
+                "17af2cd924b21b7041524256d554bcd117b85267952537f3896927fbfffbafcc"});
 }
 
 /// The chain's shape and keys on both backends. After the DC tables each

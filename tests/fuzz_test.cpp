@@ -26,6 +26,7 @@
 #include "src/util/check.h"
 #include "src/util/op_log.h"
 #include "src/util/rng.h"
+#include "src/util/thread_pool.h"
 
 namespace tormet::crypto {
 /// Test-only backdoor into the private scalar constructor, so the
@@ -830,38 +831,35 @@ TEST(FuzzTest, MergeSlabsRejectsShapeMismatches) {
       precondition_error);
 }
 
-TEST(FuzzTest, SeededBinInsertsCommuteAcrossBins) {
-  // Property behind PSC shard independence: insert_seeded_bin depends only
-  // on (bin, seed), and the last insert into a bin wins. Any execution
-  // order that preserves per-bin order — exactly what the shard bucketing
-  // guarantees, since one bin maps to one shard — must produce a
-  // byte-identical table, under random streams, all-one-bin skew, and
-  // never-touched (empty) bins.
+TEST(FuzzTest, SeededBatchInsertsEqualOneAtATime) {
+  // Property behind a DC's batched ingest: an insert's ciphertext depends
+  // only on (bin, seed) and the last insert into a bin wins, so one batch
+  // (which computes only each bin's last insert), batches split at any
+  // point, and one insert at a time must give a byte-identical table,
+  // under random streams, all-one-bin skew, and never-touched (empty) bins.
   const auto group = crypto::make_toy_group();
-  const crypto::batch_engine engine{group};
+  const crypto::batch_engine engine{group,
+                                    std::make_shared<util::thread_pool>(2)};
   const crypto::elgamal& scheme = engine.scheme();
   constexpr std::size_t bins = 32;
   rng r{2718};
   for (int trial = 0; trial < 8; ++trial) {
     const std::size_t n = 1 + r.below(120);
     const bool skew = (trial % 3) == 0;
-    std::vector<std::pair<std::size_t, std::uint64_t>> inserts;
+    std::vector<psc::seeded_insert> inserts;
     inserts.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      inserts.emplace_back(skew ? 5 : r.below(bins), r.next());
+      inserts.push_back({skew ? 5 : r.below(bins), r.next()});
     }
 
-    const auto table_after = [&](std::size_t shards) {
+    const auto table_after = [&](std::size_t batch) {
       // Fresh rng per set: both start from the same all-zero table bytes.
       crypto::deterministic_rng set_rng{90 + static_cast<std::uint64_t>(trial)};
       psc::oblivious_set set{engine, scheme.generate_keypair(set_rng).pub,
                              bins, set_rng};
-      // Replay in shard-bucketed order: per-bin order is preserved because
-      // a bin lives on exactly one shard.
-      for (std::size_t s = 0; s < shards; ++s) {
-        for (const auto& [bin, seed] : inserts) {
-          if (bin % shards == s) set.insert_seeded_bin(bin, seed);
-        }
+      for (std::size_t i = 0; i < n; i += batch) {
+        set.insert_seeded(
+            std::span{inserts}.subspan(i, std::min(batch, n - i)));
       }
       std::vector<byte_buffer> bytes;
       for (const auto& c : set.slots()) bytes.push_back(scheme.encode(c));
@@ -869,9 +867,9 @@ TEST(FuzzTest, SeededBinInsertsCommuteAcrossBins) {
     };
 
     const std::vector<byte_buffer> reference = table_after(1);
-    for (const std::size_t shards : {2ul, 3ul, 7ul, bins, bins * 4}) {
-      ASSERT_EQ(table_after(shards), reference)
-          << "trial " << trial << " shards " << shards;
+    for (const std::size_t batch : {2ul, 7ul, bins, n}) {
+      ASSERT_EQ(table_after(batch), reference)
+          << "trial " << trial << " batch " << batch;
     }
   }
 }

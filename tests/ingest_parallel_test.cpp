@@ -24,6 +24,7 @@
 #include "src/crypto/elgamal.h"
 #include "src/crypto/group.h"
 #include "src/crypto/secure_rng.h"
+#include "src/crypto/sha256.h"
 #include "src/net/inproc.h"
 #include "src/privcount/data_collector.h"
 #include "src/privcount/messages.h"
@@ -305,6 +306,24 @@ TEST(ParallelIngestTest, PscP256ShardWorkerMatrixIsByteIdentical) {
           << " workers";
     }
   }
+}
+
+TEST(ParallelIngestTest, PscTableKnownAnswerDigests) {
+  // Two ingest() calls on a 3-worker pool over a zipf stream: items repeat
+  // within and across the calls, and 64 bins make distinct items collide.
+  // The digests were recorded when every insert ran on its own, so a
+  // change to how a DC schedules, batches or skips inserts must keep them.
+  const std::vector<tor::event> events = zipf_events(600, 43);
+  const auto digest = [&](crypto::group_backend backend) {
+    const std::vector<std::uint8_t> table =
+        psc_table_bytes(backend, events, 64, 1, 3, events.size() / 2 + 1);
+    const crypto::sha256_digest d = crypto::sha256(table);
+    return to_hex(byte_view{d.data(), d.size()});
+  };
+  EXPECT_EQ(digest(crypto::group_backend::toy),
+            "b0be4e294b96db7f20ae42421fac4ad9664aa105224fadc2b23827e70ef4182b");
+  EXPECT_EQ(digest(crypto::group_backend::p256),
+            "62dbeb3e05bc77a5da8c214661c103da46cb58f95275a6ebe920a4e2a33c3c7b");
 }
 
 TEST(ParallelIngestTest, PscRejectsIngestPlaneChangesWhileTableIsLive) {
